@@ -27,15 +27,14 @@ main()
         const auto &wl = workload(id);
         std::vector<std::string> row = {graph::datasetName(id)};
         for (std::size_t bs : batch_sizes) {
-            auto tput = [&](core::DesignPoint dp) {
-                auto sc = baseConfig(dp);
+            auto tput = [&](const std::string &backend) {
+                auto sc = baseConfig(backend);
                 sc.pipeline.batch_size = bs;
                 core::GnnSystem system(sc, wl);
                 return system.runSamplingOnly(12, 16)
                     .batchesPerSecond();
             };
-            double speedup = tput(core::DesignPoint::SmartSageHwSw) /
-                             tput(core::DesignPoint::SsdMmap);
+            double speedup = tput("isp-hwsw") / tput("ssd-mmap");
             row.push_back(core::fmtX(speedup, 1));
         }
         table.addRow(row);

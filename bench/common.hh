@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 
+#include "core/backend.hh"
 #include "core/report.hh"
 #include "core/system.hh"
 #include "graph/datasets.hh"
@@ -51,10 +52,10 @@ workload(graph::DatasetId id, bool large_scale = true)
 
 /** Baseline experiment configuration shared by the harnesses. */
 inline core::SystemConfig
-baseConfig(core::DesignPoint dp)
+baseConfig(const std::string &backend)
 {
     core::SystemConfig sc;
-    sc.design = dp;
+    sc.backend = backend;
     return sc;
 }
 

@@ -27,19 +27,19 @@ main()
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
         double dram_tput = 0;
-        for (auto dp :
-             {core::DesignPoint::DramOracle, core::DesignPoint::SsdMmap}) {
-            auto sc = baseConfig(dp);
+        for (std::string backend : {"dram", "ssd-mmap"}) {
+            auto sc = baseConfig(backend);
             sc.pipeline.num_batches = pipeline_batches;
             core::GnnSystem system(sc, wl);
             auto r = system.runPipeline();
-            if (dp == core::DesignPoint::DramOracle)
+            if (backend == "dram")
                 dram_tput = r.throughput();
             double slowdown = dram_tput / r.throughput();
-            if (dp == core::DesignPoint::SsdMmap)
+            if (backend == "ssd-mmap")
                 slowdowns.push_back(slowdown);
             auto n = r.stages.normalized();
-            table.addRow({graph::datasetName(id), core::designName(dp),
+            table.addRow({graph::datasetName(id),
+                          core::backendDisplayName(backend),
                           core::fmtPct(n.sampling),
                           core::fmtPct(n.feature),
                           core::fmtPct(n.transfer), core::fmtPct(n.gpu),

@@ -21,15 +21,15 @@ main()
 
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
-        auto idle = [&](core::DesignPoint dp) {
-            auto sc = baseConfig(dp);
+        auto idle = [&](const std::string &backend) {
+            auto sc = baseConfig(backend);
             sc.pipeline.num_batches = pipeline_batches;
             core::GnnSystem system(sc, wl);
             return system.runPipeline().gpu_idle_frac;
         };
         table.addRow({graph::datasetName(id),
-                      core::fmtPct(idle(core::DesignPoint::DramOracle)),
-                      core::fmtPct(idle(core::DesignPoint::SsdMmap))});
+                      core::fmtPct(idle("dram")),
+                      core::fmtPct(idle("ssd-mmap"))});
     }
     table.print(std::cout);
     std::cout << "paper: DRAM keeps the GPU mostly busy; mmap leaves "

@@ -23,14 +23,14 @@ main()
     std::vector<double> sw_speedups, hw_speedups;
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
-        auto batch_us = [&](core::DesignPoint dp) {
-            core::GnnSystem system(baseConfig(dp), wl);
+        auto batch_us = [&](const std::string &backend) {
+            core::GnnSystem system(baseConfig(backend), wl);
             return system.runSamplingOnly(1, sampling_batches)
                 .avg_batch_us;
         };
-        double mmap = batch_us(core::DesignPoint::SsdMmap);
-        double sw = batch_us(core::DesignPoint::SmartSageSw);
-        double hwsw = batch_us(core::DesignPoint::SmartSageHwSw);
+        double mmap = batch_us("ssd-mmap");
+        double sw = batch_us("direct-io");
+        double hwsw = batch_us("isp-hwsw");
         sw_speedups.push_back(mmap / sw);
         hw_speedups.push_back(mmap / hwsw);
         table.addRow({graph::datasetName(id), "1.00x",

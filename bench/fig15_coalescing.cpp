@@ -28,7 +28,7 @@ main()
         std::vector<std::string> row = {graph::datasetName(id)};
         double base = 0;
         for (std::size_t g : granularities) {
-            auto sc = baseConfig(core::DesignPoint::SmartSageHwSw);
+            auto sc = baseConfig("isp-hwsw");
             sc.isp.coalesce_targets = g;
             core::GnnSystem system(sc, wl);
             double tput = system.runSamplingOnly(1, 8)

@@ -25,14 +25,14 @@ main()
     std::vector<double> sw_speedups, hw_speedups;
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
-        auto tput = [&](core::DesignPoint dp) {
-            core::GnnSystem system(baseConfig(dp), wl);
+        auto tput = [&](const std::string &backend) {
+            core::GnnSystem system(baseConfig(backend), wl);
             return system.runSamplingOnly(workers, 2 * sampling_batches)
                 .batchesPerSecond();
         };
-        double mmap = tput(core::DesignPoint::SsdMmap);
-        double sw = tput(core::DesignPoint::SmartSageSw);
-        double hwsw = tput(core::DesignPoint::SmartSageHwSw);
+        double mmap = tput("ssd-mmap");
+        double sw = tput("direct-io");
+        double hwsw = tput("isp-hwsw");
         sw_speedups.push_back(sw / mmap);
         hw_speedups.push_back(hwsw / mmap);
         table.addRow({graph::datasetName(id), "1.00x",

@@ -26,13 +26,12 @@ main()
         std::vector<std::string> row = {graph::datasetName(id)};
         double first = 0, last = 0;
         for (unsigned w : worker_counts) {
-            auto tput = [&](core::DesignPoint dp) {
-                core::GnnSystem system(baseConfig(dp), wl);
+            auto tput = [&](const std::string &backend) {
+                core::GnnSystem system(baseConfig(backend), wl);
                 return system.runSamplingOnly(w, sampling_batches)
                     .batchesPerSecond();
             };
-            double speedup = tput(core::DesignPoint::SmartSageHwSw) /
-                             tput(core::DesignPoint::SmartSageSw);
+            double speedup = tput("isp-hwsw") / tput("direct-io");
             if (w == 1)
                 first = speedup;
             last = speedup;

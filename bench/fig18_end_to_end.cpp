@@ -18,13 +18,8 @@ using namespace ssbench;
 int
 main()
 {
-    const std::vector<core::DesignPoint> designs = {
-        core::DesignPoint::SsdMmap,
-        core::DesignPoint::SmartSageSw,
-        core::DesignPoint::SmartSageHwSw,
-        core::DesignPoint::SmartSageOracle,
-        core::DesignPoint::Pmem,
-        core::DesignPoint::DramOracle,
+    const std::vector<std::string> backends = {
+        "ssd-mmap", "direct-io", "isp-hwsw", "isp-oracle", "pmem", "dram",
     };
 
     core::TableReporter table(
@@ -39,22 +34,22 @@ main()
 
         struct Row
         {
-            core::DesignPoint dp;
+            std::string backend;
             pipeline::PipelineResult result;
         };
         std::vector<Row> rows;
-        for (auto dp : designs) {
-            auto sc = baseConfig(dp);
+        for (const auto &backend : backends) {
+            auto sc = baseConfig(backend);
             sc.pipeline.num_batches = pipeline_batches;
             core::GnnSystem system(sc, wl);
-            rows.push_back({dp, system.runPipeline()});
+            rows.push_back({backend, system.runPipeline()});
         }
         double dram = rows.back().result.throughput();
 
         for (const auto &row : rows) {
             auto n = row.result.stages.normalized();
             table.addRow({graph::datasetName(id),
-                          core::designName(row.dp),
+                          core::backendDisplayName(row.backend),
                           core::fmtPct(n.sampling),
                           core::fmtPct(n.feature),
                           core::fmtPct(n.transfer), core::fmtPct(n.gpu),
@@ -62,20 +57,17 @@ main()
                           core::fmtX(dram / row.result.throughput())});
         }
 
-        auto tput = [&](core::DesignPoint dp) {
+        auto tput = [&](const std::string &backend) {
             for (const auto &row : rows) {
-                if (row.dp == dp)
+                if (row.backend == backend)
                     return row.result.throughput();
             }
             return 0.0;
         };
-        hwsw_gain.push_back(tput(core::DesignPoint::SmartSageHwSw) /
-                            tput(core::DesignPoint::SsdMmap));
-        sw_gain.push_back(tput(core::DesignPoint::SmartSageSw) /
-                          tput(core::DesignPoint::SsdMmap));
-        pmem_vs_dram.push_back(dram / tput(core::DesignPoint::Pmem));
-        oracle_vs_dram.push_back(
-            tput(core::DesignPoint::SmartSageOracle) / dram);
+        hwsw_gain.push_back(tput("isp-hwsw") / tput("ssd-mmap"));
+        sw_gain.push_back(tput("direct-io") / tput("ssd-mmap"));
+        pmem_vs_dram.push_back(dram / tput("pmem"));
+        oracle_vs_dram.push_back(tput("isp-oracle") / dram);
     }
     table.print(std::cout);
     std::cout << "HW/SW speedup over mmap: avg "

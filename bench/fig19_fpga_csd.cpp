@@ -26,19 +26,19 @@ main()
 
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
-        auto run = [&](core::DesignPoint dp,
+        auto run = [&](const std::string &backend,
                        std::unique_ptr<core::GnnSystem> &holder) {
-            holder =
-                std::make_unique<core::GnnSystem>(baseConfig(dp), wl);
+            holder = std::make_unique<core::GnnSystem>(
+                baseConfig(backend), wl);
             // Inverse throughput = effective per-batch latency.
             return 1.0 / holder->runSamplingOnly(workers, 16)
                              .batchesPerSecond();
         };
 
         std::unique_ptr<core::GnnSystem> h1, h2, h3;
-        double mmap = run(core::DesignPoint::SsdMmap, h1);
-        double sw = run(core::DesignPoint::SmartSageSw, h2);
-        double fpga = run(core::DesignPoint::FpgaCsd, h3);
+        double mmap = run("ssd-mmap", h1);
+        double sw = run("direct-io", h2);
+        double fpga = run("fpga-csd", h3);
 
         auto *producer =
             dynamic_cast<pipeline::FpgaProducer *>(&h3->producer());

@@ -25,17 +25,17 @@ main()
     std::vector<double> hw_speedups;
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
-        auto tput = [&](core::DesignPoint dp) {
-            auto sc = baseConfig(dp);
+        auto tput = [&](const std::string &backend) {
+            auto sc = baseConfig(backend);
             sc.use_saint = true;
             sc.saint_walk_length = 4;
             sc.pipeline.num_batches = pipeline_batches;
             core::GnnSystem system(sc, wl);
             return system.runPipeline().throughput();
         };
-        double mmap = tput(core::DesignPoint::SsdMmap);
-        double sw = tput(core::DesignPoint::SmartSageSw);
-        double hwsw = tput(core::DesignPoint::SmartSageHwSw);
+        double mmap = tput("ssd-mmap");
+        double sw = tput("direct-io");
+        double hwsw = tput("isp-hwsw");
         hw_speedups.push_back(hwsw / mmap);
         table.addRow({graph::datasetName(id), "1.00x",
                       core::fmtX(sw / mmap), core::fmtX(hwsw / mmap)});

@@ -34,16 +34,16 @@ main()
     for (auto id : graph::allDatasets()) {
         const auto &wl = workload(id);
         for (const auto &rate : rates) {
-            auto tput = [&](core::DesignPoint dp) {
-                auto sc = baseConfig(dp);
+            auto tput = [&](const std::string &backend) {
+                auto sc = baseConfig(backend);
                 sc.fanouts = rate.fanouts;
                 sc.pipeline.num_batches = 8;
                 core::GnnSystem system(sc, wl);
                 return system.runPipeline().throughput();
             };
-            double mmap = tput(core::DesignPoint::SsdMmap);
-            double sw = tput(core::DesignPoint::SmartSageSw);
-            double hwsw = tput(core::DesignPoint::SmartSageHwSw);
+            double mmap = tput("ssd-mmap");
+            double sw = tput("direct-io");
+            double hwsw = tput("isp-hwsw");
             table.addRow({graph::datasetName(id), rate.label,
                           core::fmtX(sw / mmap),
                           core::fmtX(hwsw / mmap)});

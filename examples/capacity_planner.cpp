@@ -55,8 +55,7 @@ main(int argc, char **argv)
     scenario.title = "Capacity grid: DRAM oracle vs SmartSAGE (HW/SW)";
     scenario.kind = core::ExperimentKind::Pipeline;
     scenario.datasets = graph::allDatasets();
-    scenario.designs = {core::DesignPoint::DramOracle,
-                        core::DesignPoint::SmartSageHwSw};
+    scenario.backends = {"dram", "isp-hwsw"};
     scenario.worker_grid = {12};
     scenario.num_batches = 12;
 
@@ -66,10 +65,10 @@ main(int argc, char **argv)
     core::ScenarioRun run = runner.run(scenario);
 
     auto throughput = [&run](graph::DatasetId id,
-                             core::DesignPoint dp) {
+                             const std::string &backend) {
         for (const auto &cell : run.cells)
             if (cell.cell.dataset == id &&
-                cell.cell.backend == core::backendIdOf(dp))
+                cell.cell.backend == backend)
                 return cell.metric("batches_per_s");
         return 0.0;
     };
@@ -82,8 +81,7 @@ main(int argc, char **argv)
     for (auto id : graph::allDatasets()) {
         const auto &spec = graph::datasetSpec(id);
         bool fits = spec.paper_large.size_gb <= dram_gb;
-        double dram_tput =
-            throughput(id, core::DesignPoint::DramOracle);
+        double dram_tput = throughput(id, "dram");
         if (fits) {
             table.addRow({spec.name,
                           core::fmt(spec.paper_large.size_gb, 0), "yes",
@@ -93,8 +91,7 @@ main(int argc, char **argv)
         }
 
         // Does not fit: the SSD-resident designs are the options.
-        double hwsw =
-            throughput(id, core::DesignPoint::SmartSageHwSw);
+        double hwsw = throughput(id, "isp-hwsw");
         table.addRow({spec.name, core::fmt(spec.paper_large.size_gb, 0),
                       "no", "SmartSAGE (HW/SW)", core::fmt(hwsw, 1),
                       core::fmtX(dram_tput / hwsw)});

@@ -46,7 +46,7 @@ main(int argc, char **argv)
 
     // The system under test: full SmartSAGE HW/SW stack.
     core::SystemConfig sc;
-    sc.design = core::DesignPoint::SmartSageHwSw;
+    sc.backend = "isp-hwsw";
     sc.fanouts = {15, 10};
     core::GnnSystem system(sc, wl);
 

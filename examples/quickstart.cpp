@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/backend.hh"
 #include "core/report.hh"
 #include "core/system.hh"
 #include "gnn/model.hh"
@@ -84,19 +85,18 @@ main(int argc, char **argv)
          "sampling share"});
 
     double dram_tput = 0;
-    for (auto dp :
-         {core::DesignPoint::DramOracle, core::DesignPoint::SsdMmap,
-          core::DesignPoint::SmartSageSw,
-          core::DesignPoint::SmartSageHwSw}) {
+    for (std::string backend :
+         {"dram", "ssd-mmap", "direct-io", "isp-hwsw"}) {
         core::SystemConfig sc;
-        sc.design = dp;
+        sc.backend = backend;
         core::GnnSystem system(sc, wl);
         auto result = system.runPipeline();
         double tput = result.throughput();
-        if (dp == core::DesignPoint::DramOracle)
+        if (backend == "dram")
             dram_tput = tput;
         auto norm = result.stages.normalized();
-        table.addRow({core::designName(dp), core::fmt(tput, 2),
+        table.addRow({core::backendDisplayName(backend),
+                      core::fmt(tput, 2),
                       core::fmtX(dram_tput / tput),
                       core::fmtPct(result.gpu_idle_frac),
                       core::fmtPct(norm.sampling)});

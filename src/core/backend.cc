@@ -95,6 +95,16 @@ backendDisplayName(const std::string &id)
     return BackendRegistry::instance().get(id).displayName();
 }
 
+const std::vector<std::string> &
+paperBackendIds()
+{
+    static const std::vector<std::string> ids = {
+        "dram", "ssd-mmap", "direct-io", "isp-hwsw",
+        "isp-oracle", "pmem", "fpga-csd",
+    };
+    return ids;
+}
+
 void
 addSsdMetrics(const ssd::SsdDevice *ssd, const MetricSink &add)
 {

@@ -116,8 +116,8 @@ struct BackendBuildContext
 {
     /**
      * The resolved, cache-scaled system config. Mutable on purpose:
-     * backends may adjust substrate parameters the way the legacy enum
-     * switch did (e.g. the dedicated-ISP oracle adds embedded cores).
+     * backends may adjust substrate parameters (e.g. the dedicated-ISP
+     * oracle adds embedded cores).
      */
     SystemConfig &config;
     const Workload &workload;
@@ -235,6 +235,9 @@ struct BackendRegistrar
 
 /** Display name of backend @p id; unknown ids are fatal. */
 const std::string &backendDisplayName(const std::string &id);
+
+/** Ids of the paper's seven design points, in presentation order. */
+const std::vector<std::string> &paperBackendIds();
 
 // ---- shared helpers for backend implementations ----
 

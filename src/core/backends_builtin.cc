@@ -1,11 +1,7 @@
 /**
  * @file
- * The paper's seven design points as registered storage backends.
- *
- * Each backend reproduces exactly the substrate wiring the legacy
- * `DesignPoint` enum switch performed in GnnSystem's constructor, so
- * enum-configured and id-configured systems are bit-identical (pinned
- * by tests/backend/test_registry.cpp).
+ * The paper's seven design points as registered storage backends,
+ * each under its registry id and paper figure label.
  */
 
 #include "backend.hh"
@@ -251,56 +247,46 @@ caps(bool has_ssd, bool has_isp, EdgeStoreKind store,
     return BackendCaps{has_ssd, has_isp, store, std::move(namespaces)};
 }
 
-std::unique_ptr<StorageBackend>
-paper(DesignPoint dp, std::string summary, BackendCaps c,
-      SimpleBackend::BuildFn build)
-{
-    return std::make_unique<SimpleBackend>(backendIdOf(dp),
-                                           designName(dp),
-                                           std::move(summary),
-                                           std::move(c), build);
-}
-
-const BackendRegistrar reg_dram{paper(
-    DesignPoint::DramOracle,
+const BackendRegistrar reg_dram{std::make_unique<SimpleBackend>(
+    "dram", "DRAM",
     "infinite-DRAM in-memory oracle: edge list behind the host LLC",
     caps(false, false, EdgeStoreKind::Dram, {"host.", "cache."}),
     buildDram)};
 
-const BackendRegistrar reg_mmap{paper(
-    DesignPoint::SsdMmap,
+const BackendRegistrar reg_mmap{std::make_unique<SimpleBackend>(
+    "ssd-mmap", "SSD (mmap)",
     "baseline SSD: mmap'd edge file through the OS page cache",
     caps(true, false, EdgeStoreKind::Mmap,
          {"host.", "ssd.", "cache."}),
     buildMmap)};
 
-const BackendRegistrar reg_dio{paper(
-    DesignPoint::SmartSageSw,
+const BackendRegistrar reg_dio{std::make_unique<SimpleBackend>(
+    "direct-io", "SmartSAGE (SW)",
     "SmartSAGE(SW): O_DIRECT runtime with a user scratchpad, no ISP",
     caps(true, false, EdgeStoreKind::DirectIo,
          {"host.", "ssd.", "cache."}),
     buildDirectIo)};
 
-const BackendRegistrar reg_hwsw{paper(
-    DesignPoint::SmartSageHwSw,
+const BackendRegistrar reg_hwsw{std::make_unique<SimpleBackend>(
+    "isp-hwsw", "SmartSAGE (HW/SW)",
     "SmartSAGE(HW/SW): firmware in-storage subgraph generation",
     caps(true, true, EdgeStoreKind::None, {"ssd.", "isp."}),
     buildIspHwSw)};
 
-const BackendRegistrar reg_oracle{paper(
-    DesignPoint::SmartSageOracle,
+const BackendRegistrar reg_oracle{std::make_unique<SimpleBackend>(
+    "isp-oracle", "SmartSAGE (oracle)",
     "ISP oracle: Newport-style dedicated in-storage cores",
     caps(true, true, EdgeStoreKind::None, {"ssd.", "isp."}),
     buildIspOracle)};
 
-const BackendRegistrar reg_pmem{paper(
-    DesignPoint::Pmem,
+const BackendRegistrar reg_pmem{std::make_unique<SimpleBackend>(
+    "pmem", "PMEM",
     "Optane DC PMEM on the memory bus, byte-granular loads",
     caps(false, false, EdgeStoreKind::Pmem, {"host.", "cache."}),
     buildPmem)};
 
-const BackendRegistrar reg_fpga{paper(
-    DesignPoint::FpgaCsd,
+const BackendRegistrar reg_fpga{std::make_unique<SimpleBackend>(
+    "fpga-csd", "FPGA-CSD",
     "SmartSSD-style FPGA CSD: P2P transfer + hardwired gather unit",
     caps(true, true, EdgeStoreKind::None, {"ssd.", "fpga."}),
     buildFpga)};

@@ -314,7 +314,7 @@ writeArchDoc(std::ostream &os)
        << "\n"
        << "`ctest -L <label>`; the PR fast path runs every label "
           "except\n"
-       << "`integration` and `perf` (see `.github/workflows/ci.yml`).\n"
+       << "`perf` (see `.github/workflows/ci.yml`).\n"
        << "\n"
        << "| label | source | covers |\n"
        << "|---|---|---|\n";

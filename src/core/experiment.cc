@@ -291,7 +291,7 @@ ExperimentRunner::table(const ScenarioRun &run)
          [](const ExperimentCell &c) {
              return graph::datasetName(c.dataset);
          }},
-        {"design", s.resolvedBackends().size() > 1,
+        {"design", s.backends.size() > 1,
          [](const ExperimentCell &c) {
              return backendDisplayName(c.backend);
          }},

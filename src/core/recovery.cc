@@ -32,7 +32,7 @@ metaFingerprint(const GnnSystem &system)
 {
     const SystemConfig &config = system.config();
     sim::ByteWriter writer;
-    writer.str(config.resolvedBackend());
+    writer.str(config.backend);
     writer.u64(config.pipeline.seed);
     writer.u64(config.pipeline.batch_size);
     writer.u64(config.fanouts.size());

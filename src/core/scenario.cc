@@ -158,22 +158,10 @@ applyBackendKnob(SystemConfig &config, const KnobSetting &knob)
 
 } // namespace
 
-std::vector<std::string>
-Scenario::resolvedBackends() const
-{
-    if (!backends.empty())
-        return backends;
-    std::vector<std::string> out;
-    out.reserve(designs.size());
-    for (DesignPoint dp : designs)
-        out.push_back(backendIdOf(dp));
-    return out;
-}
-
 std::size_t
 Scenario::gridSize() const
 {
-    std::size_t cells = datasets.size() * resolvedBackends().size() *
+    std::size_t cells = datasets.size() * backends.size() *
                         fanout_grid.size() * batch_sizes.size() *
                         batch_mixes.size() * overrides.size() *
                         worker_grid.size();
@@ -205,8 +193,7 @@ ExperimentCell::label() const
 std::vector<ExperimentCell>
 expandScenario(const Scenario &scenario)
 {
-    std::vector<std::string> backend_axis = scenario.resolvedBackends();
-    SS_ASSERT(!scenario.datasets.empty() && !backend_axis.empty() &&
+    SS_ASSERT(!scenario.datasets.empty() && !scenario.backends.empty() &&
                   !scenario.fanout_grid.empty() &&
                   !scenario.batch_sizes.empty() &&
                   !scenario.batch_mixes.empty() &&
@@ -215,7 +202,7 @@ expandScenario(const Scenario &scenario)
               "scenario '", scenario.family, "' has an empty grid axis");
 
     // Unknown backend ids die here, listing the registered set.
-    for (const auto &id : backend_axis)
+    for (const auto &id : scenario.backends)
         BackendRegistry::instance().get(id);
 
     // The serving axes only multiply the grid for serving scenarios;
@@ -236,7 +223,7 @@ expandScenario(const Scenario &scenario)
     sim::Rng master(scenario.seed);
 
     for (auto dataset : scenario.datasets)
-     for (const auto &backend : backend_axis)
+     for (const auto &backend : scenario.backends)
       for (const auto &fanouts : scenario.fanout_grid)
        for (auto batch_size : scenario.batch_sizes)
         for (const auto &mix : scenario.batch_mixes)
@@ -268,8 +255,6 @@ expandScenario(const Scenario &scenario)
 
               SystemConfig sc;
               sc.backend = backend;
-              if (const DesignPoint *dp = designPointOf(backend))
-                  sc.design = *dp; // keep the legacy alias coherent
               sc.fanouts = fanouts;
               sc.pipeline.workers = workers;
               sc.pipeline.num_batches = scenario.num_batches;
@@ -301,7 +286,7 @@ designSpaceScenario()
     s.family = "design-space";
     s.title = "Design space: every design point, paper defaults";
     s.kind = ExperimentKind::Pipeline;
-    s.designs = allDesignPoints();
+    s.backends = paperBackendIds();
     s.worker_grid = {12};
     s.num_batches = 24;
     return s;
@@ -314,7 +299,7 @@ fanoutSweepScenario()
     s.family = "fanout-sweep";
     s.title = "Fanout sweep: sampling rate vs ISP benefit";
     s.kind = ExperimentKind::SamplingOnly;
-    s.designs = {DesignPoint::SsdMmap, DesignPoint::SmartSageHwSw};
+    s.backends = {"ssd-mmap", "isp-hwsw"};
     s.fanout_grid = {{5}, {10, 5}, {15, 10}, {25, 10}, {25, 10, 5}};
     s.num_batches = 8;
     return s;
@@ -327,7 +312,7 @@ ssdGeometryScenario()
     s.family = "ssd-geometry";
     s.title = "SSD geometry: flash channels/dies vs in-storage sampling";
     s.kind = ExperimentKind::SamplingOnly;
-    s.designs = {DesignPoint::SmartSageHwSw};
+    s.backends = {"isp-hwsw"};
     s.overrides = {
         {},
         {{"ssd.flash.channels", 2}},
@@ -350,7 +335,7 @@ tenantMixScenario()
     s.title = "Multi-tenant batch mix: heterogeneous tenants sharing "
               "the storage stack";
     s.kind = ExperimentKind::Pipeline;
-    s.designs = {DesignPoint::SsdMmap, DesignPoint::SmartSageHwSw};
+    s.backends = {"ssd-mmap", "isp-hwsw"};
     s.batch_mixes = {{}, {256, 1024}, {128, 256, 512, 1024}, {64, 2048}};
     s.worker_grid = {8};
     s.num_batches = 16;
@@ -364,7 +349,7 @@ batchSizeScenario()
     s.family = "batch-size";
     s.title = "Batch-size sensitivity (Section VI-F)";
     s.kind = ExperimentKind::SamplingOnly;
-    s.designs = {DesignPoint::SsdMmap, DesignPoint::SmartSageHwSw};
+    s.backends = {"ssd-mmap", "isp-hwsw"};
     s.fanout_grid = {{10, 5}};
     s.batch_sizes = {64, 128, 256};
     s.num_batches = 8;
@@ -378,7 +363,7 @@ pageBufferScenario()
     s.family = "page-buffer";
     s.title = "SSD page-buffer capacity sweep (DESIGN.md ablation)";
     s.kind = ExperimentKind::SamplingOnly;
-    s.designs = {DesignPoint::SmartSageHwSw};
+    s.backends = {"isp-hwsw"};
     s.overrides = {
         {{"ssd_buffer_fraction", 0.02}}, {{"ssd_buffer_fraction", 0.15}},
         {{"ssd_buffer_fraction", 0.4}},  {{"ssd_buffer_fraction", 0.8}},
@@ -395,7 +380,7 @@ workerScalingScenario()
     s.family = "worker-scaling";
     s.title = "Producer worker scaling (Fig 17 regime)";
     s.kind = ExperimentKind::Pipeline;
-    s.designs = {DesignPoint::SsdMmap, DesignPoint::SmartSageHwSw};
+    s.backends = {"ssd-mmap", "isp-hwsw"};
     s.worker_grid = {1, 2, 4, 8, 12, 16};
     s.num_batches = 16;
     return s;
@@ -696,6 +681,7 @@ backendSpaceScenario()
     s.family = "backend-space";
     s.title = "Backend space: every registered storage backend";
     s.kind = ExperimentKind::Pipeline;
+    s.backends.clear();
     for (const StorageBackend *backend :
          BackendRegistry::instance().all()) {
         if (backend->caps().in_default_grids)

@@ -85,14 +85,8 @@ struct Scenario
 
     // ------- grid axes (each defaults to a single point) -------
     std::vector<graph::DatasetId> datasets{graph::DatasetId::Reddit};
-    /** Legacy design-point axis; ignored when `backends` is set. */
-    std::vector<DesignPoint> designs{DesignPoint::SmartSageHwSw};
-    /**
-     * Storage-backend axis as registry ids ("dram", "multi-ssd", ...).
-     * When non-empty this axis replaces `designs`, and may name any
-     * registered backend — including ones the enum never heard of.
-     */
-    std::vector<std::string> backends;
+    /** Storage-backend axis as registry ids ("dram", "multi-ssd", ...). */
+    std::vector<std::string> backends{"isp-hwsw"};
     std::vector<std::vector<unsigned>> fanout_grid{{25, 10}};
     std::vector<std::size_t> batch_sizes{1024};
     /**
@@ -121,10 +115,6 @@ struct Scenario
     bool large_scale = true;   //!< dataset variant
     std::size_t num_batches = 8;
     std::uint64_t seed = 0xba7c;
-
-    /** The backend-id axis: `backends`, or `designs` mapped through
-     *  the alias layer when `backends` is empty. */
-    std::vector<std::string> resolvedBackends() const;
 
     /** Number of cells the grid expands to. */
     std::size_t gridSize() const;

@@ -373,7 +373,7 @@ runServingLoad(GnnSystem &system, const ServingConfig &config)
 
     host::EdgeStore *store = system.edgeStore();
     if (!store)
-        SS_FATAL("backend '", system.config().resolvedBackend(),
+        SS_FATAL("backend '", system.config().backend,
                  "' has no host-side edge store; the serving harness "
                  "evaluates the host request path (pick a backend "
                  "whose caps list an edge store)");

@@ -41,12 +41,6 @@ SystemConfig::depth() const
                      : static_cast<unsigned>(fanouts.size());
 }
 
-const std::string &
-SystemConfig::resolvedBackend() const
-{
-    return backend.empty() ? backendIdOf(design) : backend;
-}
-
 double
 SystemConfig::knobOr(const std::string &key, double fallback) const
 {
@@ -153,7 +147,7 @@ GnnSystem::GnnSystem(const SystemConfig &config, const Workload &workload)
 
     // Substrate composition is entirely the backend's business.
     const StorageBackend &backend =
-        BackendRegistry::instance().get(config_.resolvedBackend());
+        BackendRegistry::instance().get(config_.backend);
     backend_ = backend.build({config_, workload_, *sampler_});
 
     gnn::ModelConfig mc;
@@ -321,7 +315,7 @@ void
 GnnSystem::dumpStats(std::ostream &os, StatsFormat format) const
 {
     const std::string &display =
-        backendDisplayName(config_.resolvedBackend());
+        backendDisplayName(config_.backend);
 
     if (format == StatsFormat::Json) {
         auto prec = os.precision(10);
@@ -329,7 +323,7 @@ GnnSystem::dumpStats(std::ostream &os, StatsFormat format) const
            << "  \"bench\": \"system_stats\",\n"
            << "  \"schema_version\": 1,\n"
            << "  \"config\": {\n"
-           << "    \"backend\": \"" << config_.resolvedBackend()
+           << "    \"backend\": \"" << config_.backend
            << "\",\n"
            << "    \"display\": \"" << display << "\",\n"
            << "    \"dataset\": \""

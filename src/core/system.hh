@@ -9,9 +9,9 @@
  *
  * Substrate composition is delegated to a `core::StorageBackend`
  * looked up in the `core::BackendRegistry` (backend.hh): GnnSystem
- * resolves `SystemConfig::backend` (or the legacy `design` enum alias),
- * asks the backend to build its substrate pieces, and from then on
- * talks to them only through the uniform BackendInstance surface.
+ * looks up `SystemConfig::backend` by id, asks the backend to build
+ * its substrate pieces, and from then on talks to them only through
+ * the uniform BackendInstance surface.
  */
 
 #ifndef SMARTSAGE_CORE_SYSTEM_HH
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "checkpoint.hh"
-#include "design_point.hh"
 #include "gnn/feature_table.hh"
 #include "gnn/gpu_model.hh"
 #include "gnn/model.hh"
@@ -73,10 +72,8 @@ struct Workload
 /** Everything configurable about one system instantiation. */
 struct SystemConfig
 {
-    /** Legacy design-point alias; ignored when `backend` is set. */
-    DesignPoint design = DesignPoint::SmartSageHwSw;
-    /** Storage-backend registry id; empty defers to `design`. */
-    std::string backend;
+    /** Storage-backend registry id ("isp-hwsw", "ssd-mmap", ...). */
+    std::string backend = "isp-hwsw";
 
     host::HostConfig host;
     ssd::SsdConfig ssd;
@@ -162,10 +159,6 @@ struct SystemConfig
 
     /** Effective sampling depth (fanout hops or walk length). */
     unsigned depth() const;
-
-    /** The backend id this config resolves to (`backend` or the
-     *  `design` alias). */
-    const std::string &resolvedBackend() const;
 
     /** Backend-extension knob lookup with a default. */
     double knobOr(const std::string &key, double fallback) const;

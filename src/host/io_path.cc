@@ -172,6 +172,7 @@ MmapEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
 void
 MmapEdgeStore::resetStore()
 {
+    ssd_.reset();
     cache_.reset();
     faults_ = 0;
 }
@@ -264,6 +265,7 @@ DirectIoEdgeStore::serviceGather(sim::Tick start,
 void
 DirectIoEdgeStore::resetStore()
 {
+    ssd_.reset();
     cache_.reset();
     submits_ = 0;
 }

@@ -16,6 +16,13 @@ FpgaCsdEngine::FpgaCsdEngine(const FpgaCsdConfig &config,
 {
 }
 
+void
+FpgaCsdEngine::reset()
+{
+    p2p_.reset();
+    fpga_.reset();
+}
+
 FpgaBatchResult
 FpgaCsdEngine::runBatch(const IspTraceVisitor &trace, sim::Tick arrival)
 {

@@ -81,6 +81,9 @@ class FpgaCsdEngine
     FpgaBatchResult runBatch(const IspTraceVisitor &trace,
                              sim::Tick arrival);
 
+    /** Fresh P2P-wire and gather-unit timelines. */
+    void reset();
+
   private:
     FpgaCsdConfig config_;
     ssd::SsdDevice &ssd_;

@@ -447,6 +447,7 @@ void
 FpgaProducer::reset()
 {
     ssd_.reset();
+    engine_.reset();
     accum_ = isp::FpgaBatchResult{};
 }
 

@@ -116,7 +116,7 @@ TEST(BackendSmoke, BackendSpaceFamilyCoversTheDefaultGridRegistry)
 
     const Scenario *s = findScenario("backend-space");
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->resolvedBackends(), expected);
+    EXPECT_EQ(s->backends, expected);
     EXPECT_LT(expected.size(),
               BackendRegistry::instance().ids().size());
     Scenario smoke = smokeVariant(*s);

@@ -1,6 +1,5 @@
-/** @file Tests for the storage-backend registry: legacy enum alias
- *  round-trip, capability flags, error ergonomics, and golden
- *  equivalence between enum-configured and id-configured systems. */
+/** @file Tests for the storage-backend registry: registered ids,
+ *  capability flags, knob routing, and error ergonomics. */
 
 #include <gtest/gtest.h>
 
@@ -38,24 +37,6 @@ smallConfig()
 }
 
 } // namespace
-
-TEST(Registry, EveryDesignPointRoundTripsThroughTheAliasLayer)
-{
-    for (DesignPoint dp : allDesignPoints()) {
-        const std::string &id = backendIdOf(dp);
-        const DesignPoint *back = designPointOf(id);
-        ASSERT_NE(back, nullptr) << id;
-        EXPECT_EQ(*back, dp) << id;
-        // The registered backend carries the paper figure label.
-        const StorageBackend *backend =
-            BackendRegistry::instance().find(id);
-        ASSERT_NE(backend, nullptr) << id;
-        EXPECT_EQ(backend->displayName(), designName(dp));
-    }
-    EXPECT_EQ(paperBackendIds().size(), allDesignPoints().size());
-    EXPECT_EQ(designPointOf("multi-ssd"), nullptr);
-    EXPECT_EQ(designPointOf("no-such-backend"), nullptr);
-}
 
 TEST(Registry, AllIsSortedAndContainsPaperPlusPluginBackends)
 {
@@ -103,35 +84,6 @@ TEST(Registry, CapabilityFlagsDescribeTheSubstrate)
     EXPECT_TRUE(has_ns("tiered-hybrid", "tiered."));
 }
 
-TEST(Registry, GoldenEquivalenceEnumVsBackendId)
-{
-    // An id-configured system must be bit-identical to the legacy
-    // enum-configured path for every paper design point, in both
-    // sampling-only and full-pipeline modes.
-    for (DesignPoint dp : allDesignPoints()) {
-        SystemConfig via_enum = smallConfig();
-        via_enum.design = dp;
-        SystemConfig via_id = smallConfig();
-        via_id.backend = backendIdOf(dp);
-
-        GnnSystem a(via_enum, smallWorkload());
-        GnnSystem b(via_id, smallWorkload());
-        auto sa = a.runSamplingOnly(2, 3);
-        auto sb = b.runSamplingOnly(2, 3);
-        EXPECT_EQ(sa.makespan, sb.makespan) << designName(dp);
-        EXPECT_EQ(sa.avg_batch_us, sb.avg_batch_us) << designName(dp);
-
-        GnnSystem c(via_enum, smallWorkload());
-        GnnSystem d(via_id, smallWorkload());
-        auto pc = c.runPipeline();
-        auto pd = d.runPipeline();
-        EXPECT_EQ(pc.makespan, pd.makespan) << designName(dp);
-        EXPECT_EQ(pc.gpu_idle_frac, pd.gpu_idle_frac) << designName(dp);
-        EXPECT_EQ(pc.avg_sampling_us, pd.avg_sampling_us)
-            << designName(dp);
-    }
-}
-
 TEST(Registry, BackendKnobsRouteThroughApplyKnob)
 {
     SystemConfig sc;
@@ -160,9 +112,8 @@ TEST(Registry, ScenarioBackendAxisExpandsAnyRegisteredBackend)
     auto cells = expandScenario(s);
     ASSERT_EQ(cells.size(), 3u);
     EXPECT_EQ(cells[0].backend, "multi-ssd");
-    EXPECT_EQ(cells[0].config.resolvedBackend(), "multi-ssd");
-    // Legacy alias stays coherent where one exists.
-    EXPECT_EQ(cells[2].config.design, DesignPoint::DramOracle);
+    EXPECT_EQ(cells[0].config.backend, "multi-ssd");
+    EXPECT_EQ(cells[2].config.backend, "dram");
 }
 
 TEST(RegistryDeath, UnknownBackendIdListsTheSortedRegistry)

@@ -1,10 +1,13 @@
-/** @file Tests for design points, the system builder, and reporting. */
+/** @file Tests for the paper backends, the system builder, and
+ *  reporting. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "core/backend.hh"
 #include "core/report.hh"
+#include "core/scenario.hh"
 #include "core/system.hh"
 #include "host/io_path.hh"
 
@@ -26,10 +29,10 @@ smallWorkload()
 }
 
 SystemConfig
-smallConfig(DesignPoint dp)
+smallConfig(const std::string &backend)
 {
     SystemConfig sc;
-    sc.design = dp;
+    sc.backend = backend;
     sc.fanouts = {6, 3};
     sc.pipeline.batch_size = 64;
     sc.pipeline.num_batches = 4;
@@ -39,47 +42,59 @@ smallConfig(DesignPoint dp)
 
 } // namespace
 
-TEST(DesignPoint, NamesMatchPaperLabels)
+TEST(Backend, PaperIdsLabelsAndDefaultsArePinned)
 {
-    EXPECT_EQ(designName(DesignPoint::SsdMmap), "SSD (mmap)");
-    EXPECT_EQ(designName(DesignPoint::SmartSageHwSw),
-              "SmartSAGE (HW/SW)");
-    EXPECT_EQ(allDesignPoints().size(), 7u);
+    const std::vector<std::pair<std::string, std::string>> expected = {
+        {"dram", "DRAM"},
+        {"ssd-mmap", "SSD (mmap)"},
+        {"direct-io", "SmartSAGE (SW)"},
+        {"isp-hwsw", "SmartSAGE (HW/SW)"},
+        {"isp-oracle", "SmartSAGE (oracle)"},
+        {"pmem", "PMEM"},
+        {"fpga-csd", "FPGA-CSD"},
+    };
+    const auto &ids = paperBackendIds();
+    ASSERT_EQ(ids.size(), expected.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(ids[i], expected[i].first);
+        EXPECT_EQ(backendDisplayName(ids[i]), expected[i].second);
+    }
+    // Unconfigured systems and scenarios run the proposed design.
+    EXPECT_EQ(SystemConfig{}.backend, "isp-hwsw");
+    EXPECT_EQ(Scenario{}.backends, std::vector<std::string>{"isp-hwsw"});
 }
 
-TEST(System, EveryDesignPointConstructsAndSamples)
+TEST(System, EveryPaperBackendConstructsAndSamples)
 {
-    for (auto dp : allDesignPoints()) {
-        GnnSystem system(smallConfig(dp), smallWorkload());
+    for (const auto &backend : paperBackendIds()) {
+        GnnSystem system(smallConfig(backend), smallWorkload());
         auto r = system.runSamplingOnly(2, 3);
-        EXPECT_EQ(r.batches, 3u) << designName(dp);
-        EXPECT_GT(r.makespan, 0u) << designName(dp);
-        EXPECT_GT(r.avg_batch_us, 0.0) << designName(dp);
+        EXPECT_EQ(r.batches, 3u) << backend;
+        EXPECT_GT(r.makespan, 0u) << backend;
+        EXPECT_GT(r.avg_batch_us, 0.0) << backend;
     }
 }
 
 TEST(System, EdgeStoreTypesMatchDesign)
 {
-    GnnSystem dram(smallConfig(DesignPoint::DramOracle),
-                   smallWorkload());
+    GnnSystem dram(smallConfig("dram"), smallWorkload());
     EXPECT_NE(dynamic_cast<host::DramEdgeStore *>(dram.edgeStore()),
               nullptr);
     EXPECT_EQ(dram.ssd(), nullptr);
 
-    GnnSystem mm(smallConfig(DesignPoint::SsdMmap), smallWorkload());
+    GnnSystem mm(smallConfig("ssd-mmap"), smallWorkload());
     EXPECT_NE(dynamic_cast<host::MmapEdgeStore *>(mm.edgeStore()),
               nullptr);
     EXPECT_NE(mm.ssd(), nullptr);
 
-    GnnSystem hwsw(smallConfig(DesignPoint::SmartSageHwSw),
-                   smallWorkload());
+    GnnSystem hwsw(smallConfig("isp-hwsw"), smallWorkload());
     EXPECT_EQ(hwsw.edgeStore(), nullptr);
     EXPECT_NE(hwsw.ssd(), nullptr);
 }
 
 TEST(System, CacheBudgetsScaleWithDataset)
 {
-    SystemConfig sc = smallConfig(DesignPoint::SsdMmap);
+    SystemConfig sc = smallConfig("ssd-mmap");
     GnnSystem system(sc, smallWorkload());
     std::uint64_t edge_bytes =
         smallWorkload().edgeListBytes(sc.layout);
@@ -91,7 +106,7 @@ TEST(System, CacheBudgetsScaleWithDataset)
 
 TEST(System, SaintSamplerSelectable)
 {
-    SystemConfig sc = smallConfig(DesignPoint::DramOracle);
+    SystemConfig sc = smallConfig("dram");
     sc.use_saint = true;
     sc.saint_walk_length = 3;
     EXPECT_EQ(sc.depth(), 3u);
@@ -102,8 +117,7 @@ TEST(System, SaintSamplerSelectable)
 
 TEST(System, PipelineRunsForIspDesign)
 {
-    GnnSystem system(smallConfig(DesignPoint::SmartSageHwSw),
-                     smallWorkload());
+    GnnSystem system(smallConfig("isp-hwsw"), smallWorkload());
     auto r = system.runPipeline();
     EXPECT_EQ(r.batches, 4u);
     EXPECT_GT(r.throughput(), 0.0);
@@ -111,12 +125,11 @@ TEST(System, PipelineRunsForIspDesign)
 
 TEST(System, OracleFasterOrEqualToHwSw)
 {
-    auto run = [&](DesignPoint dp) {
-        GnnSystem system(smallConfig(dp), smallWorkload());
+    auto run = [&](const std::string &backend) {
+        GnnSystem system(smallConfig(backend), smallWorkload());
         return system.runSamplingOnly(4, 8).makespan;
     };
-    EXPECT_LE(run(DesignPoint::SmartSageOracle),
-              run(DesignPoint::SmartSageHwSw));
+    EXPECT_LE(run("isp-oracle"), run("isp-hwsw"));
 }
 
 TEST(Report, TableRendersAllCells)

@@ -28,7 +28,7 @@ tinyScenario(ExperimentKind kind)
     s.kind = kind;
     s.datasets = {graph::DatasetId::Amazon};
     s.large_scale = false;
-    s.designs = {DesignPoint::DramOracle, DesignPoint::SmartSageHwSw};
+    s.backends = {"dram", "isp-hwsw"};
     s.fanout_grid = {{6, 3}};
     s.batch_sizes = {32, 64};
     s.worker_grid = {2};
@@ -104,7 +104,7 @@ TEST(Scenario, GridExpansionCoversEveryAxisCombination)
 TEST(Scenario, CellConfigsResolveKnobsAndSeeds)
 {
     Scenario s = tinyScenario(ExperimentKind::SamplingOnly);
-    s.designs = {DesignPoint::SmartSageHwSw};
+    s.backends = {"isp-hwsw"};
     s.batch_sizes = {64};
     s.overrides = {{}, {{"ssd.flash.channels", 4}}};
     auto cells = expandScenario(s);
@@ -122,7 +122,7 @@ TEST(Scenario, CellConfigsResolveKnobsAndSeeds)
 TEST(Scenario, BatchMixPropagatesToPipelineConfig)
 {
     Scenario s = tinyScenario(ExperimentKind::Pipeline);
-    s.designs = {DesignPoint::DramOracle};
+    s.backends = {"dram"};
     s.batch_sizes = {64};
     s.batch_mixes = {{16, 48}};
     auto cells = expandScenario(s);
@@ -253,7 +253,7 @@ TEST(Runner, TableShowsVaryingAxesAndMetrics)
 TEST(Runner, CollectStatsCapturesComponentCounters)
 {
     Scenario s = tinyScenario(ExperimentKind::SamplingOnly);
-    s.designs = {DesignPoint::SmartSageHwSw};
+    s.backends = {"isp-hwsw"};
     s.batch_sizes = {32};
     ExperimentRunner runner(RunnerOptions{1, false, true});
     ScenarioRun run = runner.run(s);

@@ -23,10 +23,10 @@ workload()
 }
 
 SystemConfig
-config(DesignPoint dp, unsigned workers = 4)
+config(const std::string &backend, unsigned workers = 4)
 {
     SystemConfig sc;
-    sc.design = dp;
+    sc.backend = backend;
     sc.fanouts = {10, 5};
     sc.pipeline.batch_size = 128;
     sc.pipeline.num_batches = 6;
@@ -35,9 +35,9 @@ config(DesignPoint dp, unsigned workers = 4)
 }
 
 double
-samplingThroughput(DesignPoint dp, unsigned workers)
+samplingThroughput(const std::string &backend, unsigned workers)
 {
-    GnnSystem system(config(dp), workload());
+    GnnSystem system(config(backend), workload());
     return system.runSamplingOnly(workers, 8).batchesPerSecond();
 }
 
@@ -47,9 +47,9 @@ TEST(EndToEnd, StorageTierOrderingHolds)
 {
     // The paper's fundamental ordering (Figs 6, 18): DRAM fastest,
     // PMEM close behind, mmap-SSD slowest of the CPU paths.
-    double dram = samplingThroughput(DesignPoint::DramOracle, 4);
-    double pmem = samplingThroughput(DesignPoint::Pmem, 4);
-    double mmap = samplingThroughput(DesignPoint::SsdMmap, 4);
+    double dram = samplingThroughput("dram", 4);
+    double pmem = samplingThroughput("pmem", 4);
+    double mmap = samplingThroughput("ssd-mmap", 4);
     EXPECT_GT(dram, pmem);
     EXPECT_GT(pmem, mmap);
 }
@@ -57,16 +57,16 @@ TEST(EndToEnd, StorageTierOrderingHolds)
 TEST(EndToEnd, DirectIoBeatsMmap)
 {
     // SmartSAGE(SW)'s latency-optimized runtime wins (Section VI-A).
-    double sw = samplingThroughput(DesignPoint::SmartSageSw, 4);
-    double mmap = samplingThroughput(DesignPoint::SsdMmap, 4);
+    double sw = samplingThroughput("direct-io", 4);
+    double mmap = samplingThroughput("ssd-mmap", 4);
     EXPECT_GT(sw, mmap);
 }
 
 TEST(EndToEnd, IspBeatsBothSsdHostPaths)
 {
-    double hwsw = samplingThroughput(DesignPoint::SmartSageHwSw, 4);
-    double sw = samplingThroughput(DesignPoint::SmartSageSw, 4);
-    double mmap = samplingThroughput(DesignPoint::SsdMmap, 4);
+    double hwsw = samplingThroughput("isp-hwsw", 4);
+    double sw = samplingThroughput("direct-io", 4);
+    double mmap = samplingThroughput("ssd-mmap", 4);
     EXPECT_GT(hwsw, sw);
     EXPECT_GT(hwsw, mmap);
 }
@@ -75,10 +75,10 @@ TEST(EndToEnd, IspAdvantageShrinksWithWorkers)
 {
     // Fig 17: HW/SW-over-SW speedup declines as workers scale, because
     // the wimpy embedded cores saturate.
-    double r1 = samplingThroughput(DesignPoint::SmartSageHwSw, 1) /
-                samplingThroughput(DesignPoint::SmartSageSw, 1);
-    double r8 = samplingThroughput(DesignPoint::SmartSageHwSw, 8) /
-                samplingThroughput(DesignPoint::SmartSageSw, 8);
+    double r1 = samplingThroughput("isp-hwsw", 1) /
+                samplingThroughput("direct-io", 1);
+    double r8 = samplingThroughput("isp-hwsw", 8) /
+                samplingThroughput("direct-io", 8);
     EXPECT_GT(r1, r8);
     EXPECT_GT(r1, 1.0);
 }
@@ -86,33 +86,33 @@ TEST(EndToEnd, IspAdvantageShrinksWithWorkers)
 TEST(EndToEnd, IspCutsSsdToHostTraffic)
 {
     // The ~20x SSD->DRAM data-movement reduction claim.
-    auto bytes_for = [&](DesignPoint dp) {
-        GnnSystem system(config(dp), workload());
+    auto bytes_for = [&](const std::string &backend) {
+        GnnSystem system(config(backend), workload());
         system.runSamplingOnly(2, 6);
         return system.ssd()->bytesToHost();
     };
-    std::uint64_t mmap_bytes = bytes_for(DesignPoint::SsdMmap);
-    std::uint64_t isp_bytes = bytes_for(DesignPoint::SmartSageHwSw);
+    std::uint64_t mmap_bytes = bytes_for("ssd-mmap");
+    std::uint64_t isp_bytes = bytes_for("isp-hwsw");
     EXPECT_GT(mmap_bytes, 5 * isp_bytes);
 }
 
 TEST(EndToEnd, GpuIdleWorstOnMmap)
 {
     // Fig 7: the mmap design starves the GPU.
-    auto idle = [&](DesignPoint dp) {
-        GnnSystem system(config(dp, 6), workload());
+    auto idle = [&](const std::string &backend) {
+        GnnSystem system(config(backend, 6), workload());
         return system.runPipeline().gpu_idle_frac;
     };
-    double dram_idle = idle(DesignPoint::DramOracle);
-    double mmap_idle = idle(DesignPoint::SsdMmap);
+    double dram_idle = idle("dram");
+    double mmap_idle = idle("ssd-mmap");
     EXPECT_GT(mmap_idle, dram_idle);
     EXPECT_GT(mmap_idle, 0.5);
 }
 
 TEST(EndToEnd, PipelineIsDeterministic)
 {
-    GnnSystem a(config(DesignPoint::SmartSageHwSw), workload());
-    GnnSystem b(config(DesignPoint::SmartSageHwSw), workload());
+    GnnSystem a(config("isp-hwsw"), workload());
+    GnnSystem b(config("isp-hwsw"), workload());
     auto ra = a.runPipeline();
     auto rb = b.runPipeline();
     EXPECT_EQ(ra.makespan, rb.makespan);
@@ -124,8 +124,8 @@ TEST(EndToEnd, FunctionalResultIndependentOfStorageDesign)
     // Whatever the storage path, the produced subgraphs are the same
     // functional objects: training on them must behave identically
     // given identical RNG streams.
-    auto subgraph_for = [&](DesignPoint dp) {
-        GnnSystem system(config(dp), workload());
+    auto subgraph_for = [&](const std::string &backend) {
+        GnnSystem system(config(backend), workload());
         sim::Rng rng(99);
         auto targets = gnn::selectTargets(workload().graph, 64, rng);
         auto job = system.producer().startBatch(targets, rng);
@@ -133,8 +133,8 @@ TEST(EndToEnd, FunctionalResultIndependentOfStorageDesign)
             job->step(0);
         return job->takeSubgraph();
     };
-    gnn::Subgraph a = subgraph_for(DesignPoint::DramOracle);
-    gnn::Subgraph b = subgraph_for(DesignPoint::SmartSageHwSw);
+    gnn::Subgraph a = subgraph_for("dram");
+    gnn::Subgraph b = subgraph_for("isp-hwsw");
     EXPECT_EQ(a.frontiers, b.frontiers);
     ASSERT_EQ(a.blocks.size(), b.blocks.size());
     for (std::size_t h = 0; h < a.blocks.size(); ++h)
@@ -145,7 +145,7 @@ TEST(EndToEnd, TrainingOnProducedSubgraphsLearns)
 {
     // Close the loop: subgraphs coming out of the ISP producer train a
     // real model.
-    GnnSystem system(config(DesignPoint::SmartSageHwSw), workload());
+    GnnSystem system(config("isp-hwsw"), workload());
 
     gnn::ModelConfig mc;
     mc.in_dim = 16;

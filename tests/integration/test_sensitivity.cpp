@@ -27,10 +27,10 @@ workload()
 }
 
 SystemConfig
-config(DesignPoint dp)
+config(const std::string &backend)
 {
     SystemConfig sc;
-    sc.design = dp;
+    sc.backend = backend;
     sc.fanouts = {10, 5};
     sc.pipeline.batch_size = 128;
     return sc;
@@ -63,18 +63,18 @@ TEST(Sensitivity, BatchSizeHasLittleEffectOnSpeedup)
     ScenarioRun run = runner.run(scenario);
     ASSERT_EQ(run.cells.size(), scenario.gridSize());
 
-    auto tput = [&run](DesignPoint dp, std::size_t batch) {
+    auto tput = [&run](const std::string &backend, std::size_t batch) {
         for (const auto &cell : run.cells)
-            if (cell.cell.backend == backendIdOf(dp) &&
+            if (cell.cell.backend == backend &&
                 cell.cell.batch_size == batch)
                 return cell.metric("batches_per_s");
         return 0.0;
     };
     std::vector<double> speedups;
     for (std::size_t bs : scenario.batch_sizes) {
-        double mmap = tput(DesignPoint::SsdMmap, bs);
+        double mmap = tput("ssd-mmap", bs);
         ASSERT_GT(mmap, 0.0);
-        speedups.push_back(tput(DesignPoint::SmartSageHwSw, bs) / mmap);
+        speedups.push_back(tput("isp-hwsw", bs) / mmap);
     }
     double lo = *std::min_element(speedups.begin(), speedups.end());
     double hi = *std::max_element(speedups.begin(), speedups.end());
@@ -86,8 +86,8 @@ TEST(Sensitivity, LargerSamplingRateShrinksIspAdvantage)
 {
     // Fig 21's trend between the default and 2x sampling rates.
     auto ratio_at = [&](std::vector<unsigned> fanouts) {
-        SystemConfig hw = config(DesignPoint::SmartSageHwSw);
-        SystemConfig mm = config(DesignPoint::SsdMmap);
+        SystemConfig hw = config("isp-hwsw");
+        SystemConfig mm = config("ssd-mmap");
         hw.fanouts = fanouts;
         mm.fanouts = fanouts;
         return speedupOverMmap(hw, mm, 4, 8);
@@ -100,8 +100,8 @@ TEST(Sensitivity, LargerSamplingRateShrinksIspAdvantage)
 TEST(Sensitivity, SaintSamplerAlsoBenefitsFromIsp)
 {
     // Fig 20's robustness claim under the random-walk sampler.
-    SystemConfig hw = config(DesignPoint::SmartSageHwSw);
-    SystemConfig mm = config(DesignPoint::SsdMmap);
+    SystemConfig hw = config("isp-hwsw");
+    SystemConfig mm = config("ssd-mmap");
     hw.use_saint = true;
     hw.saint_walk_length = 3;
     mm.use_saint = true;
@@ -113,7 +113,7 @@ TEST(Sensitivity, CoalescingGranularityMonotonicity)
 {
     // Fig 15 trend at the system level: 1024 >= 64 >= 1.
     auto tput_at = [&](std::size_t coalesce) {
-        SystemConfig sc = config(DesignPoint::SmartSageHwSw);
+        SystemConfig sc = config("isp-hwsw");
         sc.isp.coalesce_targets = coalesce;
         GnnSystem system(sc, workload());
         return system.runSamplingOnly(1, 6).batchesPerSecond();
@@ -127,7 +127,7 @@ TEST(Sensitivity, CoalescingGranularityMonotonicity)
 
 TEST(Stats, DumpReportsSsdCountersAfterRun)
 {
-    GnnSystem system(config(DesignPoint::SmartSageHwSw), workload());
+    GnnSystem system(config("isp-hwsw"), workload());
     system.runSamplingOnly(2, 4);
     std::ostringstream os;
     system.dumpStats(os);
@@ -139,7 +139,7 @@ TEST(Stats, DumpReportsSsdCountersAfterRun)
 
 TEST(Stats, DumpReportsHostCountersForMmap)
 {
-    GnnSystem system(config(DesignPoint::SsdMmap), workload());
+    GnnSystem system(config("ssd-mmap"), workload());
     system.runSamplingOnly(2, 4);
     std::ostringstream os;
     system.dumpStats(os);
@@ -150,7 +150,7 @@ TEST(Stats, DumpReportsHostCountersForMmap)
 
 TEST(Stats, DumpReportsScratchpadForDirectIo)
 {
-    GnnSystem system(config(DesignPoint::SmartSageSw), workload());
+    GnnSystem system(config("direct-io"), workload());
     system.runSamplingOnly(2, 4);
     std::ostringstream os;
     system.dumpStats(os);

@@ -220,7 +220,7 @@ TEST(ScalingBackend, RegisteredButExcludedFromDefaultGrids)
     const Scenario *s = findScenario("scaling");
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->artifact, "scaling");
-    EXPECT_EQ(s->resolvedBackends(),
+    EXPECT_EQ(s->backends,
               std::vector<std::string>{"partitioned"});
 }
 
