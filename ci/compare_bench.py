@@ -24,8 +24,8 @@ to --summary (e.g. $GITHUB_STEP_SUMMARY) and echoed to stdout.
 
 Usage:
   python3 ci/compare_bench.py --baseline <dir> --current <dir> \
-      --file BENCH_designspace.json --file BENCH_serving.json \
-      [--threshold 0.20] [--summary path]
+      --file <BENCH_*.json> [--file ...] [--threshold 0.20] \
+      [--summary path]
 """
 
 import argparse
@@ -218,7 +218,7 @@ def main():
                         help="directory with the previous artifacts")
     parser.add_argument("--current", required=True,
                         help="directory with the fresh artifacts")
-    parser.add_argument("--file", action="append", default=[],
+    parser.add_argument("--file", action="append", required=True,
                         dest="files",
                         help="artifact file name to compare (repeat)")
     parser.add_argument("--threshold", type=float, default=0.20,
@@ -228,8 +228,6 @@ def main():
                             "GITHUB_STEP_SUMMARY"),
                         help="markdown summary sink (appended)")
     args = parser.parse_args()
-    if not args.files:
-        args.files = ["BENCH_designspace.json", "BENCH_serving.json"]
 
     reports = []
     failed = False

@@ -3,10 +3,10 @@
  * Design-space sweep runner: expands the built-in scenario families
  * (every design point, fanout sweep, SSD geometry, multi-tenant batch
  * mix, batch-size sensitivity, page-buffer and worker sweeps — plus
- * the registry-driven "backend-space" family covering every registered
- * storage backend) through core::ExperimentRunner, prints the
- * paper-style tables, and emits the machine-readable
- * BENCH_designspace.json trajectory artifact.
+ * the --family-only extras such as the registry-driven "backend-space"
+ * family covering every registered storage backend) through
+ * core::ExperimentRunner, prints the paper-style tables, and emits the
+ * machine-readable BENCH_*.json sweep documents.
  *
  * Cells are independent deterministic simulations parallelized over
  * --workers host threads; tables and JSON are bit-identical at any
@@ -17,25 +17,8 @@
  *   --family <name>    run one family (repeatable; default: builtins)
  *   --design <id>      restrict every family to this storage backend
  *                      (repeatable; unknown ids list the registry)
- *   --out <path>       write BENCH_designspace.json here (non-serving
- *                      families)
- *   --serving-out <path> write BENCH_serving.json here (serving-kind
- *                      families, e.g. --family serving-load)
- *   --cache-out <path> write BENCH_cachepolicy.json here (the
- *                      cache-policy families, both kinds)
- *   --faults-out <path> write BENCH_faults.json here (the fault-space
- *                      family: fault rate x retry policy recovery
- *                      metrics)
- *   --slo-out <path>   write BENCH_slo.json here (the slo-space
- *                      family: multi-tenant SLO attainment x
- *                      scheduling policy x arrival shape)
- *   --recovery-out <path> write BENCH_recovery.json here (the
- *                      recovery-space family: checkpoint interval x
- *                      backend crash-restart metrics)
- *   --scaling-out <path> write BENCH_scaling.json here (the scaling
- *                      family: partitioned nodes x link bandwidth x
- *                      cut strategy, with annotated scaling_speedup /
- *                      scaling_efficiency columns)
+ *   --bench-dir <dir>  write the BENCH_*.json document of every family
+ *                      that ran into <dir> (core::writeBenchArtifacts)
  *   --knobs-doc <path> regenerate docs/KNOBS.md from the knob catalog
  *                      (core/knobs.hh) and exit
  *   --arch-doc <path>  regenerate docs/ARCHITECTURE.md from the live
@@ -74,10 +57,7 @@ usage()
 {
     std::cerr << "usage: design_space [dataset] [--workers <n>] "
                  "[--family <name>]... [--design <id>]... "
-                 "[--out <path>] [--serving-out <path>] "
-                 "[--cache-out <path>] [--faults-out <path>] "
-                 "[--slo-out <path>] [--recovery-out <path>] "
-                 "[--scaling-out <path>] [--knobs-doc <path>] "
+                 "[--bench-dir <dir>] [--knobs-doc <path>] "
                  "[--arch-doc <path>] [--benches-doc <path>] "
                  "[--stats-json <path>] "
                  "[--smoke] [--stats] [--list] [--backends]\n";
@@ -155,6 +135,18 @@ writeBackendStatsJson(std::ostream &os, graph::DatasetId dataset)
     os << "  }\n}\n";
 }
 
+/** Open @p path (fatal if it cannot be), render into it, announce it. */
+template <typename Render>
+void
+writeFile(const std::string &path, Render &&render)
+{
+    std::ofstream os(path);
+    if (!os)
+        SS_FATAL("cannot open ", path);
+    render(os);
+    std::cout << "design_space: wrote " << path << "\n";
+}
+
 } // namespace
 
 int
@@ -162,12 +154,8 @@ main(int argc, char **argv)
 {
     unsigned workers = 1;
     bool smoke = false, stats = false;
-    std::string out_path, serving_out_path, cache_out_path;
-    std::string faults_out_path, slo_out_path, recovery_out_path;
-    std::string scaling_out_path;
-    std::string stats_json_path;
-    std::vector<std::string> families;
-    std::vector<std::string> designs;
+    std::string bench_dir, stats_json_path;
+    std::vector<std::string> families, designs;
     const graph::DatasetId *dataset = nullptr;
 
     for (int i = 1; i < argc; ++i) {
@@ -183,40 +171,18 @@ main(int argc, char **argv)
             // Unknown ids die here with the sorted registry listing.
             designs.push_back(
                 core::BackendRegistry::instance().get(argv[++i]).id());
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--serving-out" && i + 1 < argc) {
-            serving_out_path = argv[++i];
-        } else if (arg == "--cache-out" && i + 1 < argc) {
-            cache_out_path = argv[++i];
-        } else if (arg == "--faults-out" && i + 1 < argc) {
-            faults_out_path = argv[++i];
-        } else if (arg == "--slo-out" && i + 1 < argc) {
-            slo_out_path = argv[++i];
-        } else if (arg == "--recovery-out" && i + 1 < argc) {
-            recovery_out_path = argv[++i];
-        } else if (arg == "--scaling-out" && i + 1 < argc) {
-            scaling_out_path = argv[++i];
+        } else if (arg == "--bench-dir" && i + 1 < argc) {
+            bench_dir = argv[++i];
         } else if (arg == "--knobs-doc" && i + 1 < argc) {
-            std::ofstream doc(argv[++i]);
-            if (!doc)
-                SS_FATAL("cannot open ", argv[i]);
-            core::writeKnobsDoc(doc);
-            std::cout << "design_space: wrote " << argv[i] << "\n";
+            writeFile(argv[++i], core::writeKnobsDoc);
             return 0;
         } else if (arg == "--arch-doc" && i + 1 < argc) {
-            std::ofstream doc(argv[++i]);
-            if (!doc)
-                SS_FATAL("cannot open ", argv[i]);
-            core::writeArchDoc(doc);
-            std::cout << "design_space: wrote " << argv[i] << "\n";
+            writeFile(argv[++i], core::writeArchDoc);
             return 0;
         } else if (arg == "--benches-doc" && i + 1 < argc) {
-            std::ofstream doc(argv[++i]);
-            if (!doc)
-                SS_FATAL("cannot open ", argv[i]);
-            core::writeBenchesDoc(doc, "ci/compare_bench.py");
-            std::cout << "design_space: wrote " << argv[i] << "\n";
+            writeFile(argv[++i], [](std::ostream &os) {
+                core::writeBenchesDoc(os, "ci/compare_bench.py");
+            });
             return 0;
         } else if (arg == "--stats-json" && i + 1 < argc) {
             stats_json_path = argv[++i];
@@ -283,127 +249,13 @@ main(int argc, char **argv)
                 std::cout << cell.stats;
     }
 
-    // Families tagged for the cache-policy or faults artifact go to
-    // their own documents; other serving-kind families get the
-    // serving schema (latency metrics); everything else shares the
-    // classic design-space document.
-    std::vector<core::ScenarioRun> cache_runs, fault_runs, slo_runs,
-        recovery_runs, scaling_runs, serving_runs, sweep_runs;
-    for (auto &run : runs) {
-        if (run.scenario.artifact == "cache-policy")
-            cache_runs.push_back(std::move(run));
-        else if (run.scenario.artifact == "faults")
-            fault_runs.push_back(std::move(run));
-        else if (run.scenario.artifact == "slo")
-            slo_runs.push_back(std::move(run));
-        else if (run.scenario.artifact == "recovery")
-            recovery_runs.push_back(std::move(run));
-        else if (run.scenario.artifact == "scaling")
-            scaling_runs.push_back(std::move(run));
-        else if (run.scenario.kind == core::ExperimentKind::Serving)
-            serving_runs.push_back(std::move(run));
-        else
-            sweep_runs.push_back(std::move(run));
-    }
-
-    if (!out_path.empty()) {
-        std::ofstream json(out_path);
-        if (!json)
-            SS_FATAL("cannot open ", out_path);
-        core::writeDesignSpaceJson(json, sweep_runs);
-        std::cout << "design_space: wrote " << out_path << "\n";
-    }
-    if (!serving_runs.empty() && serving_out_path.empty())
-        SS_WARN("serving-kind families ran but --serving-out was not "
-                "given; their cells are not in the --out artifact");
-    if (!serving_out_path.empty()) {
-        if (serving_runs.empty())
-            SS_FATAL("--serving-out needs a serving-kind family "
-                     "(e.g. --family serving-load)");
-        std::ofstream json(serving_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", serving_out_path);
-        core::writeServingJson(json, serving_runs);
-        std::cout << "design_space: wrote " << serving_out_path << "\n";
-    }
-    if (!cache_runs.empty() && cache_out_path.empty())
-        SS_WARN("cache-policy families ran but --cache-out was not "
-                "given; their cells are not in any artifact");
-    if (!cache_out_path.empty()) {
-        if (cache_runs.empty())
-            SS_FATAL("--cache-out needs the cache-policy families "
-                     "(e.g. --family cache-policy "
-                     "--family cache-policy-throughput)");
-        std::ofstream json(cache_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", cache_out_path);
-        core::writeDesignSpaceJson(json, cache_runs, "cache_policy");
-        std::cout << "design_space: wrote " << cache_out_path << "\n";
-    }
-    if (!fault_runs.empty() && faults_out_path.empty())
-        SS_WARN("fault-space family ran but --faults-out was not "
-                "given; its cells are not in any artifact");
-    if (!faults_out_path.empty()) {
-        if (fault_runs.empty())
-            SS_FATAL("--faults-out needs the fault-space family "
-                     "(e.g. --family fault-space)");
-        std::ofstream json(faults_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", faults_out_path);
-        core::writeDesignSpaceJson(json, fault_runs, "fault_space");
-        std::cout << "design_space: wrote " << faults_out_path << "\n";
-    }
-    if (!slo_runs.empty() && slo_out_path.empty())
-        SS_WARN("slo-space family ran but --slo-out was not given; "
-                "its cells are not in any artifact");
-    if (!slo_out_path.empty()) {
-        if (slo_runs.empty())
-            SS_FATAL("--slo-out needs the slo-space family "
-                     "(e.g. --family slo-space)");
-        std::ofstream json(slo_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", slo_out_path);
-        core::writeDesignSpaceJson(json, slo_runs, "slo_space");
-        std::cout << "design_space: wrote " << slo_out_path << "\n";
-    }
-    if (!recovery_runs.empty() && recovery_out_path.empty())
-        SS_WARN("recovery-space family ran but --recovery-out was not "
-                "given; its cells are not in any artifact");
-    if (!recovery_out_path.empty()) {
-        if (recovery_runs.empty())
-            SS_FATAL("--recovery-out needs the recovery-space family "
-                     "(e.g. --family recovery-space)");
-        std::ofstream json(recovery_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", recovery_out_path);
-        core::writeDesignSpaceJson(json, recovery_runs,
-                                   "recovery_space");
-        std::cout << "design_space: wrote " << recovery_out_path
-                  << "\n";
-    }
-    if (!scaling_runs.empty() && scaling_out_path.empty())
-        SS_WARN("scaling family ran but --scaling-out was not given; "
-                "its cells are not in any artifact");
-    if (!scaling_out_path.empty()) {
-        if (scaling_runs.empty())
-            SS_FATAL("--scaling-out needs the scaling family "
-                     "(e.g. --family scaling)");
-        core::annotateScalingMetrics(scaling_runs);
-        std::ofstream json(scaling_out_path);
-        if (!json)
-            SS_FATAL("cannot open ", scaling_out_path);
-        core::writeDesignSpaceJson(json, scaling_runs,
-                                   "scaling_space");
-        std::cout << "design_space: wrote " << scaling_out_path
-                  << "\n";
-    }
-    if (!stats_json_path.empty()) {
-        std::ofstream json(stats_json_path);
-        if (!json)
-            SS_FATAL("cannot open ", stats_json_path);
-        writeBackendStatsJson(
-            json, dataset ? *dataset : graph::DatasetId::Amazon);
-        std::cout << "design_space: wrote " << stats_json_path << "\n";
-    }
+    if (!bench_dir.empty())
+        for (const auto &path : core::writeBenchArtifacts(bench_dir, runs))
+            std::cout << "design_space: wrote " << path << "\n";
+    if (!stats_json_path.empty())
+        writeFile(stats_json_path, [&](std::ostream &os) {
+            writeBackendStatsJson(
+                os, dataset ? *dataset : graph::DatasetId::Amazon);
+        });
     return 0;
 }

@@ -1,11 +1,11 @@
 #include "docgen.hh"
 
 #include <fstream>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "backend.hh"
+#include "experiment.hh"
 #include "scenario.hh"
 #include "sim/logging.hh"
 
@@ -29,29 +29,6 @@ kindName(ExperimentKind kind)
         return "recovery";
     }
     return "?";
-}
-
-/**
- * Artifact document a family's cells land in — the same routing
- * design_space's main() applies when splitting runs across --out
- * flags, kept in one place so the doc cannot disagree with the tool.
- */
-std::string
-artifactFileFor(const Scenario &s)
-{
-    if (s.artifact == "cache-policy")
-        return "BENCH_cachepolicy.json";
-    if (s.artifact == "faults")
-        return "BENCH_faults.json";
-    if (s.artifact == "slo")
-        return "BENCH_slo.json";
-    if (s.artifact == "recovery")
-        return "BENCH_recovery.json";
-    if (s.artifact == "scaling")
-        return "BENCH_scaling.json";
-    if (s.kind == ExperimentKind::Serving)
-        return "BENCH_serving.json";
-    return "BENCH_designspace.json";
 }
 
 /** One row of the static module map. */
@@ -306,7 +283,7 @@ writeArchDoc(std::ostream &os)
     for (const auto &[s, builtin] : allScenarios())
         os << "| `" << s.family << "` | " << kindName(s.kind) << " | "
            << s.gridSize() << " | " << (builtin ? "yes" : "no")
-           << " | `" << artifactFileFor(s) << "` | " << s.title
+           << " | `" << benchArtifactFor(s).file << "` | " << s.title
            << " |\n";
 
     os << "\n"
@@ -348,68 +325,41 @@ writeBenchesDoc(std::ostream &os,
        << "\n"
        << "## Artifacts\n"
        << "\n"
+       << "`design_space --bench-dir <dir>` writes the document of every "
+          "family that\n"
+       << "ran (routing below) and none other; CI runs every gated "
+          "family in one\n"
+       << "`--smoke --workers 2 --bench-dir .` sweep (`ci.yml`).\n"
+       << "\n"
        << "| artifact | bench id | schema | gated | producing command "
           "|\n"
        << "|---|---|---|---|---|\n";
-
-    struct ArtifactDoc
-    {
-        const char *file;
-        const char *bench;
-        bool gated;
-        const char *command;
-    };
-    constexpr ArtifactDoc kArtifacts[] = {
-        {"BENCH_designspace.json", "design_space", true,
-         "`design_space --smoke --workers 2 --out "
-         "BENCH_designspace.json --stats-json "
-         "BENCH_backendstats.json`"},
-        {"BENCH_backendstats.json", "backend_stats", false,
-         "emitted by the `--stats-json` flag of the design-space "
-         "sweep above"},
-        {"BENCH_serving.json", "serving_load", true,
-         "`design_space --family serving-load --smoke --workers 2 "
-         "--serving-out BENCH_serving.json`"},
-        {"BENCH_cachepolicy.json", "cache_policy", true,
-         "`design_space --family cache-policy --family "
-         "cache-policy-throughput --smoke --workers 2 --cache-out "
-         "BENCH_cachepolicy.json`"},
-        {"BENCH_faults.json", "fault_space", true,
-         "`design_space --family fault-space --smoke --workers 2 "
-         "--faults-out BENCH_faults.json`"},
-        {"BENCH_slo.json", "slo_space", true,
-         "`design_space --family slo-space --smoke --workers 2 "
-         "--slo-out BENCH_slo.json`"},
-        {"BENCH_recovery.json", "recovery_space", true,
-         "`design_space --family recovery-space --smoke --workers 2 "
-         "--recovery-out BENCH_recovery.json`"},
-        {"BENCH_scaling.json", "scaling_space", true,
-         "`design_space --family scaling --smoke --workers 2 "
-         "--scaling-out BENCH_scaling.json`"},
-        {"BENCH_hotpath.json", "perf_hotpath", false,
-         "`perf_hotpath --quick --out BENCH_hotpath.json` "
-         "(non-gating: wall-clock speedups are noisy on shared "
-         "runners)"},
-    };
-    for (const ArtifactDoc &a : kArtifacts)
-        os << "| `" << a.file << "` | `" << a.bench << "` | 1 | "
-           << (a.gated ? "yes" : "no") << " | " << a.command << " |\n";
+    for (const BenchArtifact &a : benchArtifacts())
+        os << "| `" << a.file << "` | `" << a.bench
+           << "` | 1 | yes | `design_space --bench-dir <dir>` |\n";
+    // The two documents no scenario family routes to.
+    os << "| `BENCH_backendstats.json` | `backend_stats` | 1 | no | the "
+          "`--stats-json` flag of the sweep |\n"
+       << "| `BENCH_hotpath.json` | `perf_hotpath` | 1 | no | "
+          "`perf_hotpath --quick --out BENCH_hotpath.json` (non-gating: "
+          "wall-clock speedups are noisy on shared runners) |\n";
 
     os << "\n"
        << "## Family-to-artifact routing\n"
        << "\n"
        << "Which scenario family's cells land in which document "
-          "(serving-kind\n"
-       << "families route to the serving schema; `artifact` tags "
-          "override):\n"
+          "(`core::benchArtifactFor`):\n"
+       << "a family's `artifact` tag names its document; untagged "
+          "serving-kind\n"
+       << "families go to the serving document, every other untagged "
+          "family to\n"
+       << "the design-space document.\n"
        << "\n"
        << "| family | kind | artifact |\n"
        << "|---|---|---|\n";
-    for (const auto &[s, builtin] : allScenarios()) {
-        (void)builtin;
+    for (const auto &[s, builtin] : allScenarios())
         os << "| `" << s.family << "` | " << kindName(s.kind)
-           << " | `" << artifactFileFor(s) << "` |\n";
-    }
+           << " | `" << benchArtifactFor(s).file << "` |\n";
 
     os << "\n"
        << "## Gated metrics\n"

@@ -7,7 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "backend.hh"
 #include "host/feature_cache.hh"
@@ -184,6 +187,61 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
+}
+
+/**
+ * Append scaling_speedup = avg_sample_ms(nodes=1) / avg_sample_ms and
+ * scaling_efficiency = scaling_speedup / nodes to each cell whose
+ * single-node baseline (same axes and knobs but part.nodes) exists. A
+ * pure function of computed metrics, so stable at any worker count.
+ */
+void
+annotateScalingMetrics(std::vector<ScenarioRun> &runs)
+{
+    for (ScenarioRun &run : runs) {
+        // Group key: every cell axis and knob except part.nodes.
+        auto keyOf = [](const CellResult &result) {
+            const ExperimentCell &cell = result.cell;
+            std::string key = graph::datasetName(cell.dataset);
+            key += '|' + cell.backend;
+            for (unsigned f : cell.fanouts)
+                key += '/' + std::to_string(f);
+            key += '|' + std::to_string(cell.batch_size);
+            key += '|' + std::to_string(cell.sim_workers);
+            for (const KnobSetting &k : cell.knobs)
+                if (k.key != "part.nodes")
+                    key += '|' + k.label();
+            return key;
+        };
+        auto nodesOf = [](const CellResult &result) {
+            for (const KnobSetting &k : result.cell.knobs)
+                if (k.key == "part.nodes")
+                    return k.value;
+            return 0.0;
+        };
+
+        std::map<std::string, double> baseline_ms;
+        for (const CellResult &result : run.cells)
+            if (nodesOf(result) == 1.0)
+                baseline_ms[keyOf(result)] =
+                    result.metric("avg_sample_ms");
+
+        for (CellResult &result : run.cells) {
+            const double nodes = nodesOf(result);
+            if (nodes < 1)
+                continue;
+            auto base = baseline_ms.find(keyOf(result));
+            if (base == baseline_ms.end() || base->second <= 0)
+                continue;
+            const double ms = result.metric("avg_sample_ms");
+            if (ms <= 0)
+                continue;
+            const double speedup = base->second / ms;
+            result.metrics.push_back({"scaling_speedup", speedup});
+            result.metrics.push_back(
+                {"scaling_efficiency", speedup / nodes});
+        }
+    }
 }
 
 } // namespace
@@ -376,55 +434,6 @@ ExperimentRunner::table(const ScenarioRun &run)
 }
 
 void
-annotateScalingMetrics(std::vector<ScenarioRun> &runs)
-{
-    for (ScenarioRun &run : runs) {
-        // Group key: every cell axis and knob except part.nodes.
-        auto keyOf = [](const CellResult &result) {
-            const ExperimentCell &cell = result.cell;
-            std::string key = graph::datasetName(cell.dataset);
-            key += '|' + cell.backend;
-            for (unsigned f : cell.fanouts)
-                key += '/' + std::to_string(f);
-            key += '|' + std::to_string(cell.batch_size);
-            key += '|' + std::to_string(cell.sim_workers);
-            for (const KnobSetting &k : cell.knobs)
-                if (k.key != "part.nodes")
-                    key += '|' + k.label();
-            return key;
-        };
-        auto nodesOf = [](const CellResult &result) {
-            for (const KnobSetting &k : result.cell.knobs)
-                if (k.key == "part.nodes")
-                    return k.value;
-            return 0.0;
-        };
-
-        std::map<std::string, double> baseline_ms;
-        for (const CellResult &result : run.cells)
-            if (nodesOf(result) == 1.0)
-                baseline_ms[keyOf(result)] =
-                    result.metric("avg_sample_ms");
-
-        for (CellResult &result : run.cells) {
-            const double nodes = nodesOf(result);
-            if (nodes < 1)
-                continue;
-            auto base = baseline_ms.find(keyOf(result));
-            if (base == baseline_ms.end() || base->second <= 0)
-                continue;
-            const double ms = result.metric("avg_sample_ms");
-            if (ms <= 0)
-                continue;
-            const double speedup = base->second / ms;
-            result.metrics.push_back({"scaling_speedup", speedup});
-            result.metrics.push_back(
-                {"scaling_efficiency", speedup / nodes});
-        }
-    }
-}
-
-void
 writeServingJson(std::ostream &os, const std::vector<ScenarioRun> &runs)
 {
     os.precision(10);
@@ -557,6 +566,75 @@ writeDesignSpaceJson(std::ostream &os,
         os << "      ]\n    }" << (r + 1 < runs.size() ? ",\n" : "\n");
     }
     os << "  }\n}\n";
+}
+
+const std::vector<BenchArtifact> &
+benchArtifacts()
+{
+    static const std::vector<BenchArtifact> artifacts = {
+        {"designspace", "BENCH_designspace.json", "design_space", false},
+        {"serving", "BENCH_serving.json", "serving_load", true},
+        {"cachepolicy", "BENCH_cachepolicy.json", "cache_policy", false},
+        {"faults", "BENCH_faults.json", "fault_space", false},
+        {"slo", "BENCH_slo.json", "slo_space", false},
+        {"recovery", "BENCH_recovery.json", "recovery_space", false},
+        {"scaling", "BENCH_scaling.json", "scaling_space", false},
+    };
+    return artifacts;
+}
+
+const BenchArtifact &
+benchArtifactFor(const Scenario &scenario)
+{
+    std::string tag = scenario.artifact;
+    if (tag.empty())
+        tag = scenario.kind == ExperimentKind::Serving ? "serving"
+                                                       : "designspace";
+    for (const BenchArtifact &artifact : benchArtifacts())
+        if (tag == artifact.tag)
+            return artifact;
+    SS_FATAL("scenario '", scenario.family, "': unknown artifact tag '",
+             scenario.artifact, "'");
+}
+
+std::vector<std::string>
+writeBenchArtifacts(const std::string &dir,
+                    const std::vector<ScenarioRun> &runs)
+{
+    std::set<std::string> families;
+    for (const ScenarioRun &run : runs)
+        if (!families.insert(run.scenario.family).second)
+            SS_FATAL("family '", run.scenario.family,
+                     "' ran twice; its document would repeat a results "
+                     "key");
+
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        SS_FATAL("cannot create ", dir, ": ", ec.message());
+
+    std::vector<std::string> written;
+    for (const BenchArtifact &artifact : benchArtifacts()) {
+        std::vector<ScenarioRun> group;
+        for (const ScenarioRun &run : runs)
+            if (&benchArtifactFor(run.scenario) == &artifact)
+                group.push_back(run);
+        if (group.empty())
+            continue;
+        if (std::string_view(artifact.tag) == "scaling")
+            annotateScalingMetrics(group);
+        const std::string path =
+            (std::filesystem::path(dir) / artifact.file).string();
+        std::ofstream json(path);
+        if (!json)
+            SS_FATAL("cannot open ", path);
+        if (artifact.serving_schema)
+            writeServingJson(json, group);
+        else
+            writeDesignSpaceJson(json, group, artifact.bench);
+        written.push_back(path);
+    }
+    return written;
 }
 
 } // namespace smartsage::core

@@ -117,26 +117,11 @@ class ExperimentRunner
  * runs, so the artifact is bit-identical at any runner worker count.
  * Serving-kind runs gain their serving axes (requests/fanout/poisson
  * per family, arrival_qps/queue_depth per cell), which lets documents
- * mix kinds — BENCH_cachepolicy.json reuses this writer with
- * @p bench_name "cache_policy" for the policy x capacity x backend
- * family pair.
+ * mix kinds; @p bench_name is the document's bench id.
  */
 void writeDesignSpaceJson(std::ostream &os,
                           const std::vector<ScenarioRun> &runs,
                           const std::string &bench_name = "design_space");
-
-/**
- * Annotate scaling-family runs in place: cells are grouped by every
- * axis and knob except `part.nodes`, and each cell in a group with a
- * single-node baseline gains two appended metrics —
- * scaling_speedup = avg_sample_ms(nodes=1) / avg_sample_ms, and
- * scaling_efficiency = scaling_speedup / nodes. A pure deterministic
- * function of already-computed cell metrics, so the annotation (and
- * the artifact built from it) stays bit-identical at any runner
- * worker count. Cells without a part.nodes knob or without a matching
- * baseline are left untouched.
- */
-void annotateScalingMetrics(std::vector<ScenarioRun> &runs);
 
 /**
  * Emit serving-kind runs as BENCH_serving.json (same schema envelope:
@@ -147,6 +132,37 @@ void annotateScalingMetrics(std::vector<ScenarioRun> &runs);
  */
 void writeServingJson(std::ostream &os,
                       const std::vector<ScenarioRun> &runs);
+
+/** One sweep document: its Scenario::artifact routing tag, file name,
+ *  bench id, and whether writeServingJson (not writeDesignSpaceJson)
+ *  renders it. */
+struct BenchArtifact
+{
+    const char *tag;
+    const char *file;
+    const char *bench;
+    bool serving_schema;
+};
+
+/** Every sweep document, in the order writeBenchArtifacts writes them. */
+const std::vector<BenchArtifact> &benchArtifacts();
+
+/** The document @p scenario routes to. An empty tag routes serving
+ *  families to "serving" and every other family to "designspace";
+ *  an unknown tag is fatal. */
+const BenchArtifact &benchArtifactFor(const Scenario &scenario);
+
+/**
+ * Write @p runs into @p dir (created if missing): one file per
+ * benchArtifacts() row some run routes to, none for the others.
+ * Scaling cells gain scaling_speedup and scaling_efficiency against
+ * their part.nodes=1 cell. Fatal on a family that appears twice (its
+ * results key would repeat) or a file that cannot be opened.
+ * @return the written paths, in table order
+ */
+std::vector<std::string>
+writeBenchArtifacts(const std::string &dir,
+                    const std::vector<ScenarioRun> &runs);
 
 } // namespace smartsage::core
 

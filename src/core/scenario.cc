@@ -201,9 +201,15 @@ expandScenario(const Scenario &scenario)
                   !scenario.worker_grid.empty(),
               "scenario '", scenario.family, "' has an empty grid axis");
 
-    // Unknown backend ids die here, listing the registered set.
-    for (const auto &id : scenario.backends)
-        BackendRegistry::instance().get(id);
+    // Unknown backend ids die here, listing the registered set; a
+    // repeated id would double every cell under one identity.
+    for (auto it = scenario.backends.begin(); it != scenario.backends.end();
+         ++it) {
+        BackendRegistry::instance().get(*it);
+        if (std::find(scenario.backends.begin(), it, *it) != it)
+            SS_FATAL("scenario '", scenario.family, "': backend '", *it,
+                     "' listed twice");
+    }
 
     // The serving axes only multiply the grid for serving scenarios;
     // other kinds iterate a single dummy point so their expansion (and
@@ -456,7 +462,7 @@ cachePolicyServingScenario()
     s.title = "Feature cache: policy x capacity x backend, open-loop "
               "serving tails";
     s.kind = ExperimentKind::Serving;
-    s.artifact = "cache-policy";
+    s.artifact = "cachepolicy";
     s.backends = servableBackendIds();
     s.overrides = cachePolicyOverrides();
     s.arrival_rates = {20000};
@@ -476,7 +482,7 @@ cachePolicyThroughputScenario()
     s.title = "Feature cache: policy x capacity x backend, sampling "
               "throughput";
     s.kind = ExperimentKind::SamplingOnly;
-    s.artifact = "cache-policy";
+    s.artifact = "cachepolicy";
     s.backends = servableBackendIds();
     s.overrides = cachePolicyOverrides();
     s.fanout_grid = {{10, 5}};

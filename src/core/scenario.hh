@@ -73,13 +73,12 @@ struct Scenario
     std::string title;  //!< table banner
     ExperimentKind kind = ExperimentKind::Pipeline;
     /**
-     * Artifact document this family's results belong to. Empty routes
-     * by kind (serving families to BENCH_serving.json, everything
-     * else to BENCH_designspace.json); the cache-policy families set
-     * "cache-policy" so both kinds land in BENCH_cachepolicy.json,
-     * the fault-space family sets "faults" (BENCH_faults.json), the
-     * slo-space family sets "slo" (BENCH_slo.json), and the scaling
-     * family sets "scaling" (BENCH_scaling.json).
+     * Tag of the BENCH_*.json document this family's results belong
+     * to: one of the core::benchArtifacts() tags (experiment.hh) —
+     * "designspace", "serving", "cachepolicy", "faults", "slo",
+     * "recovery" or "scaling". Empty routes by kind: serving families
+     * to "serving", every other family to "designspace"
+     * (core::benchArtifactFor).
      */
     std::string artifact;
 
@@ -163,7 +162,8 @@ struct ExperimentCell
  * seeds its pipeline from fork(i) of the scenario seed, so cells are
  * statistically independent yet bit-reproducible no matter how the
  * runner schedules them. Unknown override keys and unknown backend
- * ids are fatal (the latter lists the registered ids).
+ * ids are fatal (the latter lists the registered ids), and so is a
+ * backend id listed twice (every cell would repeat under one identity).
  */
 std::vector<ExperimentCell> expandScenario(const Scenario &scenario);
 
@@ -179,7 +179,8 @@ const std::vector<Scenario> &builtinScenarios();
 /**
  * Additional registry-driven families, excluded from the default
  * all-family sweep so the default artifact's family set stays stable
- * (run via `design_space --family`):
+ * (run via `design_space --family`; `--bench-dir` writes each into the
+ * document core::benchArtifactFor names):
  *  - "backend-space": every registered storage backend, including
  *    out-of-core plugins;
  *  - "serving-load": open-loop request serving over every backend
@@ -188,27 +189,23 @@ const std::vector<Scenario> &builtinScenarios();
  *  - "cache-policy" / "cache-policy-throughput": the feature-cache
  *    policy x capacity grid (host/feature_cache.hh) over every
  *    servable backend, under open-loop serving and under the closed
- *    sampling pipeline respectively, emitting BENCH_cachepolicy.json
- *    (design_space --cache-out);
+ *    sampling pipeline respectively, sharing BENCH_cachepolicy.json;
  *  - "fault-space": fault rate x retry policy over every servable
  *    backend under open-loop serving, emitting recovery metrics
- *    (goodput, shed fraction, retry counters) into BENCH_faults.json
- *    (design_space --faults-out);
+ *    (goodput, shed fraction, retry counters) into BENCH_faults.json;
  *  - "slo-space": multi-tenant serving (core/tenant.hh) over every
  *    servable backend — scheduling discipline x arrival shape under an
  *    oversubscribed two-tenant workload — emitting per-tenant SLO
- *    attainment and goodput into BENCH_slo.json
- *    (design_space --slo-out);
+ *    attainment and goodput into BENCH_slo.json;
  *  - "recovery-space": checkpointed training killed mid-run and
  *    restarted from the newest manifest (core/recovery.hh), swept over
  *    checkpoint interval (plus a warm-cache restart point) per
  *    servable backend, emitting recovery time, lost work, and
- *    checkpoint overhead into BENCH_recovery.json
- *    (design_space --recovery-out);
+ *    checkpoint overhead into BENCH_recovery.json;
  *  - "scaling": the partitioned scale-out backend swept over node
  *    count x link bandwidth x cut strategy (sampling-only), emitting
  *    annotated scaling_speedup/scaling_efficiency columns into
- *    BENCH_scaling.json (design_space --scaling-out).
+ *    BENCH_scaling.json.
  */
 const std::vector<Scenario> &extraScenarios();
 

@@ -1,10 +1,15 @@
 /** @file Tests for the scenario grid, config knobs, and the
  *  ExperimentRunner: expansion, worker-count determinism, golden
- *  equivalence against direct GnnSystem runs, and JSON schema. */
+ *  equivalence against direct GnnSystem runs, JSON schema, and the
+ *  family-to-document routing of writeBenchArtifacts. */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -12,11 +17,53 @@
 #include "core/scenario.hh"
 #include "core/system.hh"
 
+namespace fs = std::filesystem;
 using namespace smartsage;
 using namespace smartsage::core;
 
 namespace
 {
+
+/** A fresh, missing scratch directory private to this process. */
+fs::path
+scratchDir(const std::string &tag)
+{
+    fs::path dir = fs::temp_directory_path() /
+                   ("bench-artifacts-" + std::to_string(::getpid()) + "-" +
+                    tag);
+    fs::remove_all(dir);
+    return dir;
+}
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+std::set<std::string>
+filesIn(const fs::path &dir)
+{
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    return names;
+}
+
+/** A small serving-load run: one backend, one rate, few requests. */
+ScenarioRun
+tinyServingRun(ExperimentRunner &runner)
+{
+    Scenario s = smokeVariant(*findScenario("serving-load"));
+    s.backends = {"dram"};
+    s.arrival_rates = {10000};
+    s.queue_depths = {8};
+    s.serve_requests = 64;
+    return runner.run(s);
+}
 
 /** A tiny two-axis scenario over the in-memory Amazon workload. */
 Scenario
@@ -281,9 +328,130 @@ TEST(Json, DesignSpaceArtifactHasRequiredSchema)
               std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(BenchArtifacts, EveryFamilyRoutesToOneTableRow)
+{
+    const std::vector<BenchArtifact> &rows = benchArtifacts();
+    std::vector<Scenario> all = builtinScenarios();
+    all.insert(all.end(), extraScenarios().begin(), extraScenarios().end());
+    std::set<std::string> reached;
+    for (const Scenario &s : all) {
+        const BenchArtifact &row = benchArtifactFor(s);
+        EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                                [&](const BenchArtifact &r) {
+                                    return &r == &row;
+                                }),
+                  1)
+            << s.family;
+        reached.insert(row.file);
+    }
+    // No row is dead: some family lands in every document.
+    EXPECT_EQ(reached.size(), rows.size());
+    EXPECT_STREQ(benchArtifactFor(*findScenario("design-space")).file,
+                 "BENCH_designspace.json");
+    EXPECT_STREQ(benchArtifactFor(*findScenario("backend-space")).file,
+                 "BENCH_designspace.json");
+    EXPECT_STREQ(benchArtifactFor(*findScenario("serving-load")).file,
+                 "BENCH_serving.json");
+    EXPECT_EQ(&benchArtifactFor(*findScenario("cache-policy")),
+              &benchArtifactFor(*findScenario("cache-policy-throughput")));
+    EXPECT_STREQ(benchArtifactFor(*findScenario("scaling")).bench,
+                 "scaling_space");
+}
+
+TEST(BenchArtifacts, TagsFilesAndBenchIdsAreUnique)
+{
+    const std::vector<BenchArtifact> &rows = benchArtifacts();
+    std::set<std::string> tags, files, benches;
+    for (const BenchArtifact &a : rows) {
+        tags.insert(a.tag);
+        files.insert(a.file);
+        benches.insert(a.bench);
+    }
+    EXPECT_EQ(rows.size(), 7u);
+    EXPECT_EQ(tags.size(), rows.size());
+    EXPECT_EQ(files.size(), rows.size());
+    EXPECT_EQ(benches.size(), rows.size());
+}
+
+TEST(BenchArtifacts, WritesOneFilePerReachedDocumentWithWriterBytes)
+{
+    ExperimentRunner runner;
+    ScenarioRun sweep = runner.run(tinyScenario(ExperimentKind::SamplingOnly));
+    ScenarioRun serving = tinyServingRun(runner);
+
+    // A missing nested directory is created on demand.
+    fs::path root = scratchDir("two-rows");
+    fs::path dir = root / "nested";
+    std::vector<std::string> written =
+        writeBenchArtifacts(dir.string(), {sweep, serving});
+    EXPECT_EQ(written.size(), 2u);
+    EXPECT_EQ(filesIn(dir),
+              (std::set<std::string>{"BENCH_designspace.json",
+                                     "BENCH_serving.json"}));
+
+    std::ostringstream design, serve;
+    writeDesignSpaceJson(design, {sweep});
+    writeServingJson(serve, {serving});
+    EXPECT_EQ(slurp(dir / "BENCH_designspace.json"), design.str());
+    EXPECT_EQ(slurp(dir / "BENCH_serving.json"), serve.str());
+    fs::remove_all(root);
+}
+
+TEST(BenchArtifacts, ServingOnlyRunWritesNoDesignSpaceDocument)
+{
+    ExperimentRunner runner;
+    fs::path dir = scratchDir("serving-only");
+    writeBenchArtifacts(dir.string(), {tinyServingRun(runner)});
+    EXPECT_EQ(filesIn(dir), (std::set<std::string>{"BENCH_serving.json"}));
+    fs::remove_all(dir);
+}
+
+TEST(BenchArtifacts, ScalingDocumentCarriesScalingEfficiency)
+{
+    // Two hand-built cells differing only in part.nodes: the two-node
+    // cell samples twice as fast, so its speedup is 2 and its
+    // efficiency exactly 1.
+    ScenarioRun run;
+    run.scenario = *findScenario("scaling");
+    for (double nodes : {1.0, 2.0}) {
+        CellResult cell;
+        cell.cell.backend = "partitioned";
+        cell.cell.knobs = {{"part.nodes", nodes}};
+        cell.metrics = {{"avg_sample_ms", 4.0 / nodes}};
+        run.cells.push_back(cell);
+    }
+    fs::path dir = scratchDir("scaling");
+    writeBenchArtifacts(dir.string(), {run});
+    EXPECT_EQ(filesIn(dir), (std::set<std::string>{"BENCH_scaling.json"}));
+    std::string json = slurp(dir / "BENCH_scaling.json");
+    EXPECT_NE(json.find("\"bench\": \"scaling_space\""), std::string::npos);
+    EXPECT_NE(json.find("\"avg_sample_ms\": 2, \"scaling_speedup\": 2, "
+                        "\"scaling_efficiency\": 1"),
+              std::string::npos)
+        << json;
+    fs::remove_all(dir);
+}
+
 TEST(JsonDeath, ExpansionRejectsUnknownKnob)
 {
     Scenario s = tinyScenario(ExperimentKind::SamplingOnly);
     s.overrides = {{{"ssd.flash.bogus_knob", 1}}};
     EXPECT_DEATH(expandScenario(s), "unknown config knob");
+}
+
+TEST(JsonDeath, ExpansionRejectsDuplicateBackend)
+{
+    Scenario s = tinyScenario(ExperimentKind::SamplingOnly);
+    s.backends = {"dram", "isp-hwsw", "dram"};
+    EXPECT_DEATH(expandScenario(s), "backend 'dram' listed twice");
+}
+
+TEST(JsonDeath, BenchArtifactsRejectRepeatedFamily)
+{
+    ScenarioRun run;
+    run.scenario = tinyScenario(ExperimentKind::SamplingOnly);
+    fs::path dir = scratchDir("repeat");
+    EXPECT_DEATH(writeBenchArtifacts(dir.string(), {run, run}),
+                 "family 'tiny' ran twice");
+    EXPECT_FALSE(fs::exists(dir));
 }
