@@ -539,6 +539,7 @@ acceptancePass(const Pair &sampler, const Pair &pipeline,
 void
 writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
           const Pair &mm, const Pair &mm_tn, const Pair &mm_nt,
+          const Pair &mm_wide, const Pair &mm_tn_wide,
           const Pair &pipeline, const DispatchCost &dispatch,
           const AdapterCost &adapter, const CacheCost &cache,
           const MshrCost &mshr)
@@ -570,6 +571,8 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     obj("matmul_gflops", mm, "GFLOP/s");
     obj("matmul_tn_gflops", mm_tn, "GFLOP/s");
     obj("matmul_nt_gflops", mm_nt, "GFLOP/s");
+    obj("matmul_wide_gflops", mm_wide, "GFLOP/s");
+    obj("matmul_tn_wide_gflops", mm_tn_wide, "GFLOP/s");
     obj("pipeline_batches_per_s", pipeline, "batches/s");
     os << "    \"kernel_dispatch\": {\"naive_gflops\": "
        << dispatch.naive_gflops << ", \"scalar_gflops\": "
@@ -679,6 +682,28 @@ main(int argc, char **argv)
     mm_nt.fast = gemmGflops([&] { gnn::matmulNT(dz, w); }, flops,
                             cfg.kernel_reps, gnn::KernelMode::Tiled);
 
+    // The shape that dominates train-reddit: 602-wide Reddit features
+    // through 64-wide weights, as layer 0's forward (NN) and its weight
+    // gradient (TN) run it.
+    const std::size_t wide = 602;
+    std::cout << "perf_hotpath: wide GEMM kernels (" << m << "x" << wide
+              << "x" << d << ")...\n";
+    gnn::Tensor2D x = gnn::Tensor2D::uniform(m, wide, 1.0f, krng);
+    gnn::Tensor2D w_wide = gnn::Tensor2D::uniform(wide, d, 1.0f, krng);
+    const double wide_flops = 2.0 * static_cast<double>(m) * wide * d;
+    Pair mm_wide, mm_tn_wide;
+    mm_wide.naive = gemmGflops([&] { gnn::matmul(x, w_wide); },
+                               wide_flops, cfg.kernel_reps,
+                               gnn::KernelMode::Naive);
+    mm_wide.fast = gemmGflops([&] { gnn::matmul(x, w_wide); }, wide_flops,
+                              cfg.kernel_reps, gnn::KernelMode::Tiled);
+    mm_tn_wide.naive = gemmGflops([&] { gnn::matmulTN(x, dz); },
+                                  wide_flops, cfg.kernel_reps,
+                                  gnn::KernelMode::Naive);
+    mm_tn_wide.fast = gemmGflops([&] { gnn::matmulTN(x, dz); },
+                                 wide_flops, cfg.kernel_reps,
+                                 gnn::KernelMode::Tiled);
+
     std::cout << "perf_hotpath: kernel dispatch flavors ("
               << gnn::kernelDispatchName(gnn::resolvedKernelDispatch())
               << " resolved)...\n";
@@ -711,6 +736,8 @@ main(int argc, char **argv)
     report("matmul    ", mm, "GFLOP/s");
     report("matmulTN  ", mm_tn, "GFLOP/s");
     report("matmulNT  ", mm_nt, "GFLOP/s");
+    report("matmul 602", mm_wide, "GFLOP/s");
+    report("matmulTN 602", mm_tn_wide, "GFLOP/s");
     report("pipeline  ", pipeline, "batches/s");
     std::cout << "  dispatch  : naive " << dispatch.naive_gflops
               << ", scalar " << dispatch.scalar_gflops << ", avx2 "
@@ -737,8 +764,8 @@ main(int argc, char **argv)
         std::cerr << "perf_hotpath: cannot open " << out_path << "\n";
         return 1;
     }
-    writeJson(json, cfg, sampler, mm, mm_tn, mm_nt, pipeline, dispatch,
-              adapter, cache, mshr);
+    writeJson(json, cfg, sampler, mm, mm_tn, mm_nt, mm_wide, mm_tn_wide,
+              pipeline, dispatch, adapter, cache, mshr);
     std::cout << "perf_hotpath: wrote " << out_path << "\n";
 
     const bool pass = acceptancePass(sampler, pipeline, dispatch);

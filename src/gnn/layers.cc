@@ -152,6 +152,8 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
         for (unsigned j = 0; j < out_dim_; ++j)
             brow[j] += zrow[j];
     }
+    if (!input_grad_)
+        return;
 
     // Input gradients: self path lands on the dst prefix rows; the
     // aggregation path scatters 1/deg shares to every sampled src.

@@ -68,7 +68,8 @@ class SageMeanLayer
      * @param d_out gradient w.r.t. this layer's output
      * @param ctx   context captured by forward
      * @param grads out-param: accumulated parameter gradients
-     * @return gradient w.r.t. h_src (src_rows x in_dim)
+     * @return gradient w.r.t. h_src (src_rows x in_dim); an empty
+     *         tensor when needsInputGrad() is false
      */
     Tensor2D backward(const Tensor2D &d_out, const SageContext &ctx,
                       SageLayerGrads &grads) const;
@@ -84,12 +85,24 @@ class SageMeanLayer
 
     /**
      * Workspace-reusing backward. @p d_out is consumed in place (the
-     * ReLU mask is applied to it); @p d_src receives the input
-     * gradient. @p ctx provides the forward tensors and two scratch
-     * workspaces.
+     * ReLU mask is applied to it) and @p grads receives the parameter
+     * gradients. When needsInputGrad() is true, @p d_src receives the
+     * input gradient, built in @p ctx's two scratch workspaces; when
+     * it is false, the call returns right after the parameter
+     * gradients and leaves @p d_src untouched.
      */
     void backwardInto(Tensor2D &d_out, const SageContext &ctx,
                       SageLayerGrads &grads, Tensor2D &d_src) const;
+
+    /**
+     * Whether backward computes the gradient w.r.t. h_src. True by
+     * default. A model's input layer turns it off: its inputs are raw
+     * features, not parameters, so nothing reads that gradient, and
+     * skipping it saves two GEMMs, a 1/deg scatter over every edge and
+     * a src_rows x in_dim buffer.
+     */
+    bool needsInputGrad() const { return input_grad_; }
+    void setNeedsInputGrad(bool needed) { input_grad_ = needed; }
 
     /** SGD step: p -= lr * g. */
     void applyGrads(const SageLayerGrads &grads, float lr);
@@ -121,6 +134,7 @@ class SageMeanLayer
     unsigned in_dim_;
     unsigned out_dim_;
     bool relu_;
+    bool input_grad_ = true;
     Tensor2D w_self_;  //!< in_dim x out_dim
     Tensor2D w_neigh_; //!< in_dim x out_dim
     Tensor2D bias_;    //!< 1 x out_dim

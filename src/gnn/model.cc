@@ -17,6 +17,8 @@ SageModel::SageModel(const ModelConfig &config) : config_(config)
         bool relu = (l + 1 != config.depth);
         layers_.emplace_back(in, out, relu, rng);
     }
+    // The input layer's h_src is raw features: no gradient needed.
+    layers_.front().setNeedsInputGrad(false);
 }
 
 const Tensor2D &
@@ -65,7 +67,8 @@ SageModel::trainStep(const Subgraph &sg, const FeatureTable &ft)
     double loss = softmaxCrossEntropy(logits, labels_ws_, grad_a_);
 
     // Backward through the stack; gradients apply immediately (plain
-    // SGD, single worker semantics).
+    // SGD, single worker semantics). Layer 0 leaves *dn untouched: it
+    // computes no input gradient.
     Tensor2D *d = &grad_a_, *dn = &grad_b_;
     for (std::size_t l = layers_.size(); l-- > 0;) {
         layers_[l].backwardInto(*d, ctxs_[l], grads_ws_, *dn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <mutex>
 
@@ -30,21 +31,20 @@ std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
 std::atomic<unsigned> g_gemm_threads{1};
 
 /**
- * Lazily built pool backing the threaded GEMM path; rebuilt when the
- * configured thread count changes. Guarded so concurrent experiment
- * cells applying identical defaults never race a rebuild.
+ * Pool backing the threaded GEMM path, one per thread count. Each is
+ * built on first use and lives until exit, so a caller still running
+ * on one pool is never freed under it by another caller that asks for
+ * a different count.
  */
 sim::ThreadPool *
 gemmPool(unsigned threads)
 {
     static std::mutex mutex;
-    static std::unique_ptr<sim::ThreadPool> pool;
-    static unsigned pool_threads = 0;
+    static std::map<unsigned, std::unique_ptr<sim::ThreadPool>> pools;
     std::lock_guard<std::mutex> lock(mutex);
-    if (pool_threads != threads) {
+    std::unique_ptr<sim::ThreadPool> &pool = pools[threads];
+    if (!pool)
         pool = std::make_unique<sim::ThreadPool>(threads);
-        pool_threads = threads;
-    }
     return pool.get();
 }
 
@@ -299,64 +299,161 @@ matmulScalarRows(const float *adata, const float *bdata, float *cdata,
 
 #if SMARTSAGE_X86_KERNELS
 
+// Register-blocked AVX2+FMA GEMM. One tile is kMR rows x 16 columns of
+// C held in 12 ymm accumulators across a whole reduction slice, fed by
+// two B loads and kMR A broadcasts per reduction step. Every C element
+// is still one _mm256_fmadd_ps chain in reduction order, so the tile
+// shape and the row range a call covers never change an output bit.
+// The kernels read A through two strides — A(i, k) = a[i * rs + k * ks]
+// — so NN (rs = lda, ks = 1) and TN (rs = 1, ks = lda) share the tiles.
+
+constexpr std::size_t kMR = 6;  //!< tile rows
+constexpr std::size_t kRB = 64; //!< TN reduction panel (multiple of 4)
+
+/** C[MR x 8*NV] += A[MR x kb] . B[kb x 8*NV], C kept in registers. */
+template <std::size_t MR, std::size_t NV>
+__attribute__((target("avx2,fma"))) inline void
+gemmTileAvx2(const float *a, std::size_t rs, std::size_t ks,
+             const float *b, std::size_t ldb, float *c, std::size_t ldc,
+             std::size_t kb)
+{
+    // The pragmas unroll early enough for the accumulator array to be
+    // promoted to registers; without them GCC stores it every step.
+    __m256 acc[MR][NV];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_loadu_ps(c + r * ldc + 8 * v);
+    for (std::size_t k = 0; k < kb; ++k) {
+        __m256 bv[NV];
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < NV; ++v)
+            bv[v] = _mm256_loadu_ps(b + k * ldb + 8 * v);
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < MR; ++r) {
+            const __m256 ar = _mm256_broadcast_ss(a + r * rs + k * ks);
+#pragma GCC unroll 2
+            for (std::size_t v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
+        }
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < NV; ++v)
+            _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+}
+
+/** One MR-row strip: 16-column tiles, then an 8-column strip. */
+template <std::size_t MR>
+__attribute__((target("avx2,fma"))) void
+gemmStripAvx2(const float *a, std::size_t rs, std::size_t ks,
+              const float *b, std::size_t ldb, float *c, std::size_t ldc,
+              std::size_t kb, std::size_t nv)
+{
+    std::size_t j = 0;
+    for (; j + 16 <= nv; j += 16)
+        gemmTileAvx2<MR, 2>(a, rs, ks, b + j, ldb, c + j, ldc, kb);
+    if (j < nv)
+        gemmTileAvx2<MR, 1>(a, rs, ks, b + j, ldb, c + j, ldc, kb);
+}
+
+/** C[rows x nv] += A . B over a kb-long reduction slice; nv % 8 == 0.
+ *  Rows go kMR at a time, then one 1-5-row remainder strip. */
+__attribute__((target("avx2,fma"))) void
+gemmTilesAvx2(const float *a, std::size_t rs, std::size_t ks,
+              const float *b, std::size_t ldb, float *c, std::size_t ldc,
+              std::size_t rows, std::size_t kb, std::size_t nv)
+{
+    std::size_t i = 0;
+    for (; i + kMR <= rows; i += kMR)
+        gemmStripAvx2<kMR>(a + i * rs, rs, ks, b, ldb, c + i * ldc, ldc,
+                           kb, nv);
+    a += i * rs;
+    c += i * ldc;
+    switch (rows - i) {
+    case 5:
+        gemmStripAvx2<5>(a, rs, ks, b, ldb, c, ldc, kb, nv);
+        break;
+    case 4:
+        gemmStripAvx2<4>(a, rs, ks, b, ldb, c, ldc, kb, nv);
+        break;
+    case 3:
+        gemmStripAvx2<3>(a, rs, ks, b, ldb, c, ldc, kb, nv);
+        break;
+    case 2:
+        gemmStripAvx2<2>(a, rs, ks, b, ldb, c, ldc, kb, nv);
+        break;
+    case 1:
+        gemmStripAvx2<1>(a, rs, ks, b, ldb, c, ldc, kb, nv);
+        break;
+    default:
+        break;
+    }
+}
+
 /**
- * AVX2+FMA NN microkernel, same blocking and row-range contract as
- * matmulScalarRows. The j loop runs 8 lanes wide with broadcast A
- * scalars; the fused multiply-adds mean outputs match the scalar
- * kernel to tolerance, not bitwise (still bit-identical across
- * row-block decompositions of itself).
+ * Columns [j0, j1) of C, the ones past the last multiple of 8, over a
+ * kb-long reduction slice. They keep the scalar expression of the
+ * untiled loops — four reduction steps per statement, in groups that
+ * start at the slice start — so they round exactly as before.
+ */
+__attribute__((target("avx2,fma"))) void
+gemmTailAvx2(const float *a, std::size_t rs, std::size_t ks,
+             const float *b, std::size_t ldb, float *c, std::size_t ldc,
+             std::size_t rows, std::size_t kb, std::size_t j0,
+             std::size_t j1)
+{
+    if (j0 == j1)
+        return;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *ai = a + i * rs;
+        float *crow = c + i * ldc;
+        std::size_t k = 0;
+        for (; k + 4 <= kb; k += 4) {
+            const float a0 = ai[k * ks], a1 = ai[(k + 1) * ks];
+            const float a2 = ai[(k + 2) * ks], a3 = ai[(k + 3) * ks];
+            const float *b0 = b + k * ldb;
+            const float *b1 = b0 + ldb, *b2 = b1 + ldb, *b3 = b2 + ldb;
+            for (std::size_t j = j0; j < j1; ++j)
+                crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] +
+                           a3 * b3[j];
+        }
+        for (; k < kb; ++k) {
+            const float a0 = ai[k * ks];
+            const float *b0 = b + k * ldb;
+            for (std::size_t j = j0; j < j1; ++j)
+                crow[j] += a0 * b0[j];
+        }
+    }
+}
+
+/**
+ * AVX2+FMA NN kernel, same kKB/kJB blocking and row-range contract as
+ * matmulScalarRows. It walks C one kMR-row strip at a time, so the
+ * strip stays in L1 across every k block while B streams from L2. The
+ * fused multiply-adds mean outputs match the scalar kernel to
+ * tolerance, not bitwise (still bit-identical across row-block
+ * decompositions of itself).
  */
 __attribute__((target("avx2,fma"))) void
 matmulAvx2Rows(const float *adata, const float *bdata, float *cdata,
                std::size_t i0, std::size_t i1, std::size_t kdim,
                std::size_t n)
 {
-    for (std::size_t kk = 0; kk < kdim; kk += kKB) {
-        const std::size_t kb = std::min(kKB, kdim - kk);
-        for (std::size_t jj = 0; jj < n; jj += kJB) {
-            const std::size_t jb = std::min(kJB, n - jj);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float *arow = adata + i * kdim + kk;
-                float *crow = cdata + i * n + jj;
-                std::size_t k = 0;
-                for (; k + 4 <= kb; k += 4) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const __m256 a1 = _mm256_set1_ps(arow[k + 1]);
-                    const __m256 a2 = _mm256_set1_ps(arow[k + 2]);
-                    const __m256 a3 = _mm256_set1_ps(arow[k + 3]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a1, _mm256_loadu_ps(b1 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a2, _mm256_loadu_ps(b2 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a3, _mm256_loadu_ps(b3 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j] + arow[k + 1] * b1[j] +
-                                   arow[k + 2] * b2[j] +
-                                   arow[k + 3] * b3[j];
-                }
-                for (; k < kb; ++k) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j];
-                }
+    for (std::size_t is = i0; is < i1; is += kMR) {
+        const std::size_t rows = std::min(kMR, i1 - is);
+        for (std::size_t kk = 0; kk < kdim; kk += kKB) {
+            const std::size_t kb = std::min(kKB, kdim - kk);
+            for (std::size_t jj = 0; jj < n; jj += kJB) {
+                const std::size_t jb = std::min(kJB, n - jj);
+                const std::size_t jv = jb - jb % 8;
+                const float *a = adata + is * kdim + kk;
+                const float *b = bdata + kk * n + jj;
+                float *c = cdata + is * n + jj;
+                gemmTilesAvx2(a, kdim, 1, b, n, c, n, rows, kb, jv);
+                gemmTailAvx2(a, kdim, 1, b, n, c, n, rows, kb, jv, jb);
             }
         }
     }
@@ -456,57 +553,25 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 
 #if SMARTSAGE_X86_KERNELS
 
-/** AVX2+FMA variant of matmulTNTiled: same 4-row B panels, j loop
- *  8 lanes wide with broadcast A weights. */
+/**
+ * AVX2+FMA variant of matmulTNTiled on the register tiles, blocked
+ * over r in kRB-row panels so the A panel stays cached across the
+ * sweep of C. kRB is a multiple of 4, so the tail columns' 4-row
+ * groups fall where the unblocked loop put them.
+ */
 __attribute__((target("avx2,fma"))) void
 matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
+    const std::size_t nv = n - n % 8;
     float *cdata = c.data().data();
 
-    std::size_t r = 0;
-    for (; r + 4 <= rdim; r += 4) {
-        const float *a0 = adata + r * m;
-        const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
-        const float *b0 = bdata + r * n;
-        const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const __m256 w0 = _mm256_set1_ps(a0[i]);
-            const __m256 w1 = _mm256_set1_ps(a1[i]);
-            const __m256 w2 = _mm256_set1_ps(a2[i]);
-            const __m256 w3 = _mm256_set1_ps(a3[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w0, _mm256_loadu_ps(b0 + j), acc);
-                acc = _mm256_fmadd_ps(w1, _mm256_loadu_ps(b1 + j), acc);
-                acc = _mm256_fmadd_ps(w2, _mm256_loadu_ps(b2 + j), acc);
-                acc = _mm256_fmadd_ps(w3, _mm256_loadu_ps(b3 + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += a0[i] * b0[j] + a1[i] * b1[j] +
-                           a2[i] * b2[j] + a3[i] * b3[j];
-        }
-    }
-    for (; r < rdim; ++r) {
-        const float *arow = adata + r * m;
-        const float *brow = bdata + r * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const __m256 w = _mm256_set1_ps(arow[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w, _mm256_loadu_ps(brow + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += arow[i] * brow[j];
-        }
+    for (std::size_t r0 = 0; r0 < rdim; r0 += kRB) {
+        const std::size_t rb = std::min(kRB, rdim - r0);
+        const float *ap = a.data().data() + r0 * m;
+        const float *bp = b.data().data() + r0 * n;
+        gemmTilesAvx2(ap, 1, m, bp, n, cdata, n, m, rb, nv);
+        gemmTailAvx2(ap, 1, m, bp, n, cdata, n, m, rb, nv, n);
     }
 }
 

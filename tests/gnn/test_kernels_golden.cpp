@@ -96,6 +96,31 @@ TEST(KernelGolden, MatmulTNMatchesNaive)
     }
 }
 
+TEST(KernelGolden, TailColumnsMatchNaive)
+{
+    // n = 41 and 65 leave 1-7 columns past the last 8-lane tile; they
+    // take the scalar tail in both NN and TN, around the 6-row tiles,
+    // the 64-wide k blocks and the TN r-panels.
+    Rng rng(8);
+    for (auto [m, k, n] :
+         {std::tuple<int, int, int>{13, 65, 41}, {7, 129, 65},
+          {130, 64, 41}, {65, 129, 65}}) {
+        Tensor2D a = Tensor2D::uniform(m, k, 1.0f, rng);
+        Tensor2D b = Tensor2D::uniform(k, n, 1.0f, rng);
+        Tensor2D c0 = Tensor2D::uniform(m, n, 1.0f, rng);
+        Tensor2D at = Tensor2D::uniform(k, m, 1.0f, rng);
+        compareModes([&] { return matmul(a, b); }, 1e-5);
+        compareModes(
+            [&] {
+                Tensor2D c = c0;
+                matmulAccumulate(a, b, c);
+                return c;
+            },
+            1e-5);
+        compareModes([&] { return matmulTN(at, b); }, 1e-5);
+    }
+}
+
 TEST(KernelGolden, MatmulNTMatchesNaive)
 {
     Rng rng(3);

@@ -11,6 +11,7 @@
 #include "gnn/sampler.hh"
 #include "graph/builder.hh"
 #include "graph/powerlaw.hh"
+#include "sim/serialize.hh"
 
 using namespace smartsage::gnn;
 using namespace smartsage::graph;
@@ -105,7 +106,10 @@ TEST_P(SageLayerGradCheck, MatchesNumericalGradients)
     SageContext ctx;
     Tensor2D out = layer.forward(h, block, ctx);
     SageLayerGrads grads;
+    ASSERT_TRUE(layer.needsInputGrad()); // a standalone layer's default
     Tensor2D d_in = layer.backward(lossGrad(out), ctx, grads);
+    ASSERT_EQ(d_in.rows(), h.rows());
+    ASSERT_EQ(d_in.cols(), h.cols());
 
     const float eps = 1e-3f;
     auto check_param = [&](Tensor2D &param, const Tensor2D &grad,
@@ -253,6 +257,116 @@ TEST(SageModel, AccuracyBeatsChanceAfterTraining)
     auto targets = selectTargets(g, 512, rng);
     double acc = model.evaluate(sampler.sample(g, targets, rng), ft);
     EXPECT_GT(acc, 0.5); // chance = 0.25
+}
+
+namespace
+{
+
+/** Copy @p from's parameters into @p to through the checkpoint path. */
+void
+copyParams(const SageMeanLayer &from, SageMeanLayer &to)
+{
+    smartsage::sim::ByteWriter writer;
+    from.saveState(writer);
+    smartsage::sim::ByteReader reader(writer.buffer());
+    to.loadState(reader);
+}
+
+} // namespace
+
+TEST(SageModel, InputLayerComputesNoInputGradient)
+{
+    ModelConfig mc;
+    mc.in_dim = 8;
+    mc.hidden_dim = 16;
+    mc.num_classes = 4;
+    mc.depth = 2;
+    SageModel model(mc);
+    EXPECT_FALSE(model.layers()[0].needsInputGrad());
+    EXPECT_TRUE(model.layers()[1].needsInputGrad());
+
+    PowerLawParams gp;
+    gp.num_nodes = 256;
+    CsrGraph g = generatePowerLaw(gp);
+    FeatureTable ft(g.numNodes(), mc.in_dim, mc.num_classes);
+    SageSampler sampler({5, 3});
+    Rng rng(14);
+    Subgraph sg = sampler.sample(g, selectTargets(g, 16, rng), rng);
+    std::vector<SageContext> ctxs;
+    model.forward(sg, ft, &ctxs);
+
+    const SageMeanLayer &layer0 = model.layers()[0];
+    Tensor2D d_out(sg.blocks[1].numDsts(), mc.hidden_dim);
+    d_out.data().assign(d_out.data().size(), 0.25f);
+    Tensor2D sentinel(3, 5);
+    sentinel.data().assign(sentinel.data().size(), 7.0f);
+    Tensor2D d_src = sentinel;
+    SageLayerGrads grads;
+    layer0.backwardInto(d_out, ctxs[0], grads, d_src);
+    EXPECT_EQ(d_src.rows(), 3u);
+    EXPECT_EQ(d_src.cols(), 5u);
+    EXPECT_EQ(d_src.data(), sentinel.data());
+    // The parameter gradients are still produced.
+    EXPECT_EQ(grads.w_self.rows(), mc.in_dim);
+    EXPECT_EQ(grads.w_self.cols(), mc.hidden_dim);
+    EXPECT_GT(grads.w_neigh.normSq(), 0.0);
+    EXPECT_EQ(grads.bias.cols(), mc.hidden_dim);
+}
+
+TEST(SageModel, SkippedInputGradientLeavesTrainingBitIdentical)
+{
+    // Odd widths leave tails in every GEMM: 33 is not a multiple of the
+    // 4-way k unroll, 41 not a multiple of the 8-lane tiles.
+    ModelConfig mc;
+    mc.in_dim = 33;
+    mc.hidden_dim = 64;
+    mc.num_classes = 41;
+    mc.depth = 2;
+    SageModel model(mc);
+
+    // Reference: standalone layers that do compute the input gradient,
+    // started from the model's weights and stepped by hand.
+    Rng unused(0);
+    SageMeanLayer ref0(33, 64, true, unused), ref1(64, 41, false, unused);
+    ASSERT_TRUE(ref0.needsInputGrad());
+    copyParams(model.layers()[0], ref0);
+    copyParams(model.layers()[1], ref1);
+
+    PowerLawParams gp;
+    gp.num_nodes = 1024;
+    gp.avg_degree = 16;
+    CsrGraph g = generatePowerLaw(gp);
+    FeatureTable ft(g.numNodes(), mc.in_dim, mc.num_classes);
+    SageSampler sampler({8, 4});
+    Rng rng(15);
+
+    SageContext c0, c1;
+    SageLayerGrads grads;
+    Tensor2D x, h1, logits, d_logits, d_h1, d_x;
+    std::vector<std::uint32_t> labels;
+    for (int step = 0; step < 3; ++step) {
+        Subgraph sg = sampler.sample(g, selectTargets(g, 64, rng), rng);
+        const double loss = model.trainStep(sg, ft);
+
+        ft.gather(sg.inputNodes(), x);
+        ref0.forwardInto(x, sg.blocks[1], c0, h1);
+        ref1.forwardInto(h1, sg.blocks[0], c1, logits);
+        ft.labelsInto(sg.targets(), labels);
+        const double ref_loss =
+            softmaxCrossEntropy(logits, labels, d_logits);
+        ref1.backwardInto(d_logits, c1, grads, d_h1);
+        ref1.applyGrads(grads, mc.learning_rate);
+        ref0.backwardInto(d_h1, c0, grads, d_x);
+        ref0.applyGrads(grads, mc.learning_rate);
+
+        EXPECT_EQ(loss, ref_loss) << "step " << step;
+        EXPECT_EQ(d_x.rows(), sg.inputNodes().size());
+    }
+
+    SageModel ref_model(mc);
+    copyParams(ref0, ref_model.mutableLayers()[0]);
+    copyParams(ref1, ref_model.mutableLayers()[1]);
+    EXPECT_EQ(model.stateHash(), ref_model.stateHash());
 }
 
 TEST(SageModelDeath, DepthMismatchPanics)

@@ -2,15 +2,20 @@
  *  scalar-tiled, AVX2, and thread-parallel GEMM flavors against the
  *  naive golden reference, plus knob round-trips and the bit-exactness
  *  contracts the dispatch layer promises (threaded GEMM invariant to
- *  worker count, row microkernels invariant to dispatch flavor). */
+ *  worker count, row microkernels invariant to dispatch flavor, AVX2
+ *  GEMM output pinned to a hash). */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <thread>
+#include <vector>
 
 #include "gnn/tensor.hh"
 #include "sim/random.hh"
+#include "sim/serialize.hh"
 
 using namespace smartsage;
 using gnn::KernelDispatch;
@@ -121,28 +126,99 @@ TEST(KernelDispatch, ThreadedGemmBitIdenticalAtAnyWorkerCount)
 {
     // 300 rows spans several 64-row blocks, so 2 and 4 threads really
     // decompose the row space differently — yet per-row accumulation
-    // order is fixed, so outputs must be bitwise equal.
-    Tensor2D a = randomTensor(300, 64, 0x44);
-    Tensor2D b = randomTensor(64, 32, 0x55);
-
+    // order is fixed, so outputs must be bitwise equal. 301 rows also
+    // leaves a one-row remainder after the 6-row AVX2 tiles.
     const KernelDispatch flavors[] = {KernelDispatch::Scalar,
                                       KernelDispatch::Avx2};
     gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
-    for (KernelDispatch flavor : flavors) {
-        if (flavor == KernelDispatch::Avx2 && !gnn::cpuSupportsAvx2())
-            continue;
-        gnn::ScopedKernelDispatch guard(flavor);
-        Tensor2D serial;
-        {
-            gnn::ScopedGemmThreads one(1);
-            serial = gnn::matmul(a, b);
+    for (std::size_t m : {300u, 301u}) {
+        Tensor2D a = randomTensor(m, 64, 0x44);
+        Tensor2D b = randomTensor(64, 32, 0x55);
+        for (KernelDispatch flavor : flavors) {
+            if (flavor == KernelDispatch::Avx2 && !gnn::cpuSupportsAvx2())
+                continue;
+            gnn::ScopedKernelDispatch guard(flavor);
+            Tensor2D serial;
+            {
+                gnn::ScopedGemmThreads one(1);
+                serial = gnn::matmul(a, b);
+            }
+            for (unsigned threads : {2u, 4u}) {
+                gnn::ScopedGemmThreads many(threads);
+                EXPECT_TRUE(bitIdentical(gnn::matmul(a, b), serial))
+                    << gnn::kernelDispatchName(flavor) << " m=" << m
+                    << " threads=" << threads;
+            }
         }
-        for (unsigned threads : {2u, 4u}) {
-            gnn::ScopedGemmThreads many(threads);
-            EXPECT_TRUE(bitIdentical(gnn::matmul(a, b), serial))
-                << gnn::kernelDispatchName(flavor) << " threads="
-                << threads;
+    }
+}
+
+TEST(KernelDispatch, ConcurrentCallersWithDifferentThreadCounts)
+{
+    // Two callers alternate between 2 and 4 GEMM threads, so each keeps
+    // asking for the pool the other just used. Every pool must outlive
+    // the GEMMs running on it (the sanitizer CI leg checks the memory
+    // side), and the results must stay bit-identical.
+    Tensor2D a = randomTensor(300, 64, 0x45);
+    Tensor2D b = randomTensor(64, 32, 0x56);
+    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
+    gnn::ScopedGemmThreads restore(1);
+    const Tensor2D serial = gnn::matmul(a, b);
+
+    std::atomic<int> mismatches{0};
+    auto caller = [&](unsigned first) {
+        for (int iter = 0; iter < 40; ++iter) {
+            gnn::ScopedGemmThreads threads(iter % 2 ? 6 - first : first);
+            if (!bitIdentical(gnn::matmul(a, b), serial))
+                ++mismatches;
         }
+    };
+    std::thread t2(caller, 2u), t4(caller, 4u);
+    t2.join();
+    t4.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(KernelDispatch, Avx2GemmBitsArePinned)
+{
+    // FNV-1a over matmulInto, matmulAccumulate and matmulTNInto outputs
+    // on shapes that straddle the 6-row and 16/8-column register tiles,
+    // the 64-wide k blocks and the TN r-panels. n stays a multiple of 8,
+    // so only intrinsics run and the hash holds for any compiler and
+    // build type. A kernel change that moves one output bit fails here.
+    if (!gnn::cpuSupportsAvx2())
+        GTEST_SKIP() << "host CPU has no AVX2+FMA";
+    constexpr std::uint64_t kPinned = 0x58c6131ea90841e0ULL;
+
+    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
+    gnn::ScopedKernelDispatch avx2(KernelDispatch::Avx2);
+    for (unsigned threads : {1u, 4u}) {
+        gnn::ScopedGemmThreads scope(threads);
+        std::vector<float> out;
+        for (std::size_t m : {1, 5, 6, 7, 13, 65, 130}) {
+            for (std::size_t k : {1, 3, 4, 5, 63, 64, 65, 129, 602}) {
+                for (std::size_t n : {8, 16, 24, 40, 64, 72}) {
+                    const std::uint64_t seed = m * 1000003 + k * 1009 + n;
+                    Tensor2D a = randomTensor(m, k, seed);
+                    Tensor2D b = randomTensor(k, n, seed + 1);
+                    Tensor2D c;
+                    gnn::matmulInto(a, b, c);
+                    out.insert(out.end(), c.data().begin(),
+                               c.data().end());
+                    Tensor2D acc = randomTensor(m, n, seed + 2);
+                    gnn::matmulAccumulate(a, b, acc);
+                    out.insert(out.end(), acc.data().begin(),
+                               acc.data().end());
+                    gnn::matmulTNInto(randomTensor(k, m, seed + 3), b, c);
+                    out.insert(out.end(), c.data().begin(),
+                               c.data().end());
+                }
+            }
+        }
+        const std::uint64_t hash =
+            sim::fnv1a64(out.data(), out.size() * sizeof(float));
+        EXPECT_EQ(sim::hashHex(hash), sim::hashHex(kPinned))
+            << "threads=" << threads;
     }
 }
 
