@@ -428,11 +428,15 @@ benchKernelDispatch(const BenchConfig &cfg, const gnn::Tensor2D &a,
     cost.naive_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                    gnn::KernelMode::Naive);
     {
+        // The flavor legs run on one thread; the threaded leg below
+        // measures the row-block decomposition on top of them.
+        gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Scalar);
         cost.scalar_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                         gnn::KernelMode::Tiled);
     }
     if (cost.avx2_supported) {
+        gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Avx2);
         cost.avx2_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                       gnn::KernelMode::Tiled);

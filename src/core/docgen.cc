@@ -96,7 +96,8 @@ constexpr ChannelDoc kChannels[] = {
      "lane count); one per remote node of the partitioned backend"},
     {"ThreadPool", "src/sim/thread_pool.hh",
      "real host threads for wall-clock work: parallel sweep cells, "
-     "pipeline workers, and the row-block threaded GEMM"},
+     "pipeline workers, and the machine-sized kernel pool (gather, "
+     "aggregate and GEMMs in 64-row blocks)"},
 };
 
 /** One row of the ctest label taxonomy. */

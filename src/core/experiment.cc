@@ -270,8 +270,9 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
                 .string();
         owns_ckpt_root_ = true;
     }
+    // parallelFor runs cells on the calling thread too.
     if (options_.workers > 1)
-        pool_ = std::make_unique<sim::ThreadPool>(options_.workers);
+        pool_ = std::make_unique<sim::ThreadPool>(options_.workers - 1);
 }
 
 ExperimentRunner::~ExperimentRunner()

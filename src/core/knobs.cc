@@ -153,10 +153,6 @@ knobCatalog()
               "the fastest available, avx2 silently degrades to "
               "scalar when the ISA is absent",
               1},
-             {"gemm_threads", "int", "1", "[1, 64]",
-              "row-block GEMM worker threads; fixed block size keeps "
-              "outputs bit-identical at any count",
-              2},
          }},
         {"sched.", "Host I/O channel dispatch", "src/sim/io.hh",
          {

@@ -109,11 +109,12 @@ struct SystemConfig
     sim::AdmissionControl admit;
 
     /**
-     * GEMM/aggregate microkernel selection (`kernel.*` knobs):
-     * dispatch flavor (auto/scalar/avx2) and the row-block GEMM
-     * thread count. Applied process-globally when the GnnSystem is
-     * built (gnn::applyKernelConfig); defaults — auto dispatch,
-     * single-threaded — match a build without the knob block. No
+     * GEMM/aggregate microkernel selection (`kernel.*` knobs): the
+     * dispatch flavor (auto/scalar/avx2). Applied process-globally
+     * when the GnnSystem is built (gnn::applyKernelConfig); the
+     * default, auto dispatch, matches a build without the knob block.
+     * The kernel thread count is not a knob: it follows the machine
+     * (gnn::gemmThreads). No
      * simulated-timing metric depends on GEMM float output, so the
      * flavor never changes a bench artifact.
      */

@@ -75,17 +75,20 @@ FeatureTable::gather(std::span<const graph::LocalNodeId> nodes,
                      Tensor2D &out) const
 {
     out.resizeTo(nodes.size(), dim_); // every element written below
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const std::uint64_t node = nodes[i];
-        SS_ASSERT(node < num_nodes_, "node out of range in gather");
-        auto row = out.row(i);
-        const std::uint32_t y = static_cast<std::uint32_t>(
-            hashMix(seed_ ^ (node * 31 + 7)) % num_classes_);
-        const float *crow = centroid_.data() + std::size_t(y) * dim_;
-        const std::uint64_t base = seed_ ^ (node << 20);
-        for (unsigned j = 0; j < dim_; ++j)
-            row[j] = 0.5f * toUnit(hashMix(base ^ j)) + 0.8f * crow[j];
-    }
+    parallelRows(nodes.size(), [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t i = r0; i < r1; ++i) {
+            const std::uint64_t node = nodes[i];
+            SS_ASSERT(node < num_nodes_, "node out of range in gather");
+            auto row = out.row(i);
+            const std::uint32_t y = static_cast<std::uint32_t>(
+                hashMix(seed_ ^ (node * 31 + 7)) % num_classes_);
+            const float *crow = centroid_.data() + std::size_t(y) * dim_;
+            const std::uint64_t base = seed_ ^ (node << 20);
+            for (unsigned j = 0; j < dim_; ++j)
+                row[j] =
+                    0.5f * toUnit(hashMix(base ^ j)) + 0.8f * crow[j];
+        }
+    });
 }
 
 std::vector<std::uint32_t>

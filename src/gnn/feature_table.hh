@@ -34,7 +34,10 @@ class FeatureTable
     FeatureTable(std::uint64_t num_nodes, unsigned dim,
                  unsigned num_classes, std::uint64_t seed = 99);
 
-    /** Materialize feature rows for @p nodes into @p out. */
+    /** Materialize feature rows for @p nodes into @p out, in row
+     *  blocks on the kernel pool (parallelRows): each row's values
+     *  depend only on its node, so any thread count gives the same
+     *  bits. */
     void gather(std::span<const graph::LocalNodeId> nodes,
                 Tensor2D &out) const;
 

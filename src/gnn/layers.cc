@@ -20,41 +20,43 @@ SageMeanLayer::SageMeanLayer(unsigned in_dim, unsigned out_dim, bool relu,
 }
 
 void
-SageMeanLayer::aggregateInto(const Tensor2D &h_src,
-                             const SampledBlock &block,
-                             Tensor2D &agg) const
+SageMeanLayer::aggregateNaive(const Tensor2D &h_src,
+                              const SampledBlock &block,
+                              Tensor2D &agg) const
 {
-    if (kernelMode() == KernelMode::Naive) {
-        agg.resizeToZero(block.numDsts(), in_dim_);
-        // Reference: accumulate, then a second pass for the mean scale.
-        for (std::size_t u = 0; u < block.numDsts(); ++u) {
-            std::uint32_t lo = block.offsets[u];
-            std::uint32_t hi = block.offsets[u + 1];
-            if (lo == hi)
-                continue; // isolated node: aggregate stays zero
-            auto arow = agg.row(u);
-            for (std::uint32_t e = lo; e < hi; ++e) {
-                auto srow = h_src.row(block.src_index[e]);
-                for (unsigned j = 0; j < in_dim_; ++j)
-                    arow[j] += srow[j];
-            }
-            float inv = 1.0f / static_cast<float>(hi - lo);
+    agg.resizeToZero(block.numDsts(), in_dim_);
+    // Reference: accumulate, then a second pass for the mean scale.
+    for (std::size_t u = 0; u < block.numDsts(); ++u) {
+        std::uint32_t lo = block.offsets[u];
+        std::uint32_t hi = block.offsets[u + 1];
+        if (lo == hi)
+            continue; // isolated node: aggregate stays zero
+        auto arow = agg.row(u);
+        for (std::uint32_t e = lo; e < hi; ++e) {
+            auto srow = h_src.row(block.src_index[e]);
             for (unsigned j = 0; j < in_dim_; ++j)
-                arow[j] *= inv;
+                arow[j] += srow[j];
         }
-        return;
+        float inv = 1.0f / static_cast<float>(hi - lo);
+        for (unsigned j = 0; j < in_dim_; ++j)
+            arow[j] *= inv;
     }
+}
 
-    // Fast path: every row is written exactly once per contributing
-    // edge — the first edge assigns (no zero-fill pass over the
-    // tensor), middles accumulate, and the mean scale is fused into the
-    // final edge while the row is still register/L1 hot. Only isolated
-    // rows need explicit zeroing.
-    agg.resizeTo(block.numDsts(), in_dim_);
+void
+SageMeanLayer::aggregateRows(const Tensor2D &h_src,
+                             const SampledBlock &block, Tensor2D &agg,
+                             std::size_t u0, std::size_t u1) const
+{
+    // Every row is written exactly once per contributing edge — the
+    // first edge assigns (no zero-fill pass over the tensor), middles
+    // accumulate, and the mean scale is fused into the final edge while
+    // the row is still register/L1 hot. Only isolated rows need
+    // explicit zeroing.
     const std::size_t dim = in_dim_;
     const float *src = h_src.data().data();
     float *out = agg.data().data();
-    for (std::size_t u = 0; u < block.numDsts(); ++u) {
+    for (std::size_t u = u0; u < u1; ++u) {
         const std::uint32_t lo = block.offsets[u];
         const std::uint32_t hi = block.offsets[u + 1];
         float *arow = out + u * dim;
@@ -98,13 +100,23 @@ SageMeanLayer::forwardInto(const Tensor2D &h_src,
     SS_ASSERT(h_src.rows() >= n_dst,
               "src activations must cover the dst prefix");
 
-    // Self term: dsts are the prefix of the src frontier, so the whole
-    // block is one contiguous copy.
-    ctx.h_self.resizeTo(n_dst, in_dim_);
-    std::copy_n(h_src.data().data(), n_dst * in_dim_,
-                ctx.h_self.data().data());
-
-    aggregateInto(h_src, block, ctx.h_agg);
+    // Self term: dsts are the prefix of the src frontier, so the self
+    // rows are one contiguous copy. The fast path copies each row block
+    // in the same task that aggregates it.
+    const std::size_t dim = in_dim_;
+    const float *src = h_src.data().data();
+    ctx.h_self.resizeTo(n_dst, dim);
+    float *self = ctx.h_self.data().data();
+    if (kernelMode() == KernelMode::Naive) {
+        std::copy_n(src, n_dst * dim, self);
+        aggregateNaive(h_src, block, ctx.h_agg);
+    } else {
+        ctx.h_agg.resizeTo(n_dst, dim);
+        parallelRows(n_dst, [&](std::size_t u0, std::size_t u1) {
+            std::copy(src + u0 * dim, src + u1 * dim, self + u0 * dim);
+            aggregateRows(h_src, block, ctx.h_agg, u0, u1);
+        });
+    }
 
     matmulInto(ctx.h_self, w_self_, out);
     matmulAccumulate(ctx.h_agg, w_neigh_, out);

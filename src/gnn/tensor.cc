@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
@@ -28,13 +29,15 @@ namespace
 
 std::atomic<KernelMode> g_kernel_mode{KernelMode::Tiled};
 std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
-std::atomic<unsigned> g_gemm_threads{1};
+std::atomic<unsigned> g_gemm_threads{
+    std::max(1u, std::thread::hardware_concurrency())};
 
 /**
- * Pool backing the threaded GEMM path, one per thread count. Each is
- * built on first use and lives until exit, so a caller still running
- * on one pool is never freed under it by another caller that asks for
- * a different count.
+ * The kernel pool behind parallelRows(), one per thread count: the
+ * caller of sim::parallelFor works too, so @p threads > 1 threads are
+ * the caller plus threads - 1 workers. Each pool is built on first use
+ * and lives until exit, so a caller still running on one pool is never
+ * freed under it by another caller that asks for a different count.
  */
 sim::ThreadPool *
 gemmPool(unsigned threads)
@@ -44,7 +47,7 @@ gemmPool(unsigned threads)
     std::lock_guard<std::mutex> lock(mutex);
     std::unique_ptr<sim::ThreadPool> &pool = pools[threads];
     if (!pool)
-        pool = std::make_unique<sim::ThreadPool>(threads);
+        pool = std::make_unique<sim::ThreadPool>(threads - 1);
     return pool.get();
 }
 
@@ -139,20 +142,29 @@ gemmThreads()
     return g_gemm_threads.load(std::memory_order_relaxed);
 }
 
+void
+parallelRows(std::size_t rows,
+             const std::function<void(std::size_t, std::size_t)> &fn)
+{
+    const unsigned threads = gemmThreads();
+    if (kernelMode() == KernelMode::Naive || threads <= 1 ||
+        rows <= kRowBlock) {
+        fn(0, rows);
+        return;
+    }
+    const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+    sim::parallelFor(gemmPool(threads), blocks, [&](std::size_t blk) {
+        const std::size_t r0 = blk * kRowBlock;
+        fn(r0, std::min(r0 + kRowBlock, rows));
+    });
+}
+
 bool
 applyKnob(KernelConfig &config, std::string_view key, double value)
 {
-    if (key == "dispatch") {
-        config.dispatch = kernelDispatchFromKnob(value);
-    } else if (key == "gemm_threads") {
-        if (value != std::floor(value) || value < 1 || value > 64)
-            SS_FATAL("kernel.gemm_threads must be an integer in "
-                     "[1, 64], got ",
-                     value);
-        config.gemm_threads = static_cast<unsigned>(value);
-    } else {
+    if (key != "dispatch")
         return false;
-    }
+    config.dispatch = kernelDispatchFromKnob(value);
     return true;
 }
 
@@ -160,7 +172,6 @@ void
 applyKernelConfig(const KernelConfig &config)
 {
     setKernelDispatch(config.dispatch);
-    setGemmThreads(config.gemm_threads);
 }
 
 Tensor2D::Tensor2D(std::size_t rows, std::size_t cols)
@@ -465,34 +476,18 @@ using GemmRowsFn = void (*)(const float *, const float *, float *,
                             std::size_t, std::size_t, std::size_t,
                             std::size_t);
 
-/**
- * Fixed row-block size for the threaded GEMM decomposition. Fixed —
- * not derived from the thread count — so the set of (i0, i1) slices,
- * and therefore every output bit, is invariant to kernel.gemm_threads.
- */
-constexpr std::size_t kRowBlock = 64;
-
-/** Run @p fn over C's rows, in parallel when gemmThreads() > 1. Each
- *  block writes a disjoint row slice, so no reduction across threads
- *  exists and the result equals the serial call bit-for-bit. */
+/** Run @p fn over C's rows on parallelRows(). Each block writes a
+ *  disjoint row slice, so no reduction across threads exists and the
+ *  result equals the serial call bit-for-bit. */
 void
 runGemmRows(GemmRowsFn fn, const Tensor2D &a, const Tensor2D &b,
             Tensor2D &c)
 {
-    const std::size_t m = a.rows(), kdim = a.cols(), n = b.cols();
+    const std::size_t kdim = a.cols(), n = b.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
     float *cdata = c.data().data();
-
-    const unsigned threads = gemmThreads();
-    if (threads <= 1 || m <= kRowBlock) {
-        fn(adata, bdata, cdata, 0, m, kdim, n);
-        return;
-    }
-    const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
-    sim::parallelFor(gemmPool(threads), blocks, [&](std::size_t blk) {
-        const std::size_t i0 = blk * kRowBlock;
-        const std::size_t i1 = std::min(i0 + kRowBlock, m);
+    parallelRows(a.rows(), [&](std::size_t i0, std::size_t i1) {
         fn(adata, bdata, cdata, i0, i1, kdim, n);
     });
 }
@@ -514,24 +509,26 @@ matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 }
 
+/**
+ * Scalar TN kernel over rows [i0, i1) of C (columns of A):
+ * C[i][j] = sum_r A[r][i] * B[r][j], r the reduction dim. Rows of B
+ * are processed four at a time so the panel stays cached across the
+ * sweep of A's columns. Each C element is one in-order chain over r
+ * whatever the row range, so any row-block decomposition of [0, m)
+ * is bit-identical to a single full-range call.
+ */
 void
-matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulTNScalarRows(const float *adata, const float *bdata, float *cdata,
+                   std::size_t i0, std::size_t i1, std::size_t rdim,
+                   std::size_t m, std::size_t n)
 {
-    // C[i][j] = sum_r A[r][i] * B[r][j]; r is the reduction dim. Rows
-    // of B are processed four at a time so the panel stays cached
-    // across the full sweep of A's columns.
-    const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
-    float *cdata = c.data().data();
-
     std::size_t r = 0;
     for (; r + 4 <= rdim; r += 4) {
         const float *a0 = adata + r * m;
         const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
         const float *b0 = bdata + r * n;
         const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const float w0 = a0[i], w1 = a1[i], w2 = a2[i], w3 = a3[i];
             float *crow = cdata + i * n;
             for (std::size_t j = 0; j < n; ++j)
@@ -542,7 +539,7 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     for (; r < rdim; ++r) {
         const float *arow = adata + r * m;
         const float *brow = bdata + r * n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const float w = arow[i];
             float *crow = cdata + i * n;
             for (std::size_t j = 0; j < n; ++j)
@@ -554,24 +551,24 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 #if SMARTSAGE_X86_KERNELS
 
 /**
- * AVX2+FMA variant of matmulTNTiled on the register tiles, blocked
- * over r in kRB-row panels so the A panel stays cached across the
- * sweep of C. kRB is a multiple of 4, so the tail columns' 4-row
- * groups fall where the unblocked loop put them.
+ * AVX2+FMA variant of matmulTNScalarRows on the register tiles, same
+ * row-range contract, blocked over r in kRB-row panels so the A panel
+ * stays cached across the sweep of C. kRB is a multiple of 4, so the
+ * tail columns' 4-row groups fall where the unblocked loop put them.
  */
 __attribute__((target("avx2,fma"))) void
-matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulTNAvx2Rows(const float *adata, const float *bdata, float *cdata,
+                 std::size_t i0, std::size_t i1, std::size_t rdim,
+                 std::size_t m, std::size_t n)
 {
-    const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
     const std::size_t nv = n - n % 8;
-    float *cdata = c.data().data();
-
+    float *c = cdata + i0 * n;
     for (std::size_t r0 = 0; r0 < rdim; r0 += kRB) {
         const std::size_t rb = std::min(kRB, rdim - r0);
-        const float *ap = a.data().data() + r0 * m;
-        const float *bp = b.data().data() + r0 * n;
-        gemmTilesAvx2(ap, 1, m, bp, n, cdata, n, m, rb, nv);
-        gemmTailAvx2(ap, 1, m, bp, n, cdata, n, m, rb, nv, n);
+        const float *ap = adata + r0 * m + i0;
+        const float *bp = bdata + r0 * n;
+        gemmTilesAvx2(ap, 1, m, bp, n, c, n, i1 - i0, rb, nv);
+        gemmTailAvx2(ap, 1, m, bp, n, c, n, i1 - i0, rb, nv, n);
     }
 }
 
@@ -731,13 +728,20 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
         matmulTNNaive(a, b, c);
         return;
     }
+    auto kernel = matmulTNScalarRows;
 #if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        matmulTNAvx2(a, b, c);
-        return;
-    }
+    if (resolvedKernelDispatch() == KernelDispatch::Avx2)
+        kernel = matmulTNAvx2Rows;
 #endif
-    matmulTNTiled(a, b, c);
+    // Split over C's rows (A's columns): each element keeps its one
+    // in-order reduction chain over r.
+    const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
+    const float *adata = a.data().data();
+    const float *bdata = b.data().data();
+    float *cdata = c.data().data();
+    parallelRows(m, [&](std::size_t i0, std::size_t i1) {
+        kernel(adata, bdata, cdata, i0, i1, rdim, m, n);
+    });
 }
 
 void

@@ -12,8 +12,12 @@
 #define SMARTSAGE_GNN_TENSOR_HH
 
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <new>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hh"
@@ -21,6 +25,42 @@
 
 namespace smartsage::gnn
 {
+
+/**
+ * std::allocator that default-initializes instead of value-initializing
+ * elements constructed without arguments. For float that means a
+ * vector's resize() leaves new elements unwritten rather than zeroed;
+ * explicit values (resize(n, v), assign, copies) still construct as
+ * usual.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** Element storage of Tensor2D: grows without zero-filling. */
+using TensorStorage = std::vector<float, DefaultInitAllocator<float>>;
 
 /** Row-major dense matrix of floats. */
 class Tensor2D
@@ -44,8 +84,8 @@ class Tensor2D
     std::span<float> row(std::size_t r) { return {data_.data() + r * cols_, cols_}; }
     std::span<const float> row(std::size_t r) const { return {data_.data() + r * cols_, cols_}; }
 
-    const std::vector<float> &data() const { return data_; }
-    std::vector<float> &data() { return data_; }
+    const TensorStorage &data() const { return data_; }
+    TensorStorage &data() { return data_; }
 
     /** this += other (same shape). */
     Tensor2D &operator+=(const Tensor2D &other);
@@ -60,7 +100,9 @@ class Tensor2D
      * Reshape to rows x cols reusing the existing buffer (contents
      * unspecified afterwards). The workspace-reuse primitive of the
      * training hot loop: steady-state reshapes never allocate once the
-     * buffer has grown to the episode's high-water mark.
+     * buffer has grown to the episode's high-water mark, and growth
+     * does not zero-fill (TensorStorage), so a caller about to write
+     * every element pays for no extra pass over the buffer.
      */
     void
     resizeTo(std::size_t rows, std::size_t cols)
@@ -90,7 +132,7 @@ class Tensor2D
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::vector<float> data_;
+    TensorStorage data_;
 };
 
 /**
@@ -157,15 +199,33 @@ const char *kernelDispatchName(KernelDispatch dispatch);
 KernelDispatch kernelDispatchFromKnob(double value);
 
 /**
- * GEMM worker-thread count for the row-block parallel path; <= 1 runs
- * inline on the caller. The decomposition uses a fixed row-block size
- * and each block writes a disjoint slice of C, so results are
- * bit-identical at any thread count — including 1 — for a given
- * dispatch flavor. The backing sim::ThreadPool is created lazily on
- * the first threaded GEMM and rebuilt when the count changes.
+ * Threads that run parallelRows(), the calling thread included (it
+ * works alongside a sim::ThreadPool of count - 1 workers built on
+ * first use); <= 1 runs every kernel inline on the caller. Defaults
+ * to the machine's hardware threads (at least 1). parallelRows() cuts
+ * work into fixed kRowBlock-row blocks whatever the count, and each
+ * block writes a disjoint row slice, so results are bit-identical at
+ * any thread count — including 1 — for a given dispatch flavor. Tests
+ * and benches pin a count through ScopedGemmThreads.
  */
 void setGemmThreads(unsigned threads);
 unsigned gemmThreads();
+
+/** Row-block size of parallelRows(). Fixed — not derived from the
+ *  thread count — so the set of blocks, and therefore every output
+ *  bit, is invariant to gemmThreads(). */
+constexpr std::size_t kRowBlock = 64;
+
+/**
+ * Run @p fn(r0, r1) over [0, rows) in consecutive kRowBlock-row
+ * blocks, spread over the kernel pool and waited for. @p fn must write
+ * only the output rows [r0, r1) and read nothing another block writes.
+ * Inline on the caller, as one fn(0, rows) call, when KernelMode::Naive
+ * is set (the serial reference), gemmThreads() <= 1 or the range fits
+ * one block. The first exception thrown by @p fn is rethrown here.
+ */
+void parallelRows(std::size_t rows,
+                  const std::function<void(std::size_t, std::size_t)> &fn);
 
 /**
  * The `kernel.*` knob block (scenario-sweepable). Settings are
@@ -175,14 +235,12 @@ unsigned gemmThreads();
 struct KernelConfig
 {
     KernelDispatch dispatch = KernelDispatch::Auto;
-    unsigned gemm_threads = 1;
 };
 
 /**
  * Apply one `kernel.`-namespace knob (namespace already stripped):
- * `dispatch` (0 = auto, 1 = scalar, 2 = avx2) or `gemm_threads`
- * ([1, 64]). Fatal on out-of-range values. @return false if the key
- * is unknown
+ * `dispatch` (0 = auto, 1 = scalar, 2 = avx2). Fatal on out-of-range
+ * values. @return false if the key is unknown
  */
 bool applyKnob(KernelConfig &config, std::string_view key, double value);
 

@@ -112,10 +112,10 @@ runSamplingPipeline(
                 next.store(n, std::memory_order_relaxed);
                 cv_space.notify_all();
             }
-            {
-                std::unique_lock<std::mutex> lock(m);
-                --live;
-            }
+            // Notify under the lock: once live reaches 0 the drain may
+            // return and destroy this frame, cv_ready included.
+            std::unique_lock<std::mutex> lock(m);
+            --live;
             cv_ready.notify_all();
         });
     };

@@ -64,11 +64,20 @@ class ThreadPool
 };
 
 /**
- * Run @p fn(i) for every i in [0, count) on @p pool and block until all
- * calls finish; a null @p pool runs inline on the caller. Work is keyed
- * by index, so as long as @p fn(i) depends only on i (the determinism
- * convention of this codebase), results are identical for any pool
- * size. The first exception thrown by any call is rethrown here.
+ * Run @p fn(i) for every i in [0, count) and block until all calls
+ * finish. The caller claims indices alongside up to pool->size()
+ * helper tasks on @p pool, so a call runs on as many as
+ * pool->size() + 1 threads and makes progress even while every worker
+ * is busy elsewhere; a null @p pool (or count <= 1) runs inline on the
+ * caller. Work is keyed by index, so as long as @p fn(i) depends only
+ * on i (the determinism convention of this codebase), results are
+ * identical for any pool size. The first exception thrown by any call
+ * is rethrown here.
+ *
+ * Completion and errors are tracked per call, not per pool: several
+ * threads may run parallelFor on one shared pool at once, and each
+ * waits only for its own indices and sees only its own exception.
+ * Unlike ThreadPool::wait(), which covers every task in flight.
  */
 void parallelFor(ThreadPool *pool, std::size_t count,
                  const std::function<void(std::size_t)> &fn);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "gnn/feature_table.hh"
 #include "gnn/layers.hh"
@@ -367,6 +369,188 @@ TEST(SageModel, SkippedInputGradientLeavesTrainingBitIdentical)
     copyParams(ref0, ref_model.mutableLayers()[0]);
     copyParams(ref1, ref_model.mutableLayers()[1]);
     EXPECT_EQ(model.stateHash(), ref_model.stateHash());
+}
+
+namespace
+{
+
+/** Bit pattern of a double, so equal-looking losses compare exactly. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/**
+ * Hand-built two-hop subgraph: @p targets targets, @p mids layer-0
+ * dsts and @p inputs input nodes, each frontier a prefix of the next.
+ * Every eleventh dst of each hop is isolated; the rest draw 1-9
+ * sources. Node ids are spread over @p num_nodes by a coprime stride.
+ */
+Subgraph
+handBuiltSubgraph(std::size_t targets, std::size_t mids,
+                  std::size_t inputs, std::uint64_t num_nodes,
+                  std::uint64_t seed)
+{
+    Rng rng(seed);
+    Subgraph sg;
+    const std::size_t sizes[] = {targets, mids, inputs};
+    for (std::size_t n : sizes) {
+        std::vector<LocalNodeId> frontier(n);
+        for (std::size_t i = 0; i < n; ++i)
+            frontier[i] = static_cast<LocalNodeId>(i * 7919 % num_nodes);
+        sg.frontiers.push_back(std::move(frontier));
+    }
+    for (std::size_t h = 0; h < 2; ++h) {
+        SampledBlock b;
+        b.offsets.push_back(0);
+        for (std::size_t u = 0; u < sizes[h]; ++u) {
+            const std::size_t deg = u % 11 == 3 ? 0 : 1 + rng.next() % 9;
+            for (std::size_t e = 0; e < deg; ++e)
+                b.src_index.push_back(static_cast<std::uint32_t>(
+                    rng.next() % sizes[h + 1]));
+            b.offsets.push_back(
+                static_cast<std::uint32_t>(b.src_index.size()));
+        }
+        sg.blocks.push_back(std::move(b));
+    }
+    sg.checkInvariants();
+    return sg;
+}
+
+/** Kernel flavors this host can run. */
+std::vector<KernelDispatch>
+runnableFlavors()
+{
+    std::vector<KernelDispatch> flavors = {KernelDispatch::Scalar};
+    if (cpuSupportsAvx2())
+        flavors.push_back(KernelDispatch::Avx2);
+    return flavors;
+}
+
+} // namespace
+
+TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
+{
+    // 130 layer-0 dsts and 6,001 inputs cross the 64-row block edge in
+    // the gather, the self copy, the aggregate and the NN GEMMs; an
+    // in_dim of 65 gives the layer-0 TN GEMMs a 65-row C, one full
+    // block plus one row.
+    ModelConfig mc;
+    mc.in_dim = 65;
+    mc.hidden_dim = 64;
+    mc.num_classes = 41;
+    mc.depth = 2;
+    const std::uint64_t num_nodes = 20000;
+    FeatureTable ft(num_nodes, mc.in_dim, mc.num_classes);
+    const Subgraph batches[] = {
+        handBuiltSubgraph(70, 130, 6001, num_nodes, 1),
+        handBuiltSubgraph(33, 97, 4001, num_nodes, 2)};
+
+    ScopedKernelMode tiled(KernelMode::Tiled);
+    for (KernelDispatch flavor : runnableFlavors()) {
+        ScopedKernelDispatch dispatch(flavor);
+        std::uint64_t ref_hash = 0;
+        std::vector<std::uint64_t> ref_losses;
+        for (unsigned threads : {1u, 2u, 4u}) {
+            ScopedGemmThreads scope(threads);
+            SageModel model(mc);
+            std::vector<std::uint64_t> losses;
+            for (int step = 0; step < 3; ++step)
+                for (const Subgraph &sg : batches)
+                    losses.push_back(bitsOf(model.trainStep(sg, ft)));
+            if (threads == 1) {
+                ref_hash = model.stateHash();
+                ref_losses = losses;
+                continue;
+            }
+            EXPECT_EQ(model.stateHash(), ref_hash)
+                << kernelDispatchName(flavor) << " threads=" << threads;
+            EXPECT_EQ(losses, ref_losses)
+                << kernelDispatchName(flavor) << " threads=" << threads;
+        }
+    }
+}
+
+TEST(FeatureTable, GatherBitIdenticalAtAnyKernelThreadCount)
+{
+    FeatureTable ft(5000, 37, 7);
+    for (std::size_t n : {1u, 63u, 64u, 65u, 257u}) {
+        std::vector<LocalNodeId> nodes(n);
+        for (std::size_t i = 0; i < n; ++i)
+            nodes[i] = static_cast<LocalNodeId>(i * 613 % 5000);
+        Tensor2D serial;
+        {
+            ScopedGemmThreads one(1);
+            ft.gather(nodes, serial);
+        }
+        ASSERT_EQ(serial.rows(), n);
+        for (unsigned threads : {2u, 4u}) {
+            ScopedGemmThreads scope(threads);
+            Tensor2D out;
+            ft.gather(nodes, out);
+            EXPECT_EQ(out.rows(), n);
+            EXPECT_EQ(out.data(), serial.data())
+                << "n=" << n << " threads=" << threads;
+        }
+    }
+}
+
+TEST(SageModel, WarmWorkspacesNeedNoZeroFilledGrowth)
+{
+    // Workspaces grow without zero-filling, so every kernel must write
+    // each element it later reads. Poison the buffers, shrink them,
+    // run a small batch and then a larger one through them: the logits
+    // must equal forward()'s from fresh buffers, and a warm trainStep
+    // must equal one on a freshly loaded model.
+    ModelConfig mc;
+    mc.in_dim = 65;
+    mc.hidden_dim = 64;
+    mc.num_classes = 41;
+    mc.depth = 2;
+    const std::uint64_t num_nodes = 20000;
+    FeatureTable ft(num_nodes, mc.in_dim, mc.num_classes);
+    const Subgraph small = handBuiltSubgraph(9, 20, 300, num_nodes, 3);
+    const Subgraph large = handBuiltSubgraph(70, 130, 6001, num_nodes, 4);
+
+    ScopedKernelMode tiled(KernelMode::Tiled);
+    for (unsigned threads : {1u, 4u}) {
+        ScopedGemmThreads scope(threads);
+        SageModel model(mc);
+        const auto &layers = model.layers();
+
+        std::vector<SageContext> ctxs(2);
+        Tensor2D act_a, act_b;
+        const float nan = std::numeric_limits<float>::quiet_NaN();
+        for (Tensor2D *t : {&act_a, &act_b, &ctxs[0].h_self,
+                            &ctxs[0].h_agg, &ctxs[1].h_self,
+                            &ctxs[1].h_agg}) {
+            t->data().assign(8000 * 65, nan);
+            t->resizeTo(1, 1);
+        }
+        for (const Subgraph *sg : {&small, &large}) {
+            ft.gather(sg->inputNodes(), act_a);
+            layers[0].forwardInto(act_a, sg->blocks[1], ctxs[0], act_b);
+            layers[1].forwardInto(act_b, sg->blocks[0], ctxs[1], act_a);
+        }
+        const Tensor2D fresh = model.forward(large, ft, nullptr);
+        EXPECT_EQ(act_a.rows(), fresh.rows());
+        EXPECT_EQ(act_a.data(), fresh.data()) << "threads=" << threads;
+
+        model.trainStep(small, ft);
+        SageModel cold(mc);
+        smartsage::sim::ByteWriter state;
+        model.saveState(state);
+        smartsage::sim::ByteReader reader(state.buffer());
+        cold.loadState(reader);
+        EXPECT_EQ(bitsOf(model.trainStep(large, ft)),
+                  bitsOf(cold.trainStep(large, ft)))
+            << "threads=" << threads;
+        EXPECT_EQ(model.stateHash(), cold.stateHash())
+            << "threads=" << threads;
+    }
 }
 
 TEST(SageModelDeath, DepthMismatchPanics)

@@ -62,8 +62,8 @@ TEST(KernelDispatch, KnobRoundTripAndResolution)
     gnn::KernelConfig cfg;
     EXPECT_TRUE(gnn::applyKnob(cfg, "dispatch", 1));
     EXPECT_EQ(cfg.dispatch, KernelDispatch::Scalar);
-    EXPECT_TRUE(gnn::applyKnob(cfg, "gemm_threads", 4));
-    EXPECT_EQ(cfg.gemm_threads, 4u);
+    // The kernel thread count follows the machine; it is not a knob.
+    EXPECT_FALSE(gnn::applyKnob(cfg, "gemm_threads", 4));
     EXPECT_FALSE(gnn::applyKnob(cfg, "no_such_knob", 1));
 
     // resolvedKernelDispatch never reports Auto, and only reports Avx2
