@@ -8,6 +8,32 @@
 namespace smartsage::gnn
 {
 
+namespace
+{
+
+/**
+ * Mask the rows x cols gradient @p dz by the ReLU @p mask (null for a
+ * linear layer) and add each row into @p bias_sum, rows in order.
+ * Branch-free over restrict-qualified pointers so both loops vectorize.
+ */
+void
+maskAndSumRows(float *__restrict dz, const char *__restrict mask,
+               float *__restrict bias_sum, std::size_t rows,
+               std::size_t cols)
+{
+    for (std::size_t u = 0; u < rows; ++u, dz += cols) {
+        if (mask) {
+            for (std::size_t j = 0; j < cols; ++j)
+                dz[j] = mask[j] ? dz[j] : 0.0f;
+            mask += cols;
+        }
+        for (std::size_t j = 0; j < cols; ++j)
+            bias_sum[j] += dz[j];
+    }
+}
+
+} // namespace
+
 SageMeanLayer::SageMeanLayer(unsigned in_dim, unsigned out_dim, bool relu,
                              sim::Rng &rng)
     : in_dim_(in_dim), out_dim_(out_dim), relu_(relu)
@@ -120,14 +146,15 @@ SageMeanLayer::forwardInto(const Tensor2D &h_src,
 
     matmulInto(ctx.h_self, w_self_, out);
     matmulAccumulate(ctx.h_agg, w_neigh_, out);
-    addBias(out, bias_);
+    if (relu_) {
+        addBiasReluInto(out, bias_, ctx.relu_mask);
+    } else {
+        addBias(out, bias_);
+        ctx.relu_mask.clear();
+    }
 
     ctx.block = &block;
     ctx.src_rows = h_src.rows();
-    if (relu_)
-        reluForwardInto(out, ctx.relu_mask);
-    else
-        ctx.relu_mask.clear();
 }
 
 Tensor2D
@@ -150,20 +177,18 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
     SS_ASSERT(d_out.rows() == n_dst && d_out.cols() == out_dim_,
               "output grad shape mismatch");
 
-    if (relu_)
-        reluBackward(d_out, ctx.relu_mask);
+    // One pass masks dz by the ReLU and sums it into the bias
+    // gradient. It stays serial and in row order, so each bias sum
+    // rounds as it always did.
+    grads.bias.resizeToZero(1, out_dim_);
+    maskAndSumRows(d_out.data().data(),
+                   relu_ ? ctx.relu_mask.data() : nullptr,
+                   grads.bias.data().data(), n_dst, out_dim_);
     const Tensor2D &dz = d_out;
 
-    // Parameter gradients.
+    // Weight gradients.
     matmulTNInto(ctx.h_self, dz, grads.w_self);
     matmulTNInto(ctx.h_agg, dz, grads.w_neigh);
-    grads.bias.resizeToZero(1, out_dim_);
-    for (std::size_t u = 0; u < n_dst; ++u) {
-        auto zrow = dz.row(u);
-        auto brow = grads.bias.row(0);
-        for (unsigned j = 0; j < out_dim_; ++j)
-            brow[j] += zrow[j];
-    }
     if (!input_grad_)
         return;
 

@@ -510,17 +510,19 @@ matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 }
 
 /**
- * Scalar TN kernel over rows [i0, i1) of C (columns of A):
- * C[i][j] = sum_r A[r][i] * B[r][j], r the reduction dim. Rows of B
- * are processed four at a time so the panel stays cached across the
- * sweep of A's columns. Each C element is one in-order chain over r
- * whatever the row range, so any row-block decomposition of [0, m)
- * is bit-identical to a single full-range call.
+ * Scalar TN kernel over the block rows [i0, i1) x columns [j0, j1) of
+ * C (rows of C are columns of A): C[i][j] = sum_r A[r][i] * B[r][j], r
+ * the reduction dim. Rows of B are processed four at a time so the
+ * panel stays cached across the sweep of A's columns. Each C element
+ * is one in-order chain over r whatever the block, so any
+ * decomposition of C into row blocks, or into column strips that start
+ * on multiples of 8, is bit-identical to a single full-range call.
  */
 void
-matmulTNScalarRows(const float *adata, const float *bdata, float *cdata,
-                   std::size_t i0, std::size_t i1, std::size_t rdim,
-                   std::size_t m, std::size_t n)
+matmulTNScalarBlock(const float *adata, const float *bdata, float *cdata,
+                    std::size_t i0, std::size_t i1, std::size_t j0,
+                    std::size_t j1, std::size_t rdim, std::size_t m,
+                    std::size_t n)
 {
     std::size_t r = 0;
     for (; r + 4 <= rdim; r += 4) {
@@ -531,7 +533,7 @@ matmulTNScalarRows(const float *adata, const float *bdata, float *cdata,
         for (std::size_t i = i0; i < i1; ++i) {
             const float w0 = a0[i], w1 = a1[i], w2 = a2[i], w3 = a3[i];
             float *crow = cdata + i * n;
-            for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t j = j0; j < j1; ++j)
                 crow[j] += w0 * b0[j] + w1 * b1[j] + w2 * b2[j] +
                            w3 * b3[j];
         }
@@ -542,7 +544,7 @@ matmulTNScalarRows(const float *adata, const float *bdata, float *cdata,
         for (std::size_t i = i0; i < i1; ++i) {
             const float w = arow[i];
             float *crow = cdata + i * n;
-            for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t j = j0; j < j1; ++j)
                 crow[j] += w * brow[j];
         }
     }
@@ -551,24 +553,27 @@ matmulTNScalarRows(const float *adata, const float *bdata, float *cdata,
 #if SMARTSAGE_X86_KERNELS
 
 /**
- * AVX2+FMA variant of matmulTNScalarRows on the register tiles, same
- * row-range contract, blocked over r in kRB-row panels so the A panel
+ * AVX2+FMA variant of matmulTNScalarBlock on the register tiles, same
+ * block contract, blocked over r in kRB-row panels so the A panel
  * stays cached across the sweep of C. kRB is a multiple of 4, so the
  * tail columns' 4-row groups fall where the unblocked loop put them.
+ * @pre j0 is a multiple of 8 or the first tail column
  */
 __attribute__((target("avx2,fma"))) void
-matmulTNAvx2Rows(const float *adata, const float *bdata, float *cdata,
-                 std::size_t i0, std::size_t i1, std::size_t rdim,
-                 std::size_t m, std::size_t n)
+matmulTNAvx2Block(const float *adata, const float *bdata, float *cdata,
+                  std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t j1, std::size_t rdim, std::size_t m,
+                  std::size_t n)
 {
-    const std::size_t nv = n - n % 8;
+    const std::size_t jv = std::min(j1, n - n % 8); // end of the tiles
     float *c = cdata + i0 * n;
     for (std::size_t r0 = 0; r0 < rdim; r0 += kRB) {
         const std::size_t rb = std::min(kRB, rdim - r0);
         const float *ap = adata + r0 * m + i0;
         const float *bp = bdata + r0 * n;
-        gemmTilesAvx2(ap, 1, m, bp, n, c, n, i1 - i0, rb, nv);
-        gemmTailAvx2(ap, 1, m, bp, n, c, n, i1 - i0, rb, nv, n);
+        gemmTilesAvx2(ap, 1, m, bp + j0, n, c + j0, n, i1 - i0, rb,
+                      jv - j0);
+        gemmTailAvx2(ap, 1, m, bp, n, c, n, i1 - i0, rb, jv, j1);
     }
 }
 
@@ -728,19 +733,33 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
         matmulTNNaive(a, b, c);
         return;
     }
-    auto kernel = matmulTNScalarRows;
+    auto kernel = matmulTNScalarBlock;
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2)
-        kernel = matmulTNAvx2Rows;
+        kernel = matmulTNAvx2Block;
 #endif
-    // Split over C's rows (A's columns): each element keeps its one
-    // in-order reduction chain over r.
+    // Every element keeps its one in-order reduction chain over r, so
+    // neither split below changes a bit.
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
     float *cdata = c.data().data();
+    // A C of at most one row block would run on one thread: split it
+    // over 16-column strips instead. Strips start on multiples of 8, so
+    // the AVX2 tiles cover the same columns, and the tail columns past
+    // the last multiple of 8 stay with the last strip.
+    const std::size_t strips = std::max<std::size_t>(1, (n / 8 + 1) / 2);
+    const unsigned threads = gemmThreads();
+    if (m <= kRowBlock && strips > 1 && threads > 1) {
+        sim::parallelFor(gemmPool(threads), strips, [&](std::size_t s) {
+            const std::size_t j0 = s * 16;
+            const std::size_t j1 = s + 1 == strips ? n : j0 + 16;
+            kernel(adata, bdata, cdata, 0, m, j0, j1, rdim, m, n);
+        });
+        return;
+    }
     parallelRows(m, [&](std::size_t i0, std::size_t i1) {
-        kernel(adata, bdata, cdata, i0, i1, rdim, m, n);
+        kernel(adata, bdata, cdata, i0, i1, 0, n, rdim, m, n);
     });
 }
 
@@ -830,6 +849,49 @@ rowAccumulateScale(float *dst, const float *src, float scale,
         dst[j] = (dst[j] + src[j]) * scale;
 }
 
+namespace
+{
+
+// The ReLU loops are branch-free over restrict-qualified pointers: a
+// data-dependent branch would mispredict on about half of the
+// elements, and a char store that may alias the floats would keep the
+// compiler from vectorizing. Only values > 0 are kept: NaN, -0 and +0
+// all become +0 with mask 0.
+
+/** x[i] += bias[i], then the ReLU, for i in [0, n); mask[i] = kept. */
+void
+biasReluSpan(float *__restrict x, const float *__restrict bias,
+             char *__restrict mask, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float v = x[i] + bias[i];
+        const bool keep = v > 0.0f;
+        mask[i] = keep;
+        x[i] = keep ? v : 0.0f;
+    }
+}
+
+void
+reluSpan(float *__restrict x, char *__restrict mask, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float v = x[i];
+        const bool keep = v > 0.0f;
+        mask[i] = keep;
+        x[i] = keep ? v : 0.0f;
+    }
+}
+
+void
+reluMaskSpan(float *__restrict grad, const char *__restrict mask,
+             std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        grad[i] = mask[i] ? grad[i] : 0.0f;
+}
+
+} // namespace
+
 std::vector<char>
 reluForward(Tensor2D &x)
 {
@@ -842,12 +904,24 @@ void
 reluForwardInto(Tensor2D &x, std::vector<char> &mask)
 {
     mask.resize(x.rows() * x.cols());
-    auto &d = x.data();
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        mask[i] = d[i] > 0.0f;
-        if (!mask[i])
-            d[i] = 0.0f;
-    }
+    reluSpan(x.data().data(), mask.data(), mask.size());
+}
+
+void
+addBiasReluInto(Tensor2D &x, const Tensor2D &bias,
+                std::vector<char> &mask)
+{
+    SS_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
+              "bias shape mismatch");
+    const std::size_t cols = x.cols();
+    mask.resize(x.rows() * cols);
+    float *data = x.data().data();
+    const float *b = bias.data().data();
+    char *m = mask.data();
+    parallelRows(x.rows(), [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r)
+            biasReluSpan(data + r * cols, b, m + r * cols, cols);
+    });
 }
 
 void
@@ -855,10 +929,7 @@ reluBackward(Tensor2D &grad, const std::vector<char> &mask)
 {
     auto &d = grad.data();
     SS_ASSERT(d.size() == mask.size(), "relu mask size mismatch");
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        if (!mask[i])
-            d[i] = 0.0f;
-    }
+    reluMaskSpan(d.data(), mask.data(), d.size());
 }
 
 void

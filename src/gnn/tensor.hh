@@ -321,6 +321,14 @@ std::vector<char> reluForward(Tensor2D &x);
 /** reluForward writing the mask into @p mask (capacity reused). */
 void reluForwardInto(Tensor2D &x, std::vector<char> &mask);
 
+/**
+ * addBias then reluForwardInto as one row-parallel pass on the kernel
+ * pool: each element gets its bias added, then the ReLU and its mask,
+ * so the result is bit-identical to the two serial passes.
+ */
+void addBiasReluInto(Tensor2D &x, const Tensor2D &bias,
+                     std::vector<char> &mask);
+
 /** dX = dY masked by the forward mask. */
 void reluBackward(Tensor2D &grad, const std::vector<char> &mask);
 

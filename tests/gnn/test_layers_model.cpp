@@ -435,41 +435,142 @@ runnableFlavors()
 TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
 {
     // 130 layer-0 dsts and 6,001 inputs cross the 64-row block edge in
-    // the gather, the self copy, the aggregate and the NN GEMMs; an
-    // in_dim of 65 gives the layer-0 TN GEMMs a 65-row C, one full
-    // block plus one row.
-    ModelConfig mc;
-    mc.in_dim = 65;
-    mc.hidden_dim = 64;
-    mc.num_classes = 41;
-    mc.depth = 2;
-    const std::uint64_t num_nodes = 20000;
-    FeatureTable ft(num_nodes, mc.in_dim, mc.num_classes);
-    const Subgraph batches[] = {
-        handBuiltSubgraph(70, 130, 6001, num_nodes, 1),
-        handBuiltSubgraph(33, 97, 4001, num_nodes, 2)};
+    // the gather, the self copy, the aggregate, the NN GEMMs and the
+    // bias+ReLU epilogue. An in_dim of 65 gives the layer-0 TN GEMMs a
+    // 65-row C, one full block plus one row; an in_dim of 32 (Amazon's
+    // width) gives them a one-block C, split over column strips.
+    for (unsigned in_dim : {65u, 32u}) {
+        ModelConfig mc;
+        mc.in_dim = in_dim;
+        mc.hidden_dim = 64;
+        mc.num_classes = 41;
+        mc.depth = 2;
+        const std::uint64_t num_nodes = 20000;
+        FeatureTable ft(num_nodes, mc.in_dim, mc.num_classes);
+        const Subgraph batches[] = {
+            handBuiltSubgraph(70, 130, 6001, num_nodes, 1),
+            handBuiltSubgraph(33, 97, 4001, num_nodes, 2)};
 
+        ScopedKernelMode tiled(KernelMode::Tiled);
+        for (KernelDispatch flavor : runnableFlavors()) {
+            ScopedKernelDispatch dispatch(flavor);
+            std::uint64_t ref_hash = 0;
+            std::vector<std::uint64_t> ref_losses;
+            for (unsigned threads : {1u, 2u, 4u}) {
+                ScopedGemmThreads scope(threads);
+                SageModel model(mc);
+                std::vector<std::uint64_t> losses;
+                for (int step = 0; step < 3; ++step)
+                    for (const Subgraph &sg : batches)
+                        losses.push_back(bitsOf(model.trainStep(sg, ft)));
+                if (threads == 1) {
+                    ref_hash = model.stateHash();
+                    ref_losses = losses;
+                    continue;
+                }
+                EXPECT_EQ(model.stateHash(), ref_hash)
+                    << kernelDispatchName(flavor) << " in_dim=" << in_dim
+                    << " threads=" << threads;
+                EXPECT_EQ(losses, ref_losses)
+                    << kernelDispatchName(flavor) << " in_dim=" << in_dim
+                    << " threads=" << threads;
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** A layer's outputs and gradients, from the layer or the reference. */
+struct EpilogueResult
+{
+    Tensor2D out, dz, bias, w_self, w_neigh;
+    std::vector<char> mask;
+};
+
+/**
+ * The composition the fused epilogue replaced, on the h_self and h_agg
+ * a forward left in @p ctx: matmulInto + matmulAccumulate + addBias +
+ * reluForwardInto forward, reluBackward + a row-order bias sum and the
+ * two TN GEMMs backward, all on one kernel thread.
+ */
+EpilogueResult
+twoPassEpilogue(const SageMeanLayer &layer, const SageContext &ctx,
+                const Tensor2D &d_out)
+{
+    ScopedGemmThreads one(1);
+    EpilogueResult r;
+    matmulInto(ctx.h_self, layer.wSelf(), r.out);
+    matmulAccumulate(ctx.h_agg, layer.wNeigh(), r.out);
+    addBias(r.out, layer.biasRow());
+    r.dz = d_out;
+    if (layer.hasRelu()) {
+        reluForwardInto(r.out, r.mask);
+        reluBackward(r.dz, r.mask);
+    }
+    r.bias = Tensor2D(1, layer.outDim());
+    for (std::size_t u = 0; u < r.dz.rows(); ++u)
+        for (std::size_t j = 0; j < r.dz.cols(); ++j)
+            r.bias.at(0, j) += r.dz.at(u, j);
+    matmulTNInto(ctx.h_self, r.dz, r.w_self);
+    matmulTNInto(ctx.h_agg, r.dz, r.w_neigh);
+    return r;
+}
+
+} // namespace
+
+TEST(SageLayer, EpilogueBitIdenticalToTwoPassComposition)
+{
+    // 63/64/65 dsts straddle the 64-row block; in_dim 32 runs the TN
+    // column split, 65 the row split; out_dim 41 leaves vector tails.
+    struct Shape
+    {
+        unsigned in_dim, out_dim;
+        bool relu;
+    };
+    const Shape shapes[] = {{32, 64, true}, {65, 41, true}, {32, 41, false}};
     ScopedKernelMode tiled(KernelMode::Tiled);
     for (KernelDispatch flavor : runnableFlavors()) {
         ScopedKernelDispatch dispatch(flavor);
-        std::uint64_t ref_hash = 0;
-        std::vector<std::uint64_t> ref_losses;
-        for (unsigned threads : {1u, 2u, 4u}) {
-            ScopedGemmThreads scope(threads);
-            SageModel model(mc);
-            std::vector<std::uint64_t> losses;
-            for (int step = 0; step < 3; ++step)
-                for (const Subgraph &sg : batches)
-                    losses.push_back(bitsOf(model.trainStep(sg, ft)));
-            if (threads == 1) {
-                ref_hash = model.stateHash();
-                ref_losses = losses;
-                continue;
+        for (const Shape &shape : shapes) {
+            Rng rng(21);
+            SageMeanLayer layer(shape.in_dim, shape.out_dim, shape.relu,
+                                rng);
+            layer.mutableBias() =
+                Tensor2D::uniform(1, shape.out_dim, 0.5f, rng);
+            for (std::size_t dsts : {1u, 63u, 64u, 65u, 6001u}) {
+                const Subgraph sg =
+                    handBuiltSubgraph(1, dsts, dsts + 50, 20000, dsts);
+                const Tensor2D h_src =
+                    Tensor2D::uniform(dsts + 50, shape.in_dim, 1.0f, rng);
+                const Tensor2D d_out =
+                    Tensor2D::uniform(dsts, shape.out_dim, 1.0f, rng);
+                for (unsigned threads : {1u, 4u}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << kernelDispatchName(flavor) << " "
+                                 << shape.in_dim << "->" << shape.out_dim
+                                 << " dsts=" << dsts
+                                 << " threads=" << threads);
+                    ScopedGemmThreads scope(threads);
+                    SageContext ctx;
+                    EpilogueResult got;
+                    layer.forwardInto(h_src, sg.blocks[1], ctx, got.out);
+                    got.dz = d_out;
+                    SageLayerGrads grads;
+                    Tensor2D d_src;
+                    layer.backwardInto(got.dz, ctx, grads, d_src);
+
+                    const EpilogueResult want =
+                        twoPassEpilogue(layer, ctx, d_out);
+                    EXPECT_EQ(got.out.data(), want.out.data());
+                    EXPECT_EQ(ctx.relu_mask, want.mask);
+                    EXPECT_EQ(got.dz.data(), want.dz.data());
+                    EXPECT_EQ(grads.bias.data(), want.bias.data());
+                    EXPECT_EQ(grads.w_self.data(), want.w_self.data());
+                    EXPECT_EQ(grads.w_neigh.data(), want.w_neigh.data());
+                }
             }
-            EXPECT_EQ(model.stateHash(), ref_hash)
-                << kernelDispatchName(flavor) << " threads=" << threads;
-            EXPECT_EQ(losses, ref_losses)
-                << kernelDispatchName(flavor) << " threads=" << threads;
         }
     }
 }

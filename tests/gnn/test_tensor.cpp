@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "gnn/tensor.hh"
 #include "sim/random.hh"
@@ -89,9 +92,11 @@ TEST(Tensor, ReluForwardBackward)
     x.at(0, 2) = 0;
     x.at(0, 3) = 3;
     auto mask = reluForward(x);
+    EXPECT_EQ(mask, (std::vector<char>{0, 1, 0, 1}));
     EXPECT_FLOAT_EQ(x.at(0, 0), 0);
     EXPECT_FLOAT_EQ(x.at(0, 1), 2);
     EXPECT_FLOAT_EQ(x.at(0, 2), 0);
+    EXPECT_FLOAT_EQ(x.at(0, 3), 3);
 
     Tensor2D g(1, 4);
     for (std::size_t j = 0; j < 4; ++j)
@@ -101,6 +106,112 @@ TEST(Tensor, ReluForwardBackward)
     EXPECT_FLOAT_EQ(g.at(0, 1), 1);
     EXPECT_FLOAT_EQ(g.at(0, 2), 0);
     EXPECT_FLOAT_EQ(g.at(0, 3), 1);
+}
+
+namespace
+{
+
+/** The branchy ReLU the kernels replaced, kept as the bit reference. */
+void
+reluReference(TensorStorage &d, std::vector<char> &mask)
+{
+    mask.resize(d.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+        mask[i] = d[i] > 0.0f;
+        if (!mask[i])
+            d[i] = 0.0f;
+    }
+}
+
+std::vector<std::uint32_t>
+bitsOf(const TensorStorage &v)
+{
+    std::vector<std::uint32_t> bits(v.size());
+    std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+    return bits;
+}
+
+/** A rows x cols tensor of random values with NaNs of both signs,
+ *  +-0, +-denormals, +-inf and the extremes scattered through it. */
+Tensor2D
+specialValues(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    using limits = std::numeric_limits<float>;
+    const float specials[] = {
+        limits::quiet_NaN(),
+        -limits::quiet_NaN(),
+        0.0f,
+        -0.0f,
+        limits::denorm_min(),
+        -limits::denorm_min(),
+        limits::infinity(),
+        -limits::infinity(),
+        limits::max(),
+        -limits::max(),
+        limits::min(),
+        -limits::min(),
+    };
+    Rng rng(seed);
+    Tensor2D t = Tensor2D::uniform(rows, cols, 1.0f, rng);
+    auto &d = t.data();
+    for (std::size_t i = 0; i < d.size(); i += 1 + rng.next() % 3)
+        d[i] = specials[rng.next() % std::size(specials)];
+    return t;
+}
+
+} // namespace
+
+TEST(Tensor, ReluBitsMatchBranchyReference)
+{
+    // Lengths below, at and past the vector widths, so every vector
+    // tail runs. One mask vector is reused from the largest shape down,
+    // so a stale mask tail would show.
+    std::vector<char> mask;
+    for (std::size_t n : {6001u, 33u, 8u, 7u, 1u}) {
+        Tensor2D x = specialValues(1, n, n);
+        TensorStorage want = x.data();
+        std::vector<char> want_mask;
+        reluReference(want, want_mask);
+
+        reluForwardInto(x, mask);
+        EXPECT_EQ(bitsOf(x.data()), bitsOf(want)) << "n=" << n;
+        EXPECT_EQ(mask, want_mask) << "n=" << n;
+
+        Tensor2D g = specialValues(1, n, n + 1);
+        TensorStorage want_g = g.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!want_mask[i])
+                want_g[i] = 0.0f;
+        }
+        reluBackward(g, mask);
+        EXPECT_EQ(bitsOf(g.data()), bitsOf(want_g)) << "n=" << n;
+    }
+}
+
+TEST(Tensor, AddBiasReluMatchesTwoPassesAtAnyThreadCount)
+{
+    // Rows on both sides of the 64-row block; 7 and 33 columns leave
+    // vector tails in every row.
+    for (std::size_t rows : {1u, 64u, 65u, 6001u}) {
+        for (std::size_t cols : {7u, 33u}) {
+            const Tensor2D x = specialValues(rows, cols, rows * cols);
+            const Tensor2D bias = specialValues(1, cols, cols);
+            Tensor2D want = x;
+            addBias(want, bias);
+            std::vector<char> want_mask;
+            reluReference(want.data(), want_mask);
+            for (unsigned threads : {1u, 4u}) {
+                ScopedGemmThreads scope(threads);
+                Tensor2D got = x;
+                std::vector<char> mask(3 * rows * cols, 1);
+                addBiasReluInto(got, bias, mask);
+                EXPECT_EQ(bitsOf(got.data()), bitsOf(want.data()))
+                    << rows << "x" << cols << " threads=" << threads;
+                EXPECT_EQ(mask, want_mask)
+                    << rows << "x" << cols << " threads=" << threads;
+            }
+        }
+    }
 }
 
 TEST(Tensor, AddBiasBroadcastsRows)

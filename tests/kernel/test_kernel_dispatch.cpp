@@ -222,6 +222,41 @@ TEST(KernelDispatch, Avx2GemmBitsArePinned)
     }
 }
 
+TEST(KernelDispatch, NarrowTNColumnSplitBitIdenticalAtAnyThreadCount)
+{
+    // C of at most 64 rows runs over 16-column strips on several
+    // threads and as one call on one. m = 65 is the first row-split
+    // shape; n = 41 and 130 leave scalar tail columns in the last
+    // strip, n = 24 an 8-column one; r = 6001 spans many TN r-panels.
+    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
+    for (KernelDispatch flavor :
+         {KernelDispatch::Scalar, KernelDispatch::Avx2}) {
+        if (flavor == KernelDispatch::Avx2 && !gnn::cpuSupportsAvx2())
+            continue;
+        gnn::ScopedKernelDispatch guard(flavor);
+        for (std::size_t m : {1, 8, 32, 33, 64, 65}) {
+            for (std::size_t n : {8, 16, 24, 41, 64, 130}) {
+                for (std::size_t r : {1, 65, 6001}) {
+                    const std::uint64_t seed = m * 7919 + n * 131 + r;
+                    const Tensor2D a = randomTensor(r, m, seed);
+                    const Tensor2D b = randomTensor(r, n, seed + 1);
+                    Tensor2D serial;
+                    {
+                        gnn::ScopedGemmThreads one(1);
+                        gnn::matmulTNInto(a, b, serial);
+                    }
+                    gnn::ScopedGemmThreads four(4);
+                    Tensor2D split;
+                    gnn::matmulTNInto(a, b, split);
+                    EXPECT_TRUE(bitIdentical(split, serial))
+                        << gnn::kernelDispatchName(flavor) << " m=" << m
+                        << " n=" << n << " r=" << r;
+                }
+            }
+        }
+    }
+}
+
 TEST(KernelDispatch, RowMicrokernelsBitIdenticalAcrossFlavors)
 {
     // rowAccumulate/rowAccumulateScale use add/mul only (no FMA), so
