@@ -1,27 +1,28 @@
 /**
  * @file
- * Hot-path microbenchmark: times the three compute hot paths — frontier
- * sampling, GEMM/aggregate kernels, and the multi-worker functional
- * sampling/training pipeline — in both their naive (seed) and optimized
- * forms, plus the storage blocking-adapter overhead (direct service
- * call vs submit-and-drain through the async request layer) and the
- * feature-cache decorator's replay-path cost/benefit (raw store vs an
- * LRU-cached store on a skewed gather stream), the MSHR/coalescing
- * miss path under concurrent duplicate-heavy gathers (legacy
- * forward-everything vs coalesced line fills with piggybacked
- * secondary misses), and emits machine-readable BENCH_hotpath.json so
- * every future PR can be checked against this perf trajectory.
+ * Hot-path microbenchmark: times the two compute hot paths, frontier
+ * sampling and the GEMM kernels, in both their naive (seed) and
+ * optimized forms. It also times the storage blocking-adapter overhead
+ * (direct service call vs submit-and-drain through the async request
+ * layer), the feature-cache decorator's replay-path cost/benefit (raw
+ * store vs an LRU-cached store on a skewed gather stream) and the
+ * MSHR/coalescing miss path under concurrent duplicate-heavy gathers
+ * (legacy forward-everything vs coalesced line fills with piggybacked
+ * secondary misses). Results go to a machine-readable
+ * BENCH_hotpath.json.
  *
- * Naive forms: SageSampler::sampleBaseline (per-batch hash dedup,
- * virtual visitor dispatch) and KernelMode::Naive (reference loops).
- * Fast forms: sampleInto through a reusable SampleScratch (flat
- * epoch-stamped dedup, statically dispatched no-op visitor) and
- * KernelMode::Tiled, with the pipeline running real worker threads.
+ * Naive forms come from the test/bench-only reference target
+ * (tests/reference): ref::sampleBaseline (per-batch hash dedup, virtual
+ * visitor dispatch) and the ref:: naive GEMM loops. Fast forms are the
+ * library's: sampleInto through a reusable SampleScratch (flat
+ * epoch-stamped dedup, statically dispatched no-op visitor) and the
+ * tiled GEMMs. The end-to-end training step is bench/e2e's to measure.
  *
  * Usage: perf_hotpath [--quick] [--out <path>] [--workers <n>]
  *   --quick    CI smoke sizes (seconds, looser statistics)
  *   --out      JSON output path (default: BENCH_hotpath.json)
- *   --workers  pipeline worker threads (default: hardware concurrency)
+ *   --workers  threads of the threaded GEMM leg, capped at 8
+ *              (default: hardware concurrency)
  */
 
 #include <algorithm>
@@ -33,15 +34,13 @@
 #include <thread>
 #include <vector>
 
-#include "gnn/feature_table.hh"
-#include "gnn/model.hh"
 #include "gnn/sampler.hh"
+#include "gnn/tensor.hh"
 #include "graph/powerlaw.hh"
 #include "host/feature_cache.hh"
 #include "host/io_path.hh"
-#include "pipeline/producer.hh"
+#include "reference/reference.hh"
 #include "sim/random.hh"
-#include "sim/thread_pool.hh"
 #include "ssd/ssd_device.hh"
 
 using namespace smartsage;
@@ -74,9 +73,7 @@ struct BenchConfig
     std::size_t batch_size = 1024;
     std::size_t sampler_batches = 8;
     std::size_t gemm_rows = 16384;
-    unsigned dim = 32;
     std::size_t kernel_reps = 4;
-    std::size_t pipeline_batches = 10;
     std::size_t storage_gathers = 20000;
     unsigned workers = std::max(1u, std::thread::hardware_concurrency());
 };
@@ -108,7 +105,7 @@ struct CacheCost
 /** Tiled-GEMM GFLOP/s under each runtime-dispatched microkernel. */
 struct DispatchCost
 {
-    double naive_gflops = 0;    //!< KernelMode::Naive reference loops
+    double naive_gflops = 0;    //!< ref::matmulNaive reference loops
     double scalar_gflops = 0;   //!< tiled, scalar-portable microkernel
     double avx2_gflops = 0;     //!< tiled, AVX2+FMA (0 if unsupported)
     double threaded_gflops = 0; //!< tiled, auto flavor, pool workers
@@ -367,13 +364,13 @@ benchSampler(const graph::CsrGraph &g, const BenchConfig &cfg)
         std::vector<graph::LocalNodeId> targets;
         sim::Rng rng(0);
         targetsFor(0, rng, scratch, targets); // warmup batch
-        edges += sampler.sampleBaseline(g, targets, rng)
+        edges += ref::sampleBaseline(sampler, g, targets, rng)
                      .totalSampledEdges();
         edges = 0;
         double t0 = now_s();
         for (std::size_t i = 0; i < cfg.sampler_batches; ++i) {
             targetsFor(i, rng, scratch, targets);
-            edges += sampler.sampleBaseline(g, targets, rng)
+            edges += ref::sampleBaseline(sampler, g, targets, rng)
                          .totalSampledEdges();
         }
         p.naive = static_cast<double>(edges) / (now_s() - t0);
@@ -397,13 +394,11 @@ benchSampler(const graph::CsrGraph &g, const BenchConfig &cfg)
     return p;
 }
 
-/** GFLOP/s of one GEMM variant under the given kernel mode. */
+/** GFLOP/s of one GEMM call. */
 template <typename F>
 double
-gemmGflops(F &&call, double flops, std::size_t reps,
-           gnn::KernelMode mode)
+gemmGflops(F &&call, double flops, std::size_t reps)
 {
-    gnn::ScopedKernelMode guard(mode);
     call(); // warmup
     double t0 = now_s();
     for (std::size_t r = 0; r < reps; ++r)
@@ -425,118 +420,35 @@ benchKernelDispatch(const BenchConfig &cfg, const gnn::Tensor2D &a,
     DispatchCost cost;
     cost.avx2_supported = gnn::cpuSupportsAvx2();
     auto call = [&] { gnn::matmul(a, w); };
-    cost.naive_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                   gnn::KernelMode::Naive);
+    cost.naive_gflops = gemmGflops([&] { ref::matmulNaive(a, w); }, flops,
+                                   cfg.kernel_reps);
     {
         // The flavor legs run on one thread; the threaded leg below
         // measures the row-block decomposition on top of them.
         gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Scalar);
-        cost.scalar_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                        gnn::KernelMode::Tiled);
+        cost.scalar_gflops = gemmGflops(call, flops, cfg.kernel_reps);
     }
     if (cost.avx2_supported) {
         gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Avx2);
-        cost.avx2_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                      gnn::KernelMode::Tiled);
+        cost.avx2_gflops = gemmGflops(call, flops, cfg.kernel_reps);
     }
     {
         cost.gemm_threads = std::min(cfg.workers, 8u);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Auto);
         gnn::ScopedGemmThreads threads(cost.gemm_threads);
-        cost.threaded_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                          gnn::KernelMode::Tiled);
+        cost.threaded_gflops = gemmGflops(call, flops, cfg.kernel_reps);
     }
     return cost;
-}
-
-/** End-to-end functional batch throughput (sample + train), batches/s. */
-Pair
-benchPipeline(const graph::CsrGraph &g, const BenchConfig &cfg)
-{
-    gnn::FeatureTable features(g.numNodes(), cfg.dim, 16);
-    gnn::SageSampler sampler(cfg.fanouts);
-
-    gnn::ModelConfig mc;
-    mc.in_dim = cfg.dim;
-    mc.hidden_dim = cfg.dim;
-    mc.num_classes = 16;
-    mc.depth = static_cast<unsigned>(cfg.fanouts.size());
-
-    pipeline::ParallelSampleConfig psc;
-    psc.workers = cfg.workers;
-    psc.num_batches = cfg.pipeline_batches;
-    psc.batch_size = cfg.batch_size;
-    psc.seed = 0xe2e;
-
-    Pair p;
-    {
-        // Naive: seed-style serial loop — hash-based sampler, naive
-        // kernels, one thread, and the allocating forward/backward API
-        // (fresh context and gradient tensors per batch, as the seed's
-        // trainStep did).
-        gnn::ScopedKernelMode guard(gnn::KernelMode::Naive);
-        gnn::SageModel model(mc);
-        double t0 = 0;
-        // One untimed warmup batch (i == 0), then the timed run.
-        for (std::size_t i = 0; i <= psc.num_batches; ++i) {
-            if (i == 1)
-                t0 = now_s();
-            sim::Rng rng = sim::Rng(psc.seed).fork(i);
-            auto targets = gnn::selectTargets(g, psc.batch_size, rng);
-            gnn::Subgraph sg = sampler.sampleBaseline(g, targets, rng);
-
-            std::vector<gnn::SageContext> ctxs;
-            gnn::Tensor2D logits = model.forward(sg, features, &ctxs);
-            auto labels = features.labels(sg.targets());
-            gnn::Tensor2D d_logits;
-            gnn::softmaxCrossEntropy(logits, labels, d_logits);
-            gnn::Tensor2D d = std::move(d_logits);
-            auto &layers = model.mutableLayers();
-            for (std::size_t l = layers.size(); l-- > 0;) {
-                gnn::SageLayerGrads grads;
-                d = layers[l].backward(d, ctxs[l], grads);
-                layers[l].applyGrads(grads,
-                                     model.config().learning_rate);
-            }
-        }
-        p.naive =
-            static_cast<double>(psc.num_batches) / (now_s() - t0);
-    }
-    {
-        // Fast: flat-table sampler on pool workers feeding the tiled
-        // kernels through the overlapped pipeline.
-        gnn::ScopedKernelMode guard(gnn::KernelMode::Tiled);
-        gnn::SageModel model(mc);
-        sim::ThreadPool pool(cfg.workers);
-        // Untimed warmup batch to populate the scratch/workspaces.
-        auto warm = psc;
-        warm.num_batches = 1;
-        pipeline::runSamplingPipeline(
-            g, sampler, warm, &pool,
-            [&](std::size_t, pipeline::FunctionalBatch &&batch) {
-                model.trainStep(batch.subgraph, features);
-            });
-        double t0 = now_s();
-        pipeline::runSamplingPipeline(
-            g, sampler, psc, &pool,
-            [&](std::size_t, pipeline::FunctionalBatch &&batch) {
-                model.trainStep(batch.subgraph, features);
-            });
-        p.fast =
-            static_cast<double>(psc.num_batches) / (now_s() - t0);
-    }
-    return p;
 }
 
 /** The bench's pass/fail line; the AVX2 bar applies only where the
  *  host can run the AVX2 microkernel at all. */
 bool
-acceptancePass(const Pair &sampler, const Pair &pipeline,
-               const DispatchCost &dispatch)
+acceptancePass(const Pair &sampler, const DispatchCost &dispatch)
 {
-    return sampler.speedup() >= 3.0 && pipeline.speedup() >= 2.0 &&
+    return sampler.speedup() >= 3.0 &&
            (!dispatch.avx2_supported || dispatch.avx2Speedup() >= 2.0);
 }
 
@@ -544,7 +456,7 @@ void
 writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
           const Pair &mm, const Pair &mm_tn, const Pair &mm_nt,
           const Pair &mm_wide, const Pair &mm_tn_wide,
-          const Pair &pipeline, const DispatchCost &dispatch,
+          const DispatchCost &dispatch,
           const AdapterCost &adapter, const CacheCost &cache,
           const MshrCost &mshr)
 {
@@ -558,7 +470,7 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     os.precision(6);
     os << "{\n"
        << "  \"bench\": \"perf_hotpath\",\n"
-       << "  \"schema_version\": 1,\n"
+       << "  \"schema_version\": 2,\n"
        << "  \"config\": {\n"
        << "    \"num_nodes\": " << cfg.num_nodes << ",\n"
        << "    \"avg_degree\": " << cfg.avg_degree << ",\n"
@@ -567,7 +479,6 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     for (std::size_t i = 1; i < cfg.fanouts.size(); ++i)
         os << ", " << cfg.fanouts[i];
     os << "],\n"
-       << "    \"dim\": " << cfg.dim << ",\n"
        << "    \"workers\": " << cfg.workers << "\n"
        << "  },\n"
        << "  \"results\": {\n";
@@ -577,7 +488,6 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     obj("matmul_nt_gflops", mm_nt, "GFLOP/s");
     obj("matmul_wide_gflops", mm_wide, "GFLOP/s");
     obj("matmul_tn_wide_gflops", mm_tn_wide, "GFLOP/s");
-    obj("pipeline_batches_per_s", pipeline, "batches/s");
     os << "    \"kernel_dispatch\": {\"naive_gflops\": "
        << dispatch.naive_gflops << ", \"scalar_gflops\": "
        << dispatch.scalar_gflops << ", \"avx2_gflops\": "
@@ -606,13 +516,10 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
        << "  \"acceptance\": {\n"
        << "    \"sampler_speedup_target\": 3.0,\n"
        << "    \"sampler_speedup\": " << sampler.speedup() << ",\n"
-       << "    \"pipeline_speedup_target\": 2.0,\n"
-       << "    \"pipeline_speedup\": " << pipeline.speedup() << ",\n"
        << "    \"avx2_speedup_target\": 2.0,\n"
        << "    \"avx2_speedup\": " << dispatch.avx2Speedup() << ",\n"
        << "    \"pass\": "
-       << (acceptancePass(sampler, pipeline, dispatch) ? "true"
-                                                       : "false")
+       << (acceptancePass(sampler, dispatch) ? "true" : "false")
        << "\n  }\n}\n";
 }
 
@@ -630,7 +537,6 @@ main(int argc, char **argv)
             cfg.sampler_batches = 4;
             cfg.gemm_rows = 4096;
             cfg.kernel_reps = 2;
-            cfg.pipeline_batches = 4;
             cfg.storage_gathers = 4000;
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
@@ -673,18 +579,17 @@ main(int argc, char **argv)
     const double flops = 2.0 * static_cast<double>(m) * d * d;
 
     Pair mm, mm_tn, mm_nt;
-    mm.naive = gemmGflops([&] { gnn::matmul(a, w); }, flops,
-                          cfg.kernel_reps, gnn::KernelMode::Naive);
-    mm.fast = gemmGflops([&] { gnn::matmul(a, w); }, flops,
-                         cfg.kernel_reps, gnn::KernelMode::Tiled);
-    mm_tn.naive = gemmGflops([&] { gnn::matmulTN(a, dz); }, flops,
-                             cfg.kernel_reps, gnn::KernelMode::Naive);
+    mm.naive = gemmGflops([&] { ref::matmulNaive(a, w); }, flops,
+                          cfg.kernel_reps);
+    mm.fast = gemmGflops([&] { gnn::matmul(a, w); }, flops, cfg.kernel_reps);
+    mm_tn.naive = gemmGflops([&] { ref::matmulTNNaive(a, dz); }, flops,
+                             cfg.kernel_reps);
     mm_tn.fast = gemmGflops([&] { gnn::matmulTN(a, dz); }, flops,
-                            cfg.kernel_reps, gnn::KernelMode::Tiled);
-    mm_nt.naive = gemmGflops([&] { gnn::matmulNT(dz, w); }, flops,
-                             cfg.kernel_reps, gnn::KernelMode::Naive);
+                            cfg.kernel_reps);
+    mm_nt.naive = gemmGflops([&] { ref::matmulNTNaive(dz, w); }, flops,
+                             cfg.kernel_reps);
     mm_nt.fast = gemmGflops([&] { gnn::matmulNT(dz, w); }, flops,
-                            cfg.kernel_reps, gnn::KernelMode::Tiled);
+                            cfg.kernel_reps);
 
     // The shape that dominates train-reddit: 602-wide Reddit features
     // through 64-wide weights, as layer 0's forward (NN) and its weight
@@ -696,27 +601,19 @@ main(int argc, char **argv)
     gnn::Tensor2D w_wide = gnn::Tensor2D::uniform(wide, d, 1.0f, krng);
     const double wide_flops = 2.0 * static_cast<double>(m) * wide * d;
     Pair mm_wide, mm_tn_wide;
-    mm_wide.naive = gemmGflops([&] { gnn::matmul(x, w_wide); },
-                               wide_flops, cfg.kernel_reps,
-                               gnn::KernelMode::Naive);
+    mm_wide.naive = gemmGflops([&] { ref::matmulNaive(x, w_wide); },
+                               wide_flops, cfg.kernel_reps);
     mm_wide.fast = gemmGflops([&] { gnn::matmul(x, w_wide); }, wide_flops,
-                              cfg.kernel_reps, gnn::KernelMode::Tiled);
-    mm_tn_wide.naive = gemmGflops([&] { gnn::matmulTN(x, dz); },
-                                  wide_flops, cfg.kernel_reps,
-                                  gnn::KernelMode::Naive);
-    mm_tn_wide.fast = gemmGflops([&] { gnn::matmulTN(x, dz); },
-                                 wide_flops, cfg.kernel_reps,
-                                 gnn::KernelMode::Tiled);
+                              cfg.kernel_reps);
+    mm_tn_wide.naive = gemmGflops([&] { ref::matmulTNNaive(x, dz); },
+                                  wide_flops, cfg.kernel_reps);
+    mm_tn_wide.fast = gemmGflops([&] { gnn::matmulTN(x, dz); }, wide_flops,
+                                 cfg.kernel_reps);
 
     std::cout << "perf_hotpath: kernel dispatch flavors ("
               << gnn::kernelDispatchName(gnn::resolvedKernelDispatch())
               << " resolved)...\n";
     DispatchCost dispatch = benchKernelDispatch(cfg, a, w, flops);
-
-    std::cout << "perf_hotpath: end-to-end pipeline ("
-              << cfg.pipeline_batches << " batches, " << cfg.workers
-              << " workers)...\n";
-    Pair pipeline = benchPipeline(g, cfg);
 
     std::cout << "perf_hotpath: storage blocking adapter ("
               << cfg.storage_gathers << " gathers)...\n";
@@ -742,7 +639,6 @@ main(int argc, char **argv)
     report("matmulNT  ", mm_nt, "GFLOP/s");
     report("matmul 602", mm_wide, "GFLOP/s");
     report("matmulTN 602", mm_tn_wide, "GFLOP/s");
-    report("pipeline  ", pipeline, "batches/s");
     std::cout << "  dispatch  : naive " << dispatch.naive_gflops
               << ", scalar " << dispatch.scalar_gflops << ", avx2 "
               << dispatch.avx2_gflops << ", threaded(x"
@@ -769,14 +665,13 @@ main(int argc, char **argv)
         return 1;
     }
     writeJson(json, cfg, sampler, mm, mm_tn, mm_nt, mm_wide, mm_tn_wide,
-              pipeline, dispatch, adapter, cache, mshr);
+              dispatch, adapter, cache, mshr);
     std::cout << "perf_hotpath: wrote " << out_path << "\n";
 
-    const bool pass = acceptancePass(sampler, pipeline, dispatch);
+    const bool pass = acceptancePass(sampler, dispatch);
     std::cout << "perf_hotpath: acceptance "
               << (pass ? "PASS" : "FAIL") << " (sampler "
-              << sampler.speedup() << "x >= 3x, pipeline "
-              << pipeline.speedup() << "x >= 2x, avx2 "
+              << sampler.speedup() << "x >= 3x, avx2 "
               << dispatch.avx2Speedup() << "x >= 2x where supported)\n";
     return pass ? 0 : 1;
 }

@@ -341,7 +341,7 @@ writeBenchesDoc(std::ostream &os,
     // The two documents no scenario family routes to.
     os << "| `BENCH_backendstats.json` | `backend_stats` | 1 | no | the "
           "`--stats-json` flag of the sweep |\n"
-       << "| `BENCH_hotpath.json` | `perf_hotpath` | 1 | no | "
+       << "| `BENCH_hotpath.json` | `perf_hotpath` | 2 | no | "
           "`perf_hotpath --quick --out BENCH_hotpath.json` (non-gating: "
           "wall-clock speedups are noisy on shared runners) |\n";
 

@@ -144,16 +144,6 @@ knobCatalog()
              {"read_gbps", "double", "3.5", "> 0",
               "modeled checkpoint read bandwidth (recovery metric)", 2},
          }},
-        {"kernel.", "GEMM/aggregate microkernel dispatch",
-         "src/gnn/tensor.hh",
-         {
-             {"dispatch", "enum", "0 (auto)",
-              "0 = auto, 1 = scalar, 2 = avx2",
-              "microkernel flavor; auto probes cpuid once and picks "
-              "the fastest available, avx2 silently degrades to "
-              "scalar when the ISA is absent",
-              1},
-         }},
         {"sched.", "Host I/O channel dispatch", "src/sim/io.hh",
          {
              {"policy", "enum", "0 (fifo)",

@@ -108,8 +108,6 @@ applyKnob(SystemConfig &config, const KnobSetting &knob)
         return core::applyKnob(config.tenants, key, value);
     if (strip("ckpt."))
         return core::applyKnob(config.ckpt, key, value);
-    if (strip("kernel."))
-        return gnn::applyKnob(config.kernel, key, value);
 
     // Top-level SystemConfig knobs.
     if (key == "page_cache_fraction")

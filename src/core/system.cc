@@ -104,11 +104,6 @@ GnnSystem::GnnSystem(const SystemConfig &config, const Workload &workload)
 {
     config_.validate();
 
-    // Microkernel selection is process-global (the tensor layer has no
-    // per-system state); install the configured flavor before any
-    // training math runs.
-    gnn::applyKernelConfig(config_.kernel);
-
     // Sampler.
     if (config_.use_saint)
         sampler_ = std::make_unique<gnn::SaintSampler>(

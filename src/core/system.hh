@@ -29,7 +29,6 @@
 #include "gnn/gpu_model.hh"
 #include "gnn/model.hh"
 #include "gnn/sampler.hh"
-#include "gnn/tensor.hh"
 #include "graph/datasets.hh"
 #include "graph/layout.hh"
 #include "host/config.hh"
@@ -107,18 +106,6 @@ struct SystemConfig
      */
     sim::SchedConfig sched;
     sim::AdmissionControl admit;
-
-    /**
-     * GEMM/aggregate microkernel selection (`kernel.*` knobs): the
-     * dispatch flavor (auto/scalar/avx2). Applied process-globally
-     * when the GnnSystem is built (gnn::applyKernelConfig); the
-     * default, auto dispatch, matches a build without the knob block.
-     * The kernel thread count is not a knob: it follows the machine
-     * (gnn::gemmThreads). No
-     * simulated-timing metric depends on GEMM float output, so the
-     * flavor never changes a bench artifact.
-     */
-    gnn::KernelConfig kernel;
 
     /**
      * Checkpoint policy (`ckpt.*` knobs). Inert by default

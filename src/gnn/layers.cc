@@ -46,30 +46,6 @@ SageMeanLayer::SageMeanLayer(unsigned in_dim, unsigned out_dim, bool relu,
 }
 
 void
-SageMeanLayer::aggregateNaive(const Tensor2D &h_src,
-                              const SampledBlock &block,
-                              Tensor2D &agg) const
-{
-    agg.resizeToZero(block.numDsts(), in_dim_);
-    // Reference: accumulate, then a second pass for the mean scale.
-    for (std::size_t u = 0; u < block.numDsts(); ++u) {
-        std::uint32_t lo = block.offsets[u];
-        std::uint32_t hi = block.offsets[u + 1];
-        if (lo == hi)
-            continue; // isolated node: aggregate stays zero
-        auto arow = agg.row(u);
-        for (std::uint32_t e = lo; e < hi; ++e) {
-            auto srow = h_src.row(block.src_index[e]);
-            for (unsigned j = 0; j < in_dim_; ++j)
-                arow[j] += srow[j];
-        }
-        float inv = 1.0f / static_cast<float>(hi - lo);
-        for (unsigned j = 0; j < in_dim_; ++j)
-            arow[j] *= inv;
-    }
-}
-
-void
 SageMeanLayer::aggregateRows(const Tensor2D &h_src,
                              const SampledBlock &block, Tensor2D &agg,
                              std::size_t u0, std::size_t u1) const
@@ -127,22 +103,17 @@ SageMeanLayer::forwardInto(const Tensor2D &h_src,
               "src activations must cover the dst prefix");
 
     // Self term: dsts are the prefix of the src frontier, so the self
-    // rows are one contiguous copy. The fast path copies each row block
-    // in the same task that aggregates it.
+    // rows are one contiguous copy. Each task copies its row block in
+    // the same pass that aggregates it.
     const std::size_t dim = in_dim_;
     const float *src = h_src.data().data();
     ctx.h_self.resizeTo(n_dst, dim);
+    ctx.h_agg.resizeTo(n_dst, dim);
     float *self = ctx.h_self.data().data();
-    if (kernelMode() == KernelMode::Naive) {
-        std::copy_n(src, n_dst * dim, self);
-        aggregateNaive(h_src, block, ctx.h_agg);
-    } else {
-        ctx.h_agg.resizeTo(n_dst, dim);
-        parallelRows(n_dst, [&](std::size_t u0, std::size_t u1) {
-            std::copy(src + u0 * dim, src + u1 * dim, self + u0 * dim);
-            aggregateRows(h_src, block, ctx.h_agg, u0, u1);
-        });
-    }
+    parallelRows(n_dst, [&](std::size_t u0, std::size_t u1) {
+        std::copy(src + u0 * dim, src + u1 * dim, self + u0 * dim);
+        aggregateRows(h_src, block, ctx.h_agg, u0, u1);
+    });
 
     matmulInto(ctx.h_self, w_self_, out);
     matmulAccumulate(ctx.h_agg, w_neigh_, out);

@@ -139,12 +139,7 @@ class SageMeanLayer
     Tensor2D w_neigh_; //!< in_dim x out_dim
     Tensor2D bias_;    //!< 1 x out_dim
 
-    /** Reference mean aggregate of src activations into per-dst rows
-     *  (reshapes and zeroes @p agg): KernelMode::Naive. */
-    void aggregateNaive(const Tensor2D &h_src, const SampledBlock &block,
-                        Tensor2D &agg) const;
-
-    /** Fast mean aggregate of dst rows [u0, u1) into @p agg, already
+    /** Mean aggregate of dst rows [u0, u1) into @p agg, already
      *  shaped numDsts x in_dim; writes only those rows. */
     void aggregateRows(const Tensor2D &h_src, const SampledBlock &block,
                        Tensor2D &agg, std::size_t u0,

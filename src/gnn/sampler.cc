@@ -1,7 +1,6 @@
 #include "sampler.hh"
 
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sim/logging.hh"
@@ -65,8 +64,8 @@ prepareSubgraph(Subgraph &out, std::size_t depth)
 /**
  * Draw @p want distinct indices out of [0, degree) with Floyd's
  * algorithm (O(want) expected work regardless of degree). Same draw
- * sequence and output order as the baseline unordered_set
- * implementation. Typical fanouts dedup by scanning the picks
+ * sequence and output order as the unordered_set reference sampler
+ * (tests/reference). Typical fanouts dedup by scanning the picks
  * gathered so far — allocation-free and O(want) memory; very large
  * fanouts fall back to a hash set rather than scale scratch memory
  * with the node degree.
@@ -130,8 +129,8 @@ sageSampleCore(const std::vector<unsigned> &fanouts,
 
         // Self-prefix property: the next frontier starts as a verbatim
         // copy of the current one. put() (last occurrence wins) keeps
-        // duplicate-target batches index-compatible with the baseline's
-        // FrontierBuilder.
+        // duplicate-target batches index-compatible with the reference
+        // sampler.
         next.assign(frontier.begin(), frontier.end());
         dedup.clear();
         for (std::uint32_t i = 0; i < next.size(); ++i)
@@ -203,8 +202,8 @@ saintSampleCore(unsigned walk_length, const graph::CsrGraph &graph,
         auto &next = out.frontiers[step + 1];
         SampledBlock &block = out.blocks[step];
 
-        // Last occurrence wins, matching the baseline FrontierBuilder
-        // when the caller passes duplicate roots.
+        // Last occurrence wins, matching the reference sampler when
+        // the caller passes duplicate roots.
         next.assign(frontier.begin(), frontier.end());
         dedup.clear();
         for (std::uint32_t i = 0; i < next.size(); ++i)
@@ -237,60 +236,6 @@ saintSampleCore(unsigned walk_length, const graph::CsrGraph &graph,
 
     vis.onBatchEnd();
 }
-
-// ------------------------------------------------------------------
-// Baseline (pre-optimization) path: per-batch hash containers and
-// virtual visitor dispatch, kept verbatim as the golden reference.
-// ------------------------------------------------------------------
-
-/**
- * Draw @p want distinct indices out of [0, degree) with Floyd's
- * algorithm through a per-call unordered_set (baseline).
- */
-void
-sampleDistinctBaseline(std::uint64_t degree, unsigned want, sim::Rng &rng,
-                       std::vector<std::uint64_t> &out)
-{
-    out.clear();
-    std::unordered_set<std::uint64_t> chosen;
-    for (std::uint64_t j = degree - want; j < degree; ++j) {
-        std::uint64_t t = rng.nextBounded(j + 1);
-        if (chosen.insert(t).second) {
-            out.push_back(t);
-        } else {
-            chosen.insert(j);
-            out.push_back(j);
-        }
-    }
-}
-
-/** Grow the next frontier, preserving the self-prefix property. */
-class FrontierBuilder
-{
-  public:
-    explicit FrontierBuilder(const std::vector<graph::LocalNodeId> &prev)
-    {
-        nodes_ = prev; // prefix copy: self embeddings
-        for (std::size_t i = 0; i < prev.size(); ++i)
-            index_[prev[i]] = static_cast<std::uint32_t>(i);
-    }
-
-    std::uint32_t
-    indexOf(graph::LocalNodeId v)
-    {
-        auto [it, inserted] = index_.try_emplace(
-            v, static_cast<std::uint32_t>(nodes_.size()));
-        if (inserted)
-            nodes_.push_back(v);
-        return it->second;
-    }
-
-    std::vector<graph::LocalNodeId> take() { return std::move(nodes_); }
-
-  private:
-    std::vector<graph::LocalNodeId> nodes_;
-    std::unordered_map<graph::LocalNodeId, std::uint32_t> index_;
-};
 
 } // namespace
 
@@ -333,70 +278,6 @@ SageSampler::sampleInto(const graph::CsrGraph &graph,
                        scratch, out);
 }
 
-Subgraph
-SageSampler::sampleBaseline(const graph::CsrGraph &graph,
-                            const std::vector<graph::LocalNodeId> &targets,
-                            sim::Rng &rng, SampleVisitor *visitor) const
-{
-    SS_ASSERT(!targets.empty(), "empty target batch");
-    NullVisitor null_visitor;
-    if (!visitor)
-        visitor = &null_visitor;
-
-    visitor->onBatchStart(targets.size());
-
-    Subgraph sg;
-    sg.frontiers.push_back(targets);
-
-    std::vector<std::uint64_t> picks;
-    for (unsigned fanout : fanouts_) {
-        const auto &frontier = sg.frontiers.back();
-        FrontierBuilder next(frontier);
-        SampledBlock block;
-        block.offsets.reserve(frontier.size() + 1);
-        block.offsets.push_back(0);
-
-        for (graph::LocalNodeId u : frontier) {
-            visitor->onOffsetRead(u);
-            std::uint64_t degree = graph.degree(u);
-            std::uint64_t base = graph.edgeOffset(u);
-            auto nbrs = graph.neighbors(u);
-
-            if (degree == 0) {
-                block.offsets.push_back(
-                    static_cast<std::uint32_t>(block.src_index.size()));
-                continue;
-            }
-
-            if (degree <= fanout) {
-                // Take the whole neighborhood.
-                for (std::uint64_t j = 0; j < degree; ++j) {
-                    visitor->onEdgeEntryRead(u, base + j);
-                    graph::LocalNodeId v = nbrs[j];
-                    visitor->onSampled(u, v);
-                    block.src_index.push_back(next.indexOf(v));
-                }
-            } else {
-                sampleDistinctBaseline(degree, fanout, rng, picks);
-                for (std::uint64_t j : picks) {
-                    visitor->onEdgeEntryRead(u, base + j);
-                    graph::LocalNodeId v = nbrs[j];
-                    visitor->onSampled(u, v);
-                    block.src_index.push_back(next.indexOf(v));
-                }
-            }
-            block.offsets.push_back(
-                static_cast<std::uint32_t>(block.src_index.size()));
-        }
-
-        sg.blocks.push_back(std::move(block));
-        sg.frontiers.push_back(next.take());
-    }
-
-    visitor->onBatchEnd();
-    return sg;
-}
-
 std::uint64_t
 SageSampler::expectedEdges(std::size_t batch_size) const
 {
@@ -427,53 +308,6 @@ SaintSampler::sampleInto(const graph::CsrGraph &graph,
     else
         saintSampleCore(walk_length_, graph, roots, rng, NoopVisitor{},
                         scratch, out);
-}
-
-Subgraph
-SaintSampler::sampleBaseline(const graph::CsrGraph &graph,
-                             const std::vector<graph::LocalNodeId> &roots,
-                             sim::Rng &rng, SampleVisitor *visitor) const
-{
-    SS_ASSERT(!roots.empty(), "empty root batch");
-    NullVisitor null_visitor;
-    if (!visitor)
-        visitor = &null_visitor;
-
-    visitor->onBatchStart(roots.size());
-
-    Subgraph sg;
-    sg.frontiers.push_back(roots);
-
-    for (unsigned step = 0; step < walk_length_; ++step) {
-        const auto &frontier = sg.frontiers.back();
-        FrontierBuilder next(frontier);
-        SampledBlock block;
-        block.offsets.reserve(frontier.size() + 1);
-        block.offsets.push_back(0);
-
-        for (graph::LocalNodeId u : frontier) {
-            visitor->onOffsetRead(u);
-            std::uint64_t degree = graph.degree(u);
-            if (degree == 0) {
-                block.offsets.push_back(
-                    static_cast<std::uint32_t>(block.src_index.size()));
-                continue;
-            }
-            std::uint64_t j = rng.nextBounded(degree);
-            visitor->onEdgeEntryRead(u, graph.edgeOffset(u) + j);
-            graph::LocalNodeId v = graph.neighbors(u)[j];
-            visitor->onSampled(u, v);
-            block.src_index.push_back(next.indexOf(v));
-            block.offsets.push_back(
-                static_cast<std::uint32_t>(block.src_index.size()));
-        }
-
-        sg.blocks.push_back(std::move(block));
-        sg.frontiers.push_back(next.take());
-    }
-
-    visitor->onBatchEnd();
-    return sg;
 }
 
 void

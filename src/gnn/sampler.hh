@@ -19,9 +19,10 @@
  *    with every access forwarded through the virtual SampleVisitor
  *    interface, used by the storage timing drivers.
  *
- * `sampleBaseline` preserves the original per-batch
- * `std::unordered_map`/`unordered_set` implementation as the reference
- * the golden tests and `bench/perf_hotpath` compare against.
+ * The original per-batch `std::unordered_map`/`unordered_set`
+ * implementation lives on outside the library, in the test/bench-only
+ * reference target (tests/reference), as the baseline the golden tests
+ * and `bench/perf_hotpath` compare against.
  */
 
 #ifndef SMARTSAGE_GNN_SAMPLER_HH
@@ -137,16 +138,6 @@ class SageSampler : public AnySampler
                     sim::Rng &rng, SampleScratch &scratch, Subgraph &out,
                     SampleVisitor *visitor = nullptr) const override;
 
-    /**
-     * Reference implementation (pre-optimization hash-based dedup,
-     * virtual visitor dispatch). Bit-identical output to sampleInto;
-     * kept for golden tests and the perf_hotpath naive/fast comparison.
-     */
-    Subgraph sampleBaseline(const graph::CsrGraph &graph,
-                            const std::vector<graph::LocalNodeId> &targets,
-                            sim::Rng &rng,
-                            SampleVisitor *visitor = nullptr) const;
-
     const std::vector<unsigned> &fanouts() const { return fanouts_; }
 
     /** Expected sampled edges per batch (upper bound, full-degree). */
@@ -171,12 +162,6 @@ class SaintSampler : public AnySampler
                     const std::vector<graph::LocalNodeId> &roots,
                     sim::Rng &rng, SampleScratch &scratch, Subgraph &out,
                     SampleVisitor *visitor = nullptr) const override;
-
-    /** Reference implementation; see SageSampler::sampleBaseline. */
-    Subgraph sampleBaseline(const graph::CsrGraph &graph,
-                            const std::vector<graph::LocalNodeId> &roots,
-                            sim::Rng &rng,
-                            SampleVisitor *visitor = nullptr) const;
 
     unsigned walkLength() const { return walk_length_; }
 

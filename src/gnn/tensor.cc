@@ -27,7 +27,6 @@ namespace smartsage::gnn
 namespace
 {
 
-std::atomic<KernelMode> g_kernel_mode{KernelMode::Tiled};
 std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
 std::atomic<unsigned> g_gemm_threads{
     std::max(1u, std::thread::hardware_concurrency())};
@@ -52,18 +51,6 @@ gemmPool(unsigned threads)
 }
 
 } // namespace
-
-void
-setKernelMode(KernelMode mode)
-{
-    g_kernel_mode.store(mode, std::memory_order_relaxed);
-}
-
-KernelMode
-kernelMode()
-{
-    return g_kernel_mode.load(std::memory_order_relaxed);
-}
 
 bool
 cpuSupportsAvx2()
@@ -115,20 +102,6 @@ kernelDispatchName(KernelDispatch dispatch)
     return "?";
 }
 
-KernelDispatch
-kernelDispatchFromKnob(double value)
-{
-    if (value == 0)
-        return KernelDispatch::Auto;
-    if (value == 1)
-        return KernelDispatch::Scalar;
-    if (value == 2)
-        return KernelDispatch::Avx2;
-    SS_FATAL("kernel.dispatch must be 0 (auto), 1 (scalar), or "
-             "2 (avx2), got ",
-             value);
-}
-
 void
 setGemmThreads(unsigned threads)
 {
@@ -147,8 +120,7 @@ parallelRows(std::size_t rows,
              const std::function<void(std::size_t, std::size_t)> &fn)
 {
     const unsigned threads = gemmThreads();
-    if (kernelMode() == KernelMode::Naive || threads <= 1 ||
-        rows <= kRowBlock) {
+    if (threads <= 1 || rows <= kRowBlock) {
         fn(0, rows);
         return;
     }
@@ -157,21 +129,6 @@ parallelRows(std::size_t rows,
         const std::size_t r0 = blk * kRowBlock;
         fn(r0, std::min(r0 + kRowBlock, rows));
     });
-}
-
-bool
-applyKnob(KernelConfig &config, std::string_view key, double value)
-{
-    if (key != "dispatch")
-        return false;
-    config.dispatch = kernelDispatchFromKnob(value);
-    return true;
-}
-
-void
-applyKernelConfig(const KernelConfig &config)
-{
-    setKernelDispatch(config.dispatch);
 }
 
 Tensor2D::Tensor2D(std::size_t rows, std::size_t cols)
@@ -252,22 +209,6 @@ namespace
 // which is what lets GCC vectorize the j loop into FMAs.
 constexpr std::size_t kKB = 64;  //!< reduction-dim block
 constexpr std::size_t kJB = 128; //!< output-column block
-
-void
-matmulNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
-{
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            float aik = a.at(i, k);
-            if (aik == 0.0f)
-                continue;
-            auto brow = b.row(k);
-            auto crow = c.row(i);
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                crow[j] += aik * brow[j];
-        }
-    }
-}
 
 /**
  * Scalar NN microkernel over rows [i0, i1) of C. Per-row accumulation
@@ -492,23 +433,6 @@ runGemmRows(GemmRowsFn fn, const Tensor2D &a, const Tensor2D &b,
     });
 }
 
-void
-matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
-{
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-        auto arow = a.row(k);
-        auto brow = b.row(k);
-        for (std::size_t i = 0; i < a.cols(); ++i) {
-            float aki = arow[i];
-            if (aki == 0.0f)
-                continue;
-            auto crow = c.row(i);
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                crow[j] += aki * brow[j];
-        }
-    }
-}
-
 /**
  * Scalar TN kernel over the block rows [i0, i1) x columns [j0, j1) of
  * C (rows of C are columns of A): C[i][j] = sum_r A[r][i] * B[r][j], r
@@ -578,21 +502,6 @@ matmulTNAvx2Block(const float *adata, const float *bdata, float *cdata,
 }
 
 #endif // SMARTSAGE_X86_KERNELS
-
-void
-matmulNTNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
-{
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        auto arow = a.row(i);
-        for (std::size_t j = 0; j < b.rows(); ++j) {
-            auto brow = b.row(j);
-            float acc = 0.0f;
-            for (std::size_t k = 0; k < a.cols(); ++k)
-                acc += arow[k] * brow[k];
-            c.at(i, j) = acc;
-        }
-    }
-}
 
 void
 matmulNTTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
@@ -711,10 +620,6 @@ matmulAccumulate(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     SS_ASSERT(a.cols() == b.rows() && c.rows() == a.rows() &&
                   c.cols() == b.cols(),
               "matmulAccumulate shape mismatch");
-    if (kernelMode() == KernelMode::Naive) {
-        matmulNaive(a, b, c);
-        return;
-    }
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
         runGemmRows(matmulAvx2Rows, a, b, c);
@@ -729,10 +634,6 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
     SS_ASSERT(a.rows() == b.rows(), "matmulTN shape mismatch");
     c.resizeToZero(a.cols(), b.cols());
-    if (kernelMode() == KernelMode::Naive) {
-        matmulTNNaive(a, b, c);
-        return;
-    }
     auto kernel = matmulTNScalarBlock;
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2)
@@ -769,10 +670,6 @@ matmulNTInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     SS_ASSERT(a.cols() == b.cols(), "matmulNT shape mismatch");
     // Both NT kernels overwrite every output element: reshape only.
     c.resizeTo(a.rows(), b.rows());
-    if (kernelMode() == KernelMode::Naive) {
-        matmulNTNaive(a, b, c);
-        return;
-    }
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
         matmulNTAvx2(a, b, c);

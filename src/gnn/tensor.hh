@@ -16,7 +16,6 @@
 #include <memory>
 #include <new>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,43 +135,15 @@ class Tensor2D
 };
 
 /**
- * GEMM/aggregate kernel selection. Tiled is the default: cache-blocked,
- * register-tiled loops. Naive preserves the original reference loops
- * and exists for golden equivalence tests and the perf_hotpath
- * naive-vs-fast comparison. The flag is process-global and atomic;
- * flip it only between batches, not mid-kernel.
- */
-enum class KernelMode { Tiled, Naive };
-
-void setKernelMode(KernelMode mode);
-KernelMode kernelMode();
-
-/** RAII guard restoring the previous KernelMode (for tests/bench). */
-class ScopedKernelMode
-{
-  public:
-    explicit ScopedKernelMode(KernelMode mode) : prev_(kernelMode())
-    {
-        setKernelMode(mode);
-    }
-    ~ScopedKernelMode() { setKernelMode(prev_); }
-    ScopedKernelMode(const ScopedKernelMode &) = delete;
-    ScopedKernelMode &operator=(const ScopedKernelMode &) = delete;
-
-  private:
-    KernelMode prev_;
-};
-
-/**
- * Microkernel flavor behind KernelMode::Tiled. Scalar keeps the
- * portable cache-blocked loops; Avx2 swaps the inner loops for
- * 8-lane FMA intrinsics (runtime-gated on cpuid, so an Avx2 request
- * on a machine without the ISA silently runs Scalar); Auto probes
- * cpuid once and picks the fastest available flavor. Like KernelMode
- * the selection is process-global and atomic — flip it between
- * batches, not mid-kernel. KernelMode::Naive bypasses dispatch
- * entirely: the reference loops stay the golden baseline for every
- * flavor.
+ * Microkernel flavor of the cache-blocked, register-tiled GEMM and
+ * aggregate kernels. Scalar keeps the portable loops; Avx2 swaps the
+ * inner loops for 8-lane FMA intrinsics (runtime-gated on cpuid, so an
+ * Avx2 request on a machine without the ISA silently runs Scalar);
+ * Auto, the default, probes cpuid once and picks the fastest available
+ * flavor. No configuration sets it: it is a pin for tests and benches
+ * (ScopedKernelDispatch), the only way to run Scalar on an AVX2 host.
+ * The selection is process-global and atomic — flip it between
+ * batches, not mid-kernel.
  *
  * Numerics: the AVX2 GEMMs fuse multiply-add and reorder the k
  * reduction, so outputs match Scalar to tolerance, not bitwise. The
@@ -193,10 +164,6 @@ KernelDispatch resolvedKernelDispatch();
 
 /** Display name ("auto", "scalar", "avx2"). */
 const char *kernelDispatchName(KernelDispatch dispatch);
-
-/** Map the `kernel.dispatch` knob value: 0 = auto, 1 = scalar,
- *  2 = avx2. Fatal on anything else. */
-KernelDispatch kernelDispatchFromKnob(double value);
 
 /**
  * Threads that run parallelRows(), the calling thread included (it
@@ -220,32 +187,12 @@ constexpr std::size_t kRowBlock = 64;
  * Run @p fn(r0, r1) over [0, rows) in consecutive kRowBlock-row
  * blocks, spread over the kernel pool and waited for. @p fn must write
  * only the output rows [r0, r1) and read nothing another block writes.
- * Inline on the caller, as one fn(0, rows) call, when KernelMode::Naive
- * is set (the serial reference), gemmThreads() <= 1 or the range fits
- * one block. The first exception thrown by @p fn is rethrown here.
+ * Inline on the caller, as one fn(0, rows) call, when gemmThreads()
+ * <= 1 or the range fits one block. The first exception thrown by @p fn
+ * is rethrown here.
  */
 void parallelRows(std::size_t rows,
                   const std::function<void(std::size_t, std::size_t)> &fn);
-
-/**
- * The `kernel.*` knob block (scenario-sweepable). Settings are
- * process-global once applied — a scenario sweeping them should run
- * its cells sequentially (--workers 1).
- */
-struct KernelConfig
-{
-    KernelDispatch dispatch = KernelDispatch::Auto;
-};
-
-/**
- * Apply one `kernel.`-namespace knob (namespace already stripped):
- * `dispatch` (0 = auto, 1 = scalar, 2 = avx2). Fatal on out-of-range
- * values. @return false if the key is unknown
- */
-bool applyKnob(KernelConfig &config, std::string_view key, double value);
-
-/** Install @p config into the process-global dispatch state. */
-void applyKernelConfig(const KernelConfig &config);
 
 /** RAII guard restoring the previous KernelDispatch. */
 class ScopedKernelDispatch

@@ -9,6 +9,7 @@
 #include "core/report.hh"
 #include "core/scenario.hh"
 #include "core/system.hh"
+#include "gnn/tensor.hh"
 #include "host/io_path.hh"
 
 using namespace smartsage;
@@ -130,6 +131,15 @@ TEST(System, OracleFasterOrEqualToHwSw)
         return system.runSamplingOnly(4, 8).makespan;
     };
     EXPECT_LE(run("isp-oracle"), run("isp-hwsw"));
+}
+
+TEST(System, ConstructionLeavesKernelDispatchAlone)
+{
+    // No configuration writes the process-wide kernel flavor, so a
+    // test or bench pin survives every GnnSystem built under it.
+    gnn::ScopedKernelDispatch scalar(gnn::KernelDispatch::Scalar);
+    GnnSystem system(smallConfig("dram"), smallWorkload());
+    EXPECT_EQ(gnn::kernelDispatch(), gnn::KernelDispatch::Scalar);
 }
 
 TEST(Report, TableRendersAllCells)

@@ -71,10 +71,22 @@ TEST(KnobCatalog, CatalogCoversEveryDispatchNamespace)
     // plus the registry-claimed backend namespaces.
     for (const char *required :
          {"ssd.", "ssd.flash.", "isp.", "fpga.", "host.", "fault.",
-          "retry.", "ckpt.", "kernel.", "sched.", "admit.", "tenant.",
+          "retry.", "ckpt.", "sched.", "admit.", "tenant.",
           "cache.", "multi-ssd.", "tiered.", "net.", "part.", ""})
         EXPECT_TRUE(prefixes.count(required))
             << "namespace missing from catalog: '" << required << "'";
+}
+
+TEST(KnobCatalog, KernelDispatchIsNotAKnob)
+{
+    // The kernel flavor is a test/bench pin (gnn::ScopedKernelDispatch),
+    // not configuration: `kernel.dispatch` is an unknown key like any
+    // other, and the catalog documents no `kernel.` namespace.
+    SystemConfig config;
+    EXPECT_FALSE(applyKnob(config, {"kernel.dispatch", 1}));
+    EXPECT_FALSE(applyKnob(config, {"kernel.no_such_knob", 1}));
+    for (const KnobNamespaceDoc &ns : knobCatalog())
+        EXPECT_NE(ns.prefix, "kernel.");
 }
 
 TEST(KnobCatalog, CacheNamespaceKnobCountIsPinned)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Golden equivalence tests for the hot-path rework: tiled GEMM and
- * fused aggregate kernels must match the naive reference within 1e-5,
- * and the flat-table sampler fast path must be bit-identical to the
- * hash-based baseline.
+ * fused aggregate kernels must match the naive reference kernels
+ * (tests/reference) within 1e-5, and the flat-table sampler fast path
+ * must be bit-identical to the hash-based reference sampler.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +12,13 @@
 #include "gnn/sampler.hh"
 #include "gnn/tensor.hh"
 #include "graph/powerlaw.hh"
+#include "reference/reference.hh"
 #include "sim/random.hh"
 
 using namespace smartsage::gnn;
 using namespace smartsage::graph;
 using smartsage::sim::Rng;
+namespace ref = smartsage::ref;
 
 namespace
 {
@@ -49,23 +51,6 @@ expectClose(const Tensor2D &a, const Tensor2D &b, double tol)
     }
 }
 
-/** Run @p f under both kernel modes and compare the results. */
-template <typename F>
-void
-compareModes(F &&f, double tol)
-{
-    Tensor2D naive, tiled;
-    {
-        ScopedKernelMode guard(KernelMode::Naive);
-        naive = f();
-    }
-    {
-        ScopedKernelMode guard(KernelMode::Tiled);
-        tiled = f();
-    }
-    expectClose(naive, tiled, tol);
-}
-
 } // namespace
 
 TEST(KernelGolden, MatmulMatchesNaive)
@@ -77,7 +62,7 @@ TEST(KernelGolden, MatmulMatchesNaive)
           {130, 65, 129}, {256, 64, 64}}) {
         Tensor2D a = Tensor2D::uniform(m, k, 1.0f, rng);
         Tensor2D b = Tensor2D::uniform(k, n, 1.0f, rng);
-        compareModes([&] { return matmul(a, b); }, 1e-5);
+        expectClose(ref::matmulNaive(a, b), matmul(a, b), 1e-5);
     }
 }
 
@@ -92,7 +77,7 @@ TEST(KernelGolden, MatmulTNMatchesNaive)
           {300, 32, 16}}) {
         Tensor2D a = Tensor2D::uniform(r, m, 1.0f, rng);
         Tensor2D b = Tensor2D::uniform(r, n, 1.0f, rng);
-        compareModes([&] { return matmulTN(a, b); }, 1e-5);
+        expectClose(ref::matmulTNNaive(a, b), matmulTN(a, b), 1e-5);
     }
 }
 
@@ -109,15 +94,12 @@ TEST(KernelGolden, TailColumnsMatchNaive)
         Tensor2D b = Tensor2D::uniform(k, n, 1.0f, rng);
         Tensor2D c0 = Tensor2D::uniform(m, n, 1.0f, rng);
         Tensor2D at = Tensor2D::uniform(k, m, 1.0f, rng);
-        compareModes([&] { return matmul(a, b); }, 1e-5);
-        compareModes(
-            [&] {
-                Tensor2D c = c0;
-                matmulAccumulate(a, b, c);
-                return c;
-            },
-            1e-5);
-        compareModes([&] { return matmulTN(at, b); }, 1e-5);
+        expectClose(ref::matmulNaive(a, b), matmul(a, b), 1e-5);
+        Tensor2D naive = c0, tiled = c0;
+        ref::matmulNaive(a, b, naive);
+        matmulAccumulate(a, b, tiled);
+        expectClose(naive, tiled, 1e-5);
+        expectClose(ref::matmulTNNaive(at, b), matmulTN(at, b), 1e-5);
     }
 }
 
@@ -129,7 +111,7 @@ TEST(KernelGolden, MatmulNTMatchesNaive)
           {500, 33, 64}}) {
         Tensor2D a = Tensor2D::uniform(m, k, 1.0f, rng);
         Tensor2D b = Tensor2D::uniform(n, k, 1.0f, rng);
-        compareModes([&] { return matmulNT(a, b); }, 1e-5);
+        expectClose(ref::matmulNTNaive(a, b), matmulNT(a, b), 1e-5);
     }
 }
 
@@ -171,24 +153,18 @@ TEST(KernelGolden, LayerForwardBackwardMatchNaive)
         Tensor2D::uniform(sg.frontiers[2].size(), 16, 1.0f, hrng);
     Tensor2D d_out = Tensor2D::uniform(block.numDsts(), 8, 1.0f, hrng);
 
-    auto run = [&](KernelMode mode, Tensor2D &out, Tensor2D &d_src,
-                   SageLayerGrads &grads) {
-        ScopedKernelMode guard(mode);
-        SageContext ctx;
-        out = layer.forward(h_src, block, ctx);
-        d_src = layer.backward(d_out, ctx, grads);
-    };
+    SageContext ctx;
+    const Tensor2D out_t = layer.forward(h_src, block, ctx);
+    SageLayerGrads g_t;
+    const Tensor2D d_t = layer.backward(d_out, ctx, g_t);
+    const ref::LayerPass naive =
+        ref::sageLayerNaive(layer, h_src, block, d_out);
 
-    Tensor2D out_n, out_t, d_n, d_t;
-    SageLayerGrads g_n, g_t;
-    run(KernelMode::Naive, out_n, d_n, g_n);
-    run(KernelMode::Tiled, out_t, d_t, g_t);
-
-    expectClose(out_n, out_t, 1e-5);
-    expectClose(d_n, d_t, 1e-5);
-    expectClose(g_n.w_self, g_t.w_self, 1e-5);
-    expectClose(g_n.w_neigh, g_t.w_neigh, 1e-5);
-    expectClose(g_n.bias, g_t.bias, 1e-5);
+    expectClose(naive.out, out_t, 1e-5);
+    expectClose(naive.d_src, d_t, 1e-5);
+    expectClose(naive.grads.w_self, g_t.w_self, 1e-5);
+    expectClose(naive.grads.w_neigh, g_t.w_neigh, 1e-5);
+    expectClose(naive.grads.bias, g_t.bias, 1e-5);
 }
 
 TEST(SamplerGolden, SageFastPathBitIdenticalToBaseline)
@@ -200,7 +176,7 @@ TEST(SamplerGolden, SageFastPathBitIdenticalToBaseline)
     auto same = selectTargets(g, 256, r2); // keeps r2 in lockstep
     ASSERT_EQ(targets, same);
     Subgraph fast = sampler.sample(g, targets, r1);
-    Subgraph baseline = sampler.sampleBaseline(g, targets, r2);
+    Subgraph baseline = ref::sampleBaseline(sampler, g, targets, r2);
 
     ASSERT_EQ(fast.frontiers, baseline.frontiers);
     ASSERT_EQ(fast.blocks.size(), baseline.blocks.size());
@@ -221,7 +197,7 @@ TEST(SamplerGolden, SaintFastPathBitIdenticalToBaseline)
     ASSERT_EQ(roots, same);
 
     Subgraph fast = sampler.sample(g, roots, r1);
-    Subgraph baseline = sampler.sampleBaseline(g, roots, r2);
+    Subgraph baseline = ref::sampleBaseline(sampler, g, roots, r2);
     ASSERT_EQ(fast.frontiers, baseline.frontiers);
     for (std::size_t h = 0; h < fast.blocks.size(); ++h) {
         EXPECT_EQ(fast.blocks[h].offsets, baseline.blocks[h].offsets);
@@ -239,7 +215,7 @@ TEST(SamplerGolden, DuplicateTargetsStayBitIdenticalToBaseline)
     std::vector<LocalNodeId> targets = {7, 7, 12, 7, 12, 3};
     Rng r1(17), r2(17);
     Subgraph fast = sampler.sample(g, targets, r1);
-    Subgraph baseline = sampler.sampleBaseline(g, targets, r2);
+    Subgraph baseline = ref::sampleBaseline(sampler, g, targets, r2);
     ASSERT_EQ(fast.frontiers, baseline.frontiers);
     for (std::size_t h = 0; h < fast.blocks.size(); ++h) {
         EXPECT_EQ(fast.blocks[h].offsets, baseline.blocks[h].offsets);

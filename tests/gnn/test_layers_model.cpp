@@ -451,7 +451,6 @@ TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
             handBuiltSubgraph(70, 130, 6001, num_nodes, 1),
             handBuiltSubgraph(33, 97, 4001, num_nodes, 2)};
 
-        ScopedKernelMode tiled(KernelMode::Tiled);
         for (KernelDispatch flavor : runnableFlavors()) {
             ScopedKernelDispatch dispatch(flavor);
             std::uint64_t ref_hash = 0;
@@ -530,7 +529,6 @@ TEST(SageLayer, EpilogueBitIdenticalToTwoPassComposition)
         bool relu;
     };
     const Shape shapes[] = {{32, 64, true}, {65, 41, true}, {32, 41, false}};
-    ScopedKernelMode tiled(KernelMode::Tiled);
     for (KernelDispatch flavor : runnableFlavors()) {
         ScopedKernelDispatch dispatch(flavor);
         for (const Shape &shape : shapes) {
@@ -616,7 +614,6 @@ TEST(SageModel, WarmWorkspacesNeedNoZeroFilledGrowth)
     const Subgraph small = handBuiltSubgraph(9, 20, 300, num_nodes, 3);
     const Subgraph large = handBuiltSubgraph(70, 130, 6001, num_nodes, 4);
 
-    ScopedKernelMode tiled(KernelMode::Tiled);
     for (unsigned threads : {1u, 4u}) {
         ScopedGemmThreads scope(threads);
         SageModel model(mc);

@@ -1,9 +1,9 @@
 /** @file Kernel-dispatch equivalence (ctest label `kernel`): the
  *  scalar-tiled, AVX2, and thread-parallel GEMM flavors against the
- *  naive golden reference, plus knob round-trips and the bit-exactness
- *  contracts the dispatch layer promises (threaded GEMM invariant to
- *  worker count, row microkernels invariant to dispatch flavor, AVX2
- *  GEMM output pinned to a hash). */
+ *  naive reference kernels (tests/reference), plus dispatch resolution
+ *  and the bit-exactness contracts the dispatch layer promises
+ *  (threaded GEMM invariant to worker count, row microkernels invariant
+ *  to dispatch flavor, AVX2 GEMM output pinned to a hash). */
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "gnn/tensor.hh"
+#include "reference/reference.hh"
 #include "sim/random.hh"
 #include "sim/serialize.hh"
 
 using namespace smartsage;
 using gnn::KernelDispatch;
 using gnn::Tensor2D;
+namespace ref = smartsage::ref;
 
 namespace
 {
@@ -53,19 +55,8 @@ bitIdentical(const Tensor2D &a, const Tensor2D &b)
 
 } // namespace
 
-TEST(KernelDispatch, KnobRoundTripAndResolution)
+TEST(KernelDispatch, ResolutionNeverReportsAuto)
 {
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(0), KernelDispatch::Auto);
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(1), KernelDispatch::Scalar);
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(2), KernelDispatch::Avx2);
-
-    gnn::KernelConfig cfg;
-    EXPECT_TRUE(gnn::applyKnob(cfg, "dispatch", 1));
-    EXPECT_EQ(cfg.dispatch, KernelDispatch::Scalar);
-    // The kernel thread count follows the machine; it is not a knob.
-    EXPECT_FALSE(gnn::applyKnob(cfg, "gemm_threads", 4));
-    EXPECT_FALSE(gnn::applyKnob(cfg, "no_such_knob", 1));
-
     // resolvedKernelDispatch never reports Auto, and only reports Avx2
     // on hardware that can actually run it.
     gnn::ScopedKernelDispatch guard(KernelDispatch::Auto);
@@ -82,14 +73,9 @@ TEST(KernelDispatch, ScalarTiledMatchesNaiveWithinTolerance)
     Tensor2D c = randomTensor(33, 29, 0xcc);  // B^T . C (rows match)
     Tensor2D d = randomTensor(29, 33, 0xdd);  // A . D^T (cols match)
 
-    Tensor2D nn_naive, tn_naive, nt_naive;
-    {
-        gnn::ScopedKernelMode naive(gnn::KernelMode::Naive);
-        nn_naive = gnn::matmul(a, b);
-        tn_naive = gnn::matmulTN(b, c);
-        nt_naive = gnn::matmulNT(a, d);
-    }
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
+    const Tensor2D nn_naive = ref::matmulNaive(a, b);
+    const Tensor2D tn_naive = ref::matmulTNNaive(b, c);
+    const Tensor2D nt_naive = ref::matmulNTNaive(a, d);
     gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
     // The tiled kernels reassociate the k-loop, so equality is up to
     // float rounding, not bitwise.
@@ -108,7 +94,6 @@ TEST(KernelDispatch, Avx2MatchesScalarWithinTolerance)
     Tensor2D c = randomTensor(48, 31, 0x33);  // B^T . C (rows match)
     Tensor2D d = randomTensor(53, 48, 0x44);  // A . D^T (cols match)
 
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
     Tensor2D nn_s, tn_s, nt_s;
     {
         gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
@@ -130,7 +115,6 @@ TEST(KernelDispatch, ThreadedGemmBitIdenticalAtAnyWorkerCount)
     // leaves a one-row remainder after the 6-row AVX2 tiles.
     const KernelDispatch flavors[] = {KernelDispatch::Scalar,
                                       KernelDispatch::Avx2};
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
     for (std::size_t m : {300u, 301u}) {
         Tensor2D a = randomTensor(m, 64, 0x44);
         Tensor2D b = randomTensor(64, 32, 0x55);
@@ -161,7 +145,6 @@ TEST(KernelDispatch, ConcurrentCallersWithDifferentThreadCounts)
     // side), and the results must stay bit-identical.
     Tensor2D a = randomTensor(300, 64, 0x45);
     Tensor2D b = randomTensor(64, 32, 0x56);
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
     gnn::ScopedGemmThreads restore(1);
     const Tensor2D serial = gnn::matmul(a, b);
 
@@ -190,7 +173,6 @@ TEST(KernelDispatch, Avx2GemmBitsArePinned)
         GTEST_SKIP() << "host CPU has no AVX2+FMA";
     constexpr std::uint64_t kPinned = 0x58c6131ea90841e0ULL;
 
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
     gnn::ScopedKernelDispatch avx2(KernelDispatch::Avx2);
     for (unsigned threads : {1u, 4u}) {
         gnn::ScopedGemmThreads scope(threads);
@@ -228,7 +210,6 @@ TEST(KernelDispatch, NarrowTNColumnSplitBitIdenticalAtAnyThreadCount)
     // threads and as one call on one. m = 65 is the first row-split
     // shape; n = 41 and 130 leave scalar tail columns in the last
     // strip, n = 24 an 8-column one; r = 6001 spans many TN r-panels.
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
     for (KernelDispatch flavor :
          {KernelDispatch::Scalar, KernelDispatch::Avx2}) {
         if (flavor == KernelDispatch::Avx2 && !gnn::cpuSupportsAvx2())
@@ -283,23 +264,4 @@ TEST(KernelDispatch, RowMicrokernelsBitIdenticalAcrossFlavors)
                                 0.125f, n);
     }
     EXPECT_TRUE(bitIdentical(acc_s, acc_v));
-}
-
-TEST(KernelDispatch, NaiveModeBypassesDispatch)
-{
-    // KernelMode::Naive is the golden reference: its output must not
-    // depend on the dispatch flavor or thread count at all.
-    Tensor2D a = randomTensor(65, 31, 0x88);
-    Tensor2D b = randomTensor(31, 29, 0x99);
-
-    gnn::ScopedKernelMode naive(gnn::KernelMode::Naive);
-    Tensor2D golden;
-    {
-        gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
-        gnn::ScopedGemmThreads one(1);
-        golden = gnn::matmul(a, b);
-    }
-    gnn::ScopedKernelDispatch auto_(KernelDispatch::Auto);
-    gnn::ScopedGemmThreads four(4);
-    EXPECT_TRUE(bitIdentical(gnn::matmul(a, b), golden));
 }
