@@ -97,7 +97,8 @@ constexpr ChannelDoc kChannels[] = {
     {"ThreadPool", "src/sim/thread_pool.hh",
      "real host threads for wall-clock work: parallel sweep cells, "
      "pipeline workers, and the machine-sized kernel pool (gather, "
-     "aggregate and GEMMs in 64-row blocks)"},
+     "aggregate and GEMMs in 64-row blocks, and the simulated "
+     "workers' functional samples)"},
 };
 
 /** One row of the ctest label taxonomy. */

@@ -13,6 +13,7 @@
 #define SMARTSAGE_GNN_GPU_MODEL_HH
 
 #include <cstdint>
+#include <span>
 
 #include "model.hh"
 #include "sim/types.hh"
@@ -38,8 +39,14 @@ class GpuTimingModel
     /** Wall time of forward+backward+update for @p sg. */
     sim::Tick batchTime(const Subgraph &sg) const;
 
+    /** batchTime of a subgraph whose blocks have shapes @p blocks. */
+    sim::Tick batchTime(std::span<const BlockShape> blocks) const;
+
     /** Total MACs of one forward pass over @p sg. */
     std::uint64_t forwardMacs(const Subgraph &sg) const;
+
+    /** forwardMacs of a subgraph whose blocks have shapes @p blocks. */
+    std::uint64_t forwardMacs(std::span<const BlockShape> blocks) const;
 
     const GpuConfig &config() const { return config_; }
 

@@ -14,6 +14,16 @@ Subgraph::totalSampledEdges() const
     return total;
 }
 
+std::vector<BlockShape>
+Subgraph::blockShapes() const
+{
+    std::vector<BlockShape> shapes;
+    shapes.reserve(blocks.size());
+    for (const auto &b : blocks)
+        shapes.push_back({b.numDsts(), b.numEdges()});
+    return shapes;
+}
+
 void
 Subgraph::checkInvariants() const
 {

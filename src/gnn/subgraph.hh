@@ -33,6 +33,15 @@ struct SampledBlock
     std::uint64_t numDsts() const { return offsets.empty() ? 0 : offsets.size() - 1; }
 };
 
+/** The shape of one SampledBlock: all an analytic cost model reads. */
+struct BlockShape
+{
+    std::uint64_t dsts = 0;
+    std::uint64_t edges = 0;
+
+    bool operator==(const BlockShape &) const = default;
+};
+
 /** A complete multi-hop sampled subgraph for one mini-batch. */
 struct Subgraph
 {
@@ -47,6 +56,9 @@ struct Subgraph
 
     /** Total sampled edges across every hop. */
     std::uint64_t totalSampledEdges() const;
+
+    /** Shape of every block, in block order. */
+    std::vector<BlockShape> blockShapes() const;
 
     /** Distinct nodes across all frontiers (deepest frontier is a
      *  superset of the shallower ones by construction). */

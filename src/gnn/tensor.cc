@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -30,25 +29,6 @@ namespace
 std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
 std::atomic<unsigned> g_gemm_threads{
     std::max(1u, std::thread::hardware_concurrency())};
-
-/**
- * The kernel pool behind parallelRows(), one per thread count: the
- * caller of sim::parallelFor works too, so @p threads > 1 threads are
- * the caller plus threads - 1 workers. Each pool is built on first use
- * and lives until exit, so a caller still running on one pool is never
- * freed under it by another caller that asks for a different count.
- */
-sim::ThreadPool *
-gemmPool(unsigned threads)
-{
-    static std::mutex mutex;
-    static std::map<unsigned, std::unique_ptr<sim::ThreadPool>> pools;
-    std::lock_guard<std::mutex> lock(mutex);
-    std::unique_ptr<sim::ThreadPool> &pool = pools[threads];
-    if (!pool)
-        pool = std::make_unique<sim::ThreadPool>(threads - 1);
-    return pool.get();
-}
 
 } // namespace
 
@@ -115,17 +95,38 @@ gemmThreads()
     return g_gemm_threads.load(std::memory_order_relaxed);
 }
 
+sim::ThreadPool *
+kernelPool()
+{
+    const unsigned threads = gemmThreads();
+    if (threads <= 1)
+        return nullptr;
+    // Leaked on purpose (see the header): a static map of owning
+    // pointers would join the workers from its destructor at exit.
+    struct Pools
+    {
+        std::mutex mutex;
+        std::map<unsigned, sim::ThreadPool *> by_threads;
+    };
+    static Pools *const pools = new Pools;
+    std::lock_guard<std::mutex> lock(pools->mutex);
+    sim::ThreadPool *&pool = pools->by_threads[threads];
+    if (!pool)
+        pool = new sim::ThreadPool(threads - 1);
+    return pool;
+}
+
 void
 parallelRows(std::size_t rows,
              const std::function<void(std::size_t, std::size_t)> &fn)
 {
-    const unsigned threads = gemmThreads();
-    if (threads <= 1 || rows <= kRowBlock) {
+    sim::ThreadPool *pool = rows > kRowBlock ? kernelPool() : nullptr;
+    if (!pool) {
         fn(0, rows);
         return;
     }
     const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
-    sim::parallelFor(gemmPool(threads), blocks, [&](std::size_t blk) {
+    sim::parallelFor(pool, blocks, [&](std::size_t blk) {
         const std::size_t r0 = blk * kRowBlock;
         fn(r0, std::min(r0 + kRowBlock, rows));
     });
@@ -650,9 +651,10 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     // the AVX2 tiles cover the same columns, and the tail columns past
     // the last multiple of 8 stay with the last strip.
     const std::size_t strips = std::max<std::size_t>(1, (n / 8 + 1) / 2);
-    const unsigned threads = gemmThreads();
-    if (m <= kRowBlock && strips > 1 && threads > 1) {
-        sim::parallelFor(gemmPool(threads), strips, [&](std::size_t s) {
+    sim::ThreadPool *pool =
+        m <= kRowBlock && strips > 1 ? kernelPool() : nullptr;
+    if (pool) {
+        sim::parallelFor(pool, strips, [&](std::size_t s) {
             const std::size_t j0 = s * 16;
             const std::size_t j1 = s + 1 == strips ? n : j0 + 16;
             kernel(adata, bdata, cdata, 0, m, j0, j1, rdim, m, n);

@@ -22,6 +22,11 @@
 #include "sim/random.hh"
 #include "sim/serialize.hh"
 
+namespace smartsage::sim
+{
+class ThreadPool;
+} // namespace smartsage::sim
+
 namespace smartsage::gnn
 {
 
@@ -177,6 +182,19 @@ const char *kernelDispatchName(KernelDispatch dispatch);
  */
 void setGemmThreads(unsigned threads);
 unsigned gemmThreads();
+
+/**
+ * The kernel pool: the gemmThreads() - 1 workers that run
+ * parallelRows() blocks alongside their caller, and that the pipeline
+ * producers (pipeline/producer.hh) hand each simulated worker's
+ * functional sample to. Null when gemmThreads() <= 1, so a caller that
+ * pins one thread runs everything inline. One pool per thread count,
+ * built on first use and never freed: no exit path (std::exit from
+ * SS_FATAL included, in a forked death-test child too) ever joins its
+ * workers, and a caller still using one pool is never left without it
+ * when another caller asks for a different count.
+ */
+sim::ThreadPool *kernelPool();
 
 /** Row-block size of parallelRows(). Fixed — not derived from the
  *  thread count — so the set of blocks, and therefore every output

@@ -7,6 +7,8 @@ void
 IspTraceVisitor::onBatchStart(std::size_t num_targets)
 {
     work_.clear();
+    entries_.clear();
+    starts_.clear();
     num_targets_ = num_targets;
 }
 
@@ -14,6 +16,7 @@ void
 IspTraceVisitor::onOffsetRead(graph::LocalNodeId u)
 {
     work_.push_back(NodeWork{u, {}});
+    starts_.push_back(entries_.size());
 }
 
 void
@@ -21,16 +24,19 @@ IspTraceVisitor::onEdgeEntryRead(graph::LocalNodeId u,
                                  std::uint64_t entry_index)
 {
     (void)u;
-    work_.back().entries.push_back(entry_index);
+    entries_.push_back(entry_index);
 }
 
-std::uint64_t
-IspTraceVisitor::totalEntries() const
+void
+IspTraceVisitor::onBatchEnd()
 {
-    std::uint64_t total = 0;
-    for (const auto &w : work_)
-        total += w.entries.size();
-    return total;
+    // entries_ is final now, so the views cannot be invalidated.
+    const std::span<const std::uint64_t> all(entries_);
+    for (std::size_t i = 0; i < work_.size(); ++i) {
+        const std::size_t end =
+            i + 1 < work_.size() ? starts_[i + 1] : entries_.size();
+        work_[i].entries = all.subspan(starts_[i], end - starts_[i]);
+    }
 }
 
 } // namespace smartsage::isp

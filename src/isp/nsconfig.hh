@@ -12,6 +12,7 @@
 #define SMARTSAGE_ISP_NSCONFIG_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gnn/sampler.hh"
@@ -24,8 +25,10 @@ namespace smartsage::isp
 struct NodeWork
 {
     graph::LocalNodeId node = 0;
-    /** Absolute edge-array entry indices that were sampled. */
-    std::vector<std::uint64_t> entries;
+    /** Absolute edge-array entry indices that were sampled: a view
+     *  into the flat entry array of the IspTraceVisitor that recorded
+     *  them, valid while that visitor lives. */
+    std::span<const std::uint64_t> entries;
 };
 
 /** Sizing parameters of the serialized NSconfig blob. */
@@ -45,24 +48,40 @@ struct NsConfigFormat
 /**
  * SampleVisitor that captures the full per-node access trace of one
  * mini-batch so the ISP timing engine can replay it in-storage.
+ *
+ * The trace is flat: every sampled entry of the batch lives in one
+ * array, and each NodeWork views its own slice of it. A batch thus
+ * costs a handful of allocations however many nodes it touches, and
+ * moving the visitor keeps every view valid. It is move-only, since a
+ * copy's views would still point into the original's array.
  */
 class IspTraceVisitor : public gnn::SampleVisitor
 {
   public:
+    IspTraceVisitor() = default;
+    IspTraceVisitor(IspTraceVisitor &&) = default;
+    IspTraceVisitor &operator=(IspTraceVisitor &&) = default;
+    IspTraceVisitor(const IspTraceVisitor &) = delete;
+    IspTraceVisitor &operator=(const IspTraceVisitor &) = delete;
+
     void onBatchStart(std::size_t num_targets) override;
     void onOffsetRead(graph::LocalNodeId u) override;
     void onEdgeEntryRead(graph::LocalNodeId u,
                          std::uint64_t entry_index) override;
+    void onBatchEnd() override;
 
-    /** Work items in sampling order (all hops, flattened). */
+    /** Work items in sampling order (all hops, flattened); their
+     *  entries are filled in when the batch ends. */
     const std::vector<NodeWork> &work() const { return work_; }
     std::size_t numTargets() const { return num_targets_; }
 
     /** Total sampled entries across the batch. */
-    std::uint64_t totalEntries() const;
+    std::uint64_t totalEntries() const { return entries_.size(); }
 
   private:
     std::vector<NodeWork> work_;
+    std::vector<std::uint64_t> entries_; //!< every node's, in order
+    std::vector<std::size_t> starts_;    //!< work_[i]'s first entry
     std::size_t num_targets_ = 0;
 };
 

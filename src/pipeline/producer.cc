@@ -4,8 +4,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <mutex>
 
+#include "gnn/tensor.hh"
 #include "host/feature_cache.hh"
 #include "sim/logging.hh"
 
@@ -206,6 +208,7 @@ SubgraphStats::of(const gnn::Subgraph &sg)
     s.num_targets = sg.targets().size();
     s.total_edges = sg.totalSampledEdges();
     s.unique_nodes = sg.numUniqueNodes();
+    s.blocks = sg.blockShapes();
     return s;
 }
 
@@ -216,36 +219,37 @@ namespace
 class CpuBatchJob : public BatchJob
 {
   public:
-    CpuBatchJob(gnn::Subgraph sg, std::vector<isp::NodeWork> work,
+    CpuBatchJob(gnn::Subgraph sg, isp::IspTraceVisitor trace,
                 host::EdgeStore &store, host::LlcModel &llc,
                 const host::HostConfig &config,
                 const graph::EdgeLayout &layout)
-        : sg_(std::move(sg)), work_(std::move(work)), store_(store),
+        : sg_(std::move(sg)), trace_(std::move(trace)), store_(store),
           llc_(llc), config_(config), layout_(layout),
           cache_(dynamic_cast<host::FeatureCacheStore *>(&store))
     {
     }
 
-    bool done() const override { return next_ >= work_.size(); }
+    bool done() const override { return next_ >= work().size(); }
 
     sim::Tick
     step(sim::Tick now) override
     {
         SS_ASSERT(!done(), "step past end of batch");
-        // The batch's gather trace is fully materialized at startBatch,
-        // so the hoard prefetcher can be handed the whole neighborhood
-        // before the first node replays: the fills drain here at `now`
-        // and occupy the store's timelines, making later demand reads
-        // queue behind them (prefetch is modeled, not free).
+        // The batch's gather trace is fully materialized before the
+        // first step, so the hoard prefetcher can be handed the whole
+        // neighborhood before the first node replays: the fills drain
+        // here at `now` and occupy the store's timelines, making later
+        // demand reads queue behind them (prefetch is modeled, not
+        // free).
         if (next_ == 0 && cache_ && cache_->prefetchEnabled()) {
             std::vector<std::uint64_t> batch_addrs;
-            for (const isp::NodeWork &nw : work_)
+            for (const isp::NodeWork &nw : work())
                 for (std::uint64_t e : nw.entries)
                     batch_addrs.push_back(layout_.addrOf(e));
             cache_->announceBlocking(now, batch_addrs,
                                      layout_.entry_bytes);
         }
-        const isp::NodeWork &w = work_[next_++];
+        const isp::NodeWork &w = work()[next_++];
 
         // Degree/offset lookup out of host DRAM.
         sim::Tick t =
@@ -264,8 +268,10 @@ class CpuBatchJob : public BatchJob
     gnn::Subgraph takeSubgraph() override { return std::move(sg_); }
 
   private:
+    const std::vector<isp::NodeWork> &work() const { return trace_.work(); }
+
     gnn::Subgraph sg_;
-    std::vector<isp::NodeWork> work_;
+    isp::IspTraceVisitor trace_;
     std::size_t next_ = 0;
     host::EdgeStore &store_;
     host::LlcModel &llc_;
@@ -281,31 +287,32 @@ class CpuBatchJob : public BatchJob
 class IspBatchJob : public BatchJob
 {
   public:
-    IspBatchJob(gnn::Subgraph sg, std::vector<isp::NodeWork> work,
-                std::size_t num_targets, IspProducer &owner,
-                isp::IspEngine &engine)
-        : sg_(std::move(sg)), work_(std::move(work)), owner_(owner),
+    IspBatchJob(gnn::Subgraph sg, isp::IspTraceVisitor trace,
+                IspProducer &owner, isp::IspEngine &engine)
+        : sg_(std::move(sg)), trace_(std::move(trace)), owner_(owner),
           engine_(engine)
     {
+        const std::size_t items = trace_.work().size();
         std::size_t groups =
-            (num_targets + engine.config().coalesce_targets - 1) /
+            (trace_.numTargets() + engine.config().coalesce_targets - 1) /
             engine.config().coalesce_targets;
         groups = std::max<std::size_t>(
-            1, std::min(groups, std::max<std::size_t>(work_.size(), 1)));
-        per_group_ = (work_.size() + groups - 1) / groups;
+            1, std::min(groups, std::max<std::size_t>(items, 1)));
+        per_group_ = (items + groups - 1) / groups;
         if (per_group_ == 0)
             per_group_ = 1;
     }
 
-    bool done() const override { return next_ >= work_.size(); }
+    bool done() const override { return next_ >= trace_.work().size(); }
 
     sim::Tick
     step(sim::Tick now) override
     {
         SS_ASSERT(!done(), "step past end of batch");
-        std::size_t n = std::min(per_group_, work_.size() - next_);
+        const std::vector<isp::NodeWork> &work = trace_.work();
+        std::size_t n = std::min(per_group_, work.size() - next_);
         sim::Tick submit = now + engine_.config().host_submit;
-        sim::Tick t = engine_.runGroup(work_.data() + next_, n, submit,
+        sim::Tick t = engine_.runGroup(work.data() + next_, n, submit,
                                        owner_.accum());
         next_ += n;
         return t;
@@ -315,7 +322,7 @@ class IspBatchJob : public BatchJob
 
   private:
     gnn::Subgraph sg_;
-    std::vector<isp::NodeWork> work_;
+    isp::IspTraceVisitor trace_;
     std::size_t next_ = 0;
     std::size_t per_group_ = 1;
     IspProducer &owner_;
@@ -359,13 +366,142 @@ class FpgaBatchJob : public BatchJob
     bool done_ = false;
 };
 
-/** Run the functional sampler, capturing the per-node access trace. */
-gnn::Subgraph
-traceSample(const graph::CsrGraph &graph, const gnn::AnySampler &sampler,
-            const std::vector<graph::LocalNodeId> &targets, sim::Rng &rng,
-            isp::IspTraceVisitor &trace)
+/**
+ * One batch's traced functional sample, shared by its job and the
+ * kernel-pool task that may run it. Whichever thread claims it first
+ * runs it: a pool worker that gets to it early, or the thread that
+ * resolves the job. The sampler works on private copies of the
+ * targets and RNG, so a pool worker never writes the caller's memory.
+ */
+struct PendingSample
 {
-    return sampler.sample(graph, targets, rng, &trace);
+    PendingSample(const graph::CsrGraph &g, const gnn::AnySampler &s,
+                  const std::vector<graph::LocalNodeId> &t,
+                  const sim::Rng &r)
+        : graph(g), sampler(s), targets(t), rng(r)
+    {
+    }
+
+    /** True for exactly one caller: the one that runs (or cancels) it. */
+    bool
+    claim()
+    {
+        return !claimed.exchange(true, std::memory_order_acq_rel);
+    }
+
+    /** Sample, then publish. @pre this thread claim()ed it */
+    void
+    run()
+    {
+        try {
+            subgraph = sampler.sample(graph, targets, rng, &trace);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        finished = true;
+        finished_cv.notify_all();
+    }
+
+    /** Block until the thread that claimed it has run it. */
+    void
+    waitFinished()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        finished_cv.wait(lock, [this] { return finished; });
+    }
+
+    const graph::CsrGraph &graph;
+    const gnn::AnySampler &sampler;
+    const std::vector<graph::LocalNodeId> targets;
+    sim::Rng rng;
+    isp::IspTraceVisitor trace;
+    gnn::Subgraph subgraph;
+    std::exception_ptr error;
+
+    std::atomic<bool> claimed{false};
+    std::mutex mutex;
+    std::condition_variable finished_cv;
+    bool finished = false; //!< guarded by mutex
+};
+
+/** Builds a batch's replay job from its resolved sample. */
+using ReplayFactory = std::function<std::unique_ptr<BatchJob>(
+    gnn::Subgraph, isp::IspTraceVisitor)>;
+
+/** The job startBatch returns: its replay, once the sample is in. */
+class SampleAheadJob final : public BatchJob
+{
+  public:
+    SampleAheadJob(std::shared_ptr<PendingSample> sample, sim::Rng &rng,
+                   ReplayFactory make_replay)
+        : sample_(std::move(sample)), rng_(rng),
+          make_replay_(std::move(make_replay))
+    {
+    }
+
+    ~SampleAheadJob() override
+    {
+        // Cancel a sample no one has started; wait out one a pool
+        // worker is running, since it reads the graph and sampler.
+        if (sample_ && !sample_->claim())
+            sample_->waitFinished();
+    }
+
+    bool done() const override { return replay().done(); }
+    sim::Tick step(sim::Tick now) override { return replay().step(now); }
+    gnn::Subgraph takeSubgraph() override
+    {
+        return replay().takeSubgraph();
+    }
+
+  private:
+    /** Resolve the sample on first use. done() is const in BatchJob
+     *  yet may be the first call, hence the mutable members. */
+    BatchJob &
+    replay() const
+    {
+        if (!replay_) {
+            if (sample_->claim())
+                sample_->run();
+            else
+                sample_->waitFinished();
+            if (sample_->error)
+                std::rethrow_exception(sample_->error);
+            rng_ = sample_->rng;
+            replay_ = make_replay_(std::move(sample_->subgraph),
+                                   std::move(sample_->trace));
+            sample_.reset();
+        }
+        return *replay_;
+    }
+
+    mutable std::shared_ptr<PendingSample> sample_;
+    sim::Rng &rng_;
+    ReplayFactory make_replay_;
+    mutable std::unique_ptr<BatchJob> replay_;
+};
+
+/**
+ * Launch the traced sample of @p targets on the kernel pool and return
+ * the job that replays it through @p make_replay. With no pool (one
+ * kernel thread) the job samples inline on its first call.
+ */
+std::unique_ptr<BatchJob>
+launchSample(const graph::CsrGraph &graph, const gnn::AnySampler &sampler,
+             const std::vector<graph::LocalNodeId> &targets, sim::Rng &rng,
+             ReplayFactory make_replay)
+{
+    auto sample =
+        std::make_shared<PendingSample>(graph, sampler, targets, rng);
+    if (sim::ThreadPool *pool = gnn::kernelPool()) {
+        pool->submit([sample] {
+            if (sample->claim())
+                sample->run();
+        });
+    }
+    return std::make_unique<SampleAheadJob>(std::move(sample), rng,
+                                            std::move(make_replay));
 }
 
 } // namespace
@@ -384,12 +520,13 @@ std::unique_ptr<BatchJob>
 CpuProducer::startBatch(const std::vector<graph::LocalNodeId> &targets,
                         sim::Rng &rng)
 {
-    isp::IspTraceVisitor trace;
-    gnn::Subgraph sg = traceSample(graph_, sampler_, targets, rng, trace);
-    std::vector<isp::NodeWork> work(trace.work());
-    return std::make_unique<CpuBatchJob>(std::move(sg), std::move(work),
-                                         store_, host_llc_, config_,
-                                         layout_);
+    return launchSample(
+        graph_, sampler_, targets, rng,
+        [this](gnn::Subgraph sg, isp::IspTraceVisitor trace) {
+            return std::make_unique<CpuBatchJob>(
+                std::move(sg), std::move(trace), store_, host_llc_,
+                config_, layout_);
+        });
 }
 
 void
@@ -410,11 +547,12 @@ std::unique_ptr<BatchJob>
 IspProducer::startBatch(const std::vector<graph::LocalNodeId> &targets,
                         sim::Rng &rng)
 {
-    isp::IspTraceVisitor trace;
-    gnn::Subgraph sg = traceSample(graph_, sampler_, targets, rng, trace);
-    std::vector<isp::NodeWork> work(trace.work());
-    return std::make_unique<IspBatchJob>(std::move(sg), std::move(work),
-                                         targets.size(), *this, engine_);
+    return launchSample(
+        graph_, sampler_, targets, rng,
+        [this](gnn::Subgraph sg, isp::IspTraceVisitor trace) {
+            return std::make_unique<IspBatchJob>(
+                std::move(sg), std::move(trace), *this, engine_);
+        });
 }
 
 void
@@ -437,10 +575,12 @@ std::unique_ptr<BatchJob>
 FpgaProducer::startBatch(const std::vector<graph::LocalNodeId> &targets,
                          sim::Rng &rng)
 {
-    isp::IspTraceVisitor trace;
-    gnn::Subgraph sg = traceSample(graph_, sampler_, targets, rng, trace);
-    return std::make_unique<FpgaBatchJob>(std::move(sg), std::move(trace),
-                                          *this, engine_);
+    return launchSample(
+        graph_, sampler_, targets, rng,
+        [this](gnn::Subgraph sg, isp::IspTraceVisitor trace) {
+            return std::make_unique<FpgaBatchJob>(
+                std::move(sg), std::move(trace), *this, engine_);
+        });
 }
 
 void

@@ -3,14 +3,20 @@
  * Subgraph producers: the CPU-side workers of Fig 4, one flavor per
  * design point.
  *
- * A producer first runs the *functional* sampler to obtain a real
- * subgraph plus its complete storage access trace, then hands back a
- * resumable BatchJob that replays the trace against the shared timing
- * models one node (or one coalesced command group) at a time. The
- * scheduler (scheduler.hh) interleaves jobs from concurrent workers in
- * simulated-time order, which is what makes multi-worker contention
- * honest: a busy-until resource only sees requests in global time
- * order, never one whole worker at a time.
+ * startBatch() launches the *functional* sampler — a real subgraph
+ * plus its complete storage access trace — on the kernel pool
+ * (gnn::kernelPool()) and hands back a resumable BatchJob at once. The
+ * job replays the trace against the shared timing models one node (or
+ * one coalesced command group) at a time, after waiting for the sample
+ * on its first call. The scheduler (scheduler.hh) interleaves jobs
+ * from concurrent workers in simulated-time order on its one thread,
+ * which is what makes multi-worker contention honest: a busy-until
+ * resource only sees requests in global time order, never one whole
+ * worker at a time. Meanwhile the samples of the workers it is not
+ * stepping run ahead on the pool's threads. A sample is a pure
+ * function of its targets and RNG stream, so every output is
+ * bit-identical at any kernel thread count, one included (no pool:
+ * the scheduler samples inline).
  */
 
 #ifndef SMARTSAGE_PIPELINE_PRODUCER_HH
@@ -104,6 +110,7 @@ struct SubgraphStats
     std::size_t num_targets = 0;
     std::uint64_t total_edges = 0;
     std::uint64_t unique_nodes = 0;
+    std::vector<gnn::BlockShape> blocks; //!< per block, in block order
 
     static SubgraphStats of(const gnn::Subgraph &sg);
 };
@@ -114,14 +121,15 @@ struct ProducedBatch
     sim::Tick ready = 0;         //!< subgraph available in host DRAM
     sim::Tick sampling_time = 0; //!< ready - start
     SubgraphStats stats;
-    gnn::Subgraph subgraph;      //!< functional payload
 };
 
 /**
  * A resumable replay of one mini-batch's subgraph generation. step()
  * executes the next slice of work (one node gather, or one coalesced
  * ISP group) starting no earlier than @p now, and returns its
- * completion time.
+ * completion time. The first call of any member waits for the batch's
+ * functional sample (running it inline if no pool thread has started
+ * it) and rethrows an exception the sampler threw.
  */
 class BatchJob
 {
@@ -144,7 +152,13 @@ class SubgraphProducer
   public:
     virtual ~SubgraphProducer() = default;
 
-    /** Functionally sample @p targets and return the timing replay. */
+    /**
+     * Launch the functional sample of @p targets and return its timing
+     * replay without waiting for it. @p targets is copied. @p rng is
+     * advanced by the time the job's first step()/done()/takeSubgraph()
+     * returns; keep it alive and untouched until then. The job must
+     * not outlive this producer, or the graph and sampler it reads.
+     */
     virtual std::unique_ptr<BatchJob>
     startBatch(const std::vector<graph::LocalNodeId> &targets,
                sim::Rng &rng) = 0;

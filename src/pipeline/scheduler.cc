@@ -64,8 +64,7 @@ runWorkers(SubgraphProducer &producer, const graph::CsrGraph &graph,
             ProducedBatch batch;
             batch.ready = w->clock;
             batch.sampling_time = w->clock - w->batch_start;
-            batch.subgraph = w->job->takeSubgraph();
-            batch.stats = SubgraphStats::of(batch.subgraph);
+            batch.stats = SubgraphStats::of(w->job->takeSubgraph());
             finished.push_back(std::move(batch));
             w->job.reset();
             assign(*w);

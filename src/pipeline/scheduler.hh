@@ -3,7 +3,9 @@
  * Worker scheduler: interleaves the BatchJobs of W concurrent producer
  * workers in simulated-time order, so shared storage resources see the
  * globally time-ordered request stream (honest multi-worker
- * contention, Section VI-B).
+ * contention, Section VI-B). The interleaving runs on the calling
+ * thread and only replays timing: each worker's functional sample runs
+ * ahead on the kernel pool (producer.hh).
  */
 
 #ifndef SMARTSAGE_PIPELINE_SCHEDULER_HH

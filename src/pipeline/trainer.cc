@@ -83,7 +83,7 @@ TrainingPipeline::run(SubgraphProducer &producer,
         auto copied = gpu_link.transfer(after_features, copy_bytes);
 
         sim::Tick ready = copied.finish + config_.else_per_batch;
-        sim::Tick gpu_time = gpu_.batchTime(batch.subgraph);
+        sim::Tick gpu_time = gpu_.batchTime(batch.stats.blocks);
         finished.push_back({ready, gpu_time});
 
         result.stages.sampling += sim::toSeconds(batch.sampling_time);

@@ -3,11 +3,13 @@
  * Fixed-size worker thread pool for the functional hot paths.
  *
  * The *simulated* multi-worker contention models (pipeline/scheduler)
- * stay single-threaded and deterministic; this pool parallelizes the
- * *functional* work — sampling real subgraphs, training real batches —
+ * replay timing on one thread, in global simulated-time order; this
+ * pool parallelizes the *functional* work — sampling real subgraphs
+ * (the simulated workers' samples too, which run ahead of their replay
+ * on the kernel pool, gnn::kernelPool()), training real batches —
  * across host cores. Determinism is preserved by construction at the
- * call sites: work items are keyed by index and draw from per-index RNG
- * streams, so results never depend on which thread ran what.
+ * call sites: work items are keyed by index or carry their own RNG
+ * stream, so results never depend on which thread ran what.
  */
 
 #ifndef SMARTSAGE_SIM_THREAD_POOL_HH

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "gnn/sampler.hh"
 #include "graph/powerlaw.hh"
 #include "isp/fpga_csd.hh"
@@ -36,6 +40,49 @@ traceBatch(const graph::CsrGraph &g, std::size_t batch,
     return trace;
 }
 
+/** Records each node's sampled entries in a list of its own. */
+struct PerNodeVisitor : gnn::SampleVisitor
+{
+    std::vector<graph::LocalNodeId> nodes;
+    std::vector<std::vector<std::uint64_t>> entries;
+
+    void
+    onBatchStart(std::size_t) override
+    {
+        nodes.clear();
+        entries.clear();
+    }
+    void
+    onOffsetRead(graph::LocalNodeId u) override
+    {
+        nodes.push_back(u);
+        entries.emplace_back();
+    }
+    void
+    onEdgeEntryRead(graph::LocalNodeId, std::uint64_t e) override
+    {
+        entries.back().push_back(e);
+    }
+};
+
+/** @p trace's work equals the per-node lists of @p lists. */
+void
+expectSameWork(const IspTraceVisitor &trace, const PerNodeVisitor &lists)
+{
+    ASSERT_EQ(trace.work().size(), lists.nodes.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < lists.nodes.size(); ++i) {
+        const NodeWork &w = trace.work()[i];
+        EXPECT_EQ(w.node, lists.nodes[i]) << i;
+        EXPECT_EQ(std::vector<std::uint64_t>(w.entries.begin(),
+                                             w.entries.end()),
+                  lists.entries[i])
+            << i;
+        total += lists.entries[i].size();
+    }
+    EXPECT_EQ(trace.totalEntries(), total);
+}
+
 ssd::SsdConfig
 testSsd()
 {
@@ -52,6 +99,42 @@ TEST(NsConfig, FormatSizing)
     EXPECT_EQ(f.bytesFor(0), f.header_bytes);
     EXPECT_EQ(f.bytesFor(10),
               f.header_bytes + 10 * f.per_target_bytes);
+}
+
+// Each NodeWork views the visitor's own entry array, so a copy would
+// view the original's.
+static_assert(!std::is_copy_constructible_v<IspTraceVisitor>);
+static_assert(!std::is_copy_assignable_v<IspTraceVisitor>);
+static_assert(std::is_nothrow_move_constructible_v<IspTraceVisitor>);
+
+TEST(NsConfig, FlatTraceMatchesPerNodeLists)
+{
+    graph::CsrGraph g = testGraph();
+    gnn::SageSampler sage({10, 5});
+    gnn::SaintSampler saint(3);
+    IspTraceVisitor reused;
+    for (const gnn::AnySampler *sampler :
+         {static_cast<const gnn::AnySampler *>(&sage),
+          static_cast<const gnn::AnySampler *>(&saint)}) {
+        for (std::uint64_t seed : {3u, 4u}) {
+            sim::Rng rng(seed);
+            auto targets = gnn::selectTargets(g, 96, rng);
+            sim::Rng rng_lists = rng;
+            PerNodeVisitor lists;
+            sampler->sample(g, targets, rng_lists, &lists);
+            ASSERT_GT(lists.nodes.size(), targets.size());
+
+            // One visitor over several batches, then moved: the views
+            // follow the array.
+            sim::Rng rng_trace = rng;
+            sampler->sample(g, targets, rng_trace, &reused);
+            expectSameWork(reused, lists);
+            IspTraceVisitor moved = std::move(reused);
+            expectSameWork(moved, lists);
+            reused = std::move(moved);
+            expectSameWork(reused, lists);
+        }
+    }
 }
 
 TEST(NsConfig, TraceCapturesAllWork)
