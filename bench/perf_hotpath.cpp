@@ -2,9 +2,9 @@
  * @file
  * Hot-path microbenchmark: times the two compute hot paths, frontier
  * sampling and the GEMM kernels, in both their naive (seed) and
- * optimized forms. It also times the storage blocking-adapter overhead
- * (direct service call vs submit-and-drain through the async request
- * layer), the feature-cache decorator's replay-path cost/benefit (raw
+ * optimized forms. It also times the storage blocking-call overhead
+ * (direct service call vs the blocking call served in place on the
+ * idle request channel), the feature-cache decorator's replay-path cost/benefit (raw
  * store vs an LRU-cached store on a skewed gather stream) and the
  * MSHR/coalescing miss path under concurrent duplicate-heavy gathers
  * (legacy forward-everything vs coalesced line fills with piggybacked
@@ -78,13 +78,13 @@ struct BenchConfig
     unsigned workers = std::max(1u, std::thread::hardware_concurrency());
 };
 
-/** Blocking-adapter overhead on the storage replay path. */
+/** Blocking-call overhead on the storage replay path. */
 struct AdapterCost
 {
     double direct_ops_per_s = 0;  //!< serviceGather called directly
-    double adapter_ops_per_s = 0; //!< submit-and-drain blocking call
+    double adapter_ops_per_s = 0; //!< blocking call, served in place
 
-    /** Fraction of direct-call throughput lost to the adapter. */
+    /** Fraction of direct-call throughput lost to the blocking call. */
     double
     overheadFrac() const
     {
@@ -132,9 +132,9 @@ struct MshrCost
 
 /**
  * Exposes the protected service entry point so the bench can time the
- * pre-refactor equivalent (direct service-math call, no event-queue
- * machinery) against the blocking submit-and-drain adapter the sweep
- * path now rides.
+ * bare service math (direct call, no channel bookkeeping) against the
+ * blocking call the sweep path rides, which serves the request in
+ * place on the idle channel (StorageChannel::serveNow).
  */
 class RawDirectIoStore : public host::DirectIoEdgeStore
 {
@@ -151,9 +151,10 @@ class RawDirectIoStore : public host::DirectIoEdgeStore
 
 /**
  * Gathers per second through the direct-I/O store: the raw service
- * call vs the blocking adapter, on identical request streams against
- * identical (separate) stores. Tracks what the async refactor costs
- * the classic sweep replay path.
+ * call vs the blocking call served in place, on identical request
+ * streams against identical (separate) stores. Tracks what the
+ * channel's counters, jitter fork and retry rules cost the classic
+ * sweep replay path.
  */
 AdapterCost
 benchStorageAdapter(const BenchConfig &cfg)
@@ -615,7 +616,7 @@ main(int argc, char **argv)
               << " resolved)...\n";
     DispatchCost dispatch = benchKernelDispatch(cfg, a, w, flops);
 
-    std::cout << "perf_hotpath: storage blocking adapter ("
+    std::cout << "perf_hotpath: storage blocking call, served in place ("
               << cfg.storage_gathers << " gathers)...\n";
     AdapterCost adapter = benchStorageAdapter(cfg);
 
@@ -646,7 +647,7 @@ main(int argc, char **argv)
               << dispatch.threaded_gflops << " GFLOP/s  (avx2 "
               << dispatch.avx2Speedup() << "x vs naive)\n";
     std::cout << "  storage   : direct " << adapter.direct_ops_per_s
-              << " gathers/s, adapter " << adapter.adapter_ops_per_s
+              << " gathers/s, in place " << adapter.adapter_ops_per_s
               << " gathers/s  (overhead "
               << adapter.overheadFrac() * 100.0 << "%)\n";
     std::cout << "  cache     : raw " << cache.raw_ops_per_s

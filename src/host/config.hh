@@ -50,9 +50,9 @@ struct HostConfig
      * submission-queue slots (and matching scratchpad staging buffers)
      * the runtime exposes to the application. Requests beyond this
      * depth wait in the host I/O channel; the serving-load scenario
-     * family sweeps it. Blocking (submit-and-drain) callers never have
-     * more than one request outstanding, so this does not affect the
-     * classic sweep results.
+     * family sweeps it. Blocking callers never have more than one
+     * request outstanding, so this does not affect the classic sweep
+     * results.
      */
     unsigned io_queue_depth = 64;
 

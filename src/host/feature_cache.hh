@@ -11,7 +11,7 @@
  * host I/O channel*; anything else flows through to the inner store
  * unchanged and fills the missed lines when the completion fires.
  * Because the decorator speaks the async submit/complete port
- * (io_path.hh) and the blocking adapters drain through that same port,
+ * (io_path.hh) and its blocking calls drain through that same port,
  * every registered storage backend — DRAM, mmap, direct-io, PMEM,
  * sharded, tiered — gains the cache for free, in both the throughput
  * sweeps and the open-loop serving harness.
@@ -258,6 +258,16 @@ class FeatureCacheStore : public EdgeStore
                       unsigned entry_bytes, sim::IoCompletion done,
                       const sim::DispatchTag &tag = {}) override;
 
+    /** Blocking calls submit-and-drain the decorator's own async
+     *  port on a private queue: the MSHR engine reshapes the traffic
+     *  that reaches the inner store, so the base class's in-place
+     *  serve of one request does not apply. */
+    sim::Tick read(sim::Tick arrival, std::uint64_t addr,
+                   std::uint64_t bytes) override;
+    sim::Tick readGather(sim::Tick arrival,
+                         const std::vector<std::uint64_t> &addrs,
+                         unsigned entry_bytes) override;
+
     /** Misses are the only channel users: expose the inner channel so
      *  serving stats keep meaning "requests that hit storage". */
     sim::StorageChannel &ioChannel() override
@@ -305,7 +315,7 @@ class FeatureCacheStore : public EdgeStore
      * @p now, so the fills occupy the inner store's busy-until
      * timelines (demand reads issued afterwards queue behind them —
      * the prefetch cost is modeled, not free). @pre no fill in flight
-     * (the blocking adapters fully drain between calls).
+     * (the blocking calls fully drain between calls).
      */
     void announceBlocking(sim::Tick now,
                           const std::vector<std::uint64_t> &addrs,
@@ -448,6 +458,8 @@ class FeatureCacheStore : public EdgeStore
     std::unordered_set<std::uint64_t> hoarded_;
     /** Private drain queue of announceBlocking. */
     sim::EventQueue prefetch_eq_;
+    /** Private drain queue of the blocking read/readGather. */
+    sim::EventQueue drain_eq_;
 };
 
 /**

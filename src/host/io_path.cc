@@ -71,12 +71,12 @@ sim::Tick
 EdgeStore::read(sim::Tick arrival, std::uint64_t addr,
                 std::uint64_t bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitRead(eq, addr, bytes, std::move(done));
+    return channel_.serveNow(
+        arrival,
+        [this, addr, bytes](sim::Tick start, unsigned) {
+            return injectFaults(start, serviceRead(start, addr, bytes));
         },
-        name(), ioChannel().submitted());
+        name());
 }
 
 sim::Tick
@@ -84,12 +84,16 @@ EdgeStore::readGather(sim::Tick arrival,
                       const std::vector<std::uint64_t> &addrs,
                       unsigned entry_bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitGather(eq, addrs, entry_bytes, std::move(done));
+    // An empty gather never takes a slot, as on the async port.
+    if (addrs.empty())
+        return arrival;
+    return channel_.serveNow(
+        arrival,
+        [this, &addrs, entry_bytes](sim::Tick start, unsigned) {
+            return injectFaults(start,
+                                serviceGather(start, addrs, entry_bytes));
         },
-        name(), ioChannel().submitted());
+        name());
 }
 
 sim::Tick
@@ -107,7 +111,6 @@ void
 EdgeStore::reset()
 {
     channel_.reset();
-    drain_eq_.reset();
     if (injector_)
         injector_->reset();
     resetStore();

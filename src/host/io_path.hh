@@ -14,9 +14,12 @@
  * slot frees, so N requests can be in flight and queue-depth contention
  * emerges under open-loop load (the serving harness, core/serving.hh).
  * Each store implements the *service* timing (serviceRead /
- * serviceGather); the classic blocking calls (read / readGather) are
- * thin submit-and-drain adapters over the async port and reproduce the
- * pre-async completion ticks exactly.
+ * serviceGather); the classic blocking calls (read / readGather) serve
+ * one request in place on the idle channel (StorageChannel::serveNow)
+ * over the same service timing and fault injection, so they reproduce
+ * a submit-and-drain of the async port exactly without an event queue.
+ * A decorator whose async port reshapes traffic (the feature cache)
+ * overrides them to drain its port instead.
  */
 
 #ifndef SMARTSAGE_HOST_IO_PATH_HH
@@ -66,8 +69,8 @@ class EdgeStore
      * Submit a read of @p bytes at file offset @p addr at eq.now().
      * @p done fires at the tick the data is usable by the CPU.
      * Virtual so decorators (host/feature_cache.hh) can intercept the
-     * port; the blocking adapters below route through the virtual
-     * call, so a decorator covers both access styles at once. @p tag
+     * port; such a decorator also overrides the blocking calls below
+     * to drain its port, so it covers both access styles. @p tag
      * carries the request's scheduling metadata (priority, deadline);
      * the default tag reproduces the untagged channel exactly.
      */
@@ -94,20 +97,22 @@ class EdgeStore
                               unsigned entry_bytes, sim::IoCompletion done,
                               const sim::DispatchTag &tag = {});
 
-    // --------------------- blocking adapters ----------------------
+    // ----------------------- blocking calls -----------------------
 
     /**
-     * Read @p bytes at file offset @p addr, issued at @p arrival:
-     * submit-and-drain over the async port (bit-identical to the
-     * pre-async blocking path). @return tick the data is usable
+     * Read @p bytes at file offset @p addr, issued at @p arrival,
+     * served in place on the idle channel: the ticks, counters and
+     * fault draws of a submit-and-drain over submitRead, without the
+     * event queue. Virtual so a decorator that reshapes its async
+     * port can drain that instead. @return tick the data is usable
      */
-    sim::Tick read(sim::Tick arrival, std::uint64_t addr,
-                   std::uint64_t bytes);
+    virtual sim::Tick read(sim::Tick arrival, std::uint64_t addr,
+                           std::uint64_t bytes);
 
-    /** Blocking gather adapter; see submitGather. */
-    sim::Tick readGather(sim::Tick arrival,
-                         const std::vector<std::uint64_t> &addrs,
-                         unsigned entry_bytes);
+    /** Blocking gather, served in place; see submitGather and read. */
+    virtual sim::Tick readGather(sim::Tick arrival,
+                                 const std::vector<std::uint64_t> &addrs,
+                                 unsigned entry_bytes);
 
     /** Display name for reports. */
     virtual const std::string &name() const = 0;
@@ -156,7 +161,6 @@ class EdgeStore
     sim::IoOutcome injectFaults(sim::Tick start, sim::Tick finish);
 
     sim::StorageChannel channel_;
-    sim::EventQueue drain_eq_; //!< blocking-adapter drain queue
     std::unique_ptr<sim::FaultInjector> injector_; //!< null when inert
 };
 

@@ -34,19 +34,19 @@ sim::Tick
 IspEngine::runGroup(const NodeWork *work, std::size_t count,
                     sim::Tick arrival, IspBatchResult &result) const
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitGroup(eq, work, count, result, std::move(done));
+    return cmd_queue_.serveNow(
+        arrival,
+        [&](sim::Tick start, unsigned) {
+            return sim::IoOutcome{serviceGroup(work, count, start, result),
+                                  sim::IoStatus::Ok};
         },
-        cmd_queue_.name(), cmd_queue_.submitted());
+        cmd_queue_.name());
 }
 
 void
 IspEngine::reset()
 {
     cmd_queue_.reset();
-    drain_eq_.reset();
 }
 
 sim::Tick

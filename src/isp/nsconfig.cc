@@ -30,13 +30,19 @@ IspTraceVisitor::onEdgeEntryRead(graph::LocalNodeId u,
 void
 IspTraceVisitor::onBatchEnd()
 {
-    // entries_ is final now, so the views cannot be invalidated.
+    // entries_ is final now: trim its growth slack first, since the
+    // views must not be invalidated after they are made. A finished
+    // trace lives on through its batch's whole replay (and a sampled-
+    // ahead batch waits behind it), so slack is held for that long.
+    entries_.shrink_to_fit();
+    work_.shrink_to_fit();
     const std::span<const std::uint64_t> all(entries_);
     for (std::size_t i = 0; i < work_.size(); ++i) {
         const std::size_t end =
             i + 1 < work_.size() ? starts_[i + 1] : entries_.size();
         work_[i].entries = all.subspan(starts_[i], end - starts_[i]);
     }
+    starts_ = {}; // only needed to make the views
 }
 
 } // namespace smartsage::isp

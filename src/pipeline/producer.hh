@@ -13,10 +13,13 @@
  * which is what makes multi-worker contention honest: a busy-until
  * resource only sees requests in global time order, never one whole
  * worker at a time. Meanwhile the samples of the workers it is not
- * stepping run ahead on the pool's threads. A sample is a pure
- * function of its targets and RNG stream, so every output is
- * bit-identical at any kernel thread count, one included (no pool:
- * the scheduler samples inline).
+ * stepping run ahead on the pool's threads, and the scheduler starts
+ * each worker's next batch as soon as its current job has resolved
+ * (one batch of lookahead), so a job's sample is usually done by the
+ * time it is first stepped. A sample is a pure function of its
+ * targets and RNG stream, so every output is bit-identical at any
+ * kernel thread count, one included (no pool: the scheduler samples
+ * inline and never ahead).
  */
 
 #ifndef SMARTSAGE_PIPELINE_PRODUCER_HH

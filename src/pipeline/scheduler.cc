@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "gnn/sampler.hh"
+#include "gnn/tensor.hh"
 #include "sim/logging.hh"
 
 namespace smartsage::pipeline
@@ -18,30 +19,87 @@ runWorkers(SubgraphProducer &producer, const graph::CsrGraph &graph,
     if (reset_producer)
         producer.reset();
 
+    // A worker's RNG stream lives in one of two slots. The current
+    // job advances its slot by the time it first steps; from then on
+    // that state is final, so the worker's next batch can be selected
+    // and sampled ahead on a copy in the other slot while the current
+    // one replays. Alternating slots keeps each job's stream alive and
+    // untouched until it resolves, as startBatch requires.
     struct Worker
     {
+        sim::Rng rngs[2];
+        unsigned cur = 0; //!< slot of the current job's stream
         sim::Tick clock = 0;
         sim::Tick batch_start = 0;
         std::unique_ptr<BatchJob> job;
-        sim::Rng rng{0};
+        bool resolved = false; //!< job has stepped and is not done
+        std::unique_ptr<BatchJob> ahead; //!< next batch, sampled early
+        std::size_t ahead_size = 0;      //!< ahead's target count
     };
 
     sim::Rng master(config.seed);
     std::vector<Worker> workers(config.workers);
     std::size_t next_batch = 0;
 
+    // Lookaheads in flight: at most two per pool thread (each holds a
+    // whole sampled batch) and never more than the batches left to
+    // assign. No pool means no lookahead: a fully serial run.
+    sim::ThreadPool *pool = gnn::kernelPool();
+    const std::size_t max_ahead = pool ? 2 * pool->size() : 0;
+    std::size_t outstanding = 0;
+
     auto assign = [&](Worker &w) {
+        std::unique_ptr<BatchJob> ahead = std::move(w.ahead);
+        if (ahead)
+            --outstanding;
+        w.resolved = false;
         if (next_batch >= config.num_batches)
-            return;
+            return; // an unused lookahead is cancelled or waited for
         std::size_t batch = next_batch++;
-        auto targets = gnn::selectTargets(
-            graph, config.sizeOfBatch(batch), w.rng);
+        std::size_t size = config.sizeOfBatch(batch);
         w.batch_start = w.clock;
-        w.job = producer.startBatch(targets, w.rng);
+        if (ahead && w.ahead_size == size) {
+            w.cur ^= 1;
+            w.job = std::move(ahead);
+            return;
+        }
+        // Wrong size for this batch (a batch_mix): drop the lookahead
+        // and sample from the current slot, which it never touched.
+        ahead.reset();
+        auto targets = gnn::selectTargets(graph, size, w.rngs[w.cur]);
+        w.job = producer.startBatch(targets, w.rngs[w.cur]);
+    };
+
+    auto lookAhead = [&](Worker &w) {
+        sim::Rng &next = w.rngs[w.cur ^ 1];
+        next = w.rngs[w.cur];
+        // The size guess only matters under a batch_mix; assign()
+        // rejects a lookahead whose batch turns out to differ.
+        w.ahead_size = config.sizeOfBatch(next_batch + outstanding);
+        auto targets = gnn::selectTargets(graph, w.ahead_size, next);
+        w.ahead = producer.startBatch(targets, next);
+        ++outstanding;
+    };
+
+    // Hand free lookahead slots to resolved workers, oldest batch
+    // first: the likeliest to finish, and so to need its next sample.
+    auto fillLookaheads = [&] {
+        while (outstanding <
+               std::min(max_ahead, config.num_batches - next_batch)) {
+            Worker *pick = nullptr;
+            for (auto &cand : workers) {
+                if (cand.resolved && !cand.ahead &&
+                    (!pick || cand.batch_start < pick->batch_start))
+                    pick = &cand;
+            }
+            if (!pick)
+                return;
+            lookAhead(*pick);
+        }
     };
 
     for (unsigned i = 0; i < config.workers; ++i) {
-        workers[i].rng = master.fork(i);
+        workers[i].rngs[0] = master.fork(i);
         assign(workers[i]);
     }
 
@@ -68,6 +126,10 @@ runWorkers(SubgraphProducer &producer, const graph::CsrGraph &graph,
             finished.push_back(std::move(batch));
             w->job.reset();
             assign(*w);
+            fillLookaheads();
+        } else if (!w->resolved) {
+            w->resolved = true;
+            fillLookaheads();
         }
     }
 

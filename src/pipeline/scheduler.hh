@@ -5,7 +5,12 @@
  * globally time-ordered request stream (honest multi-worker
  * contention, Section VI-B). The interleaving runs on the calling
  * thread and only replays timing: each worker's functional sample runs
- * ahead on the kernel pool (producer.hh).
+ * ahead on the kernel pool (producer.hh), and once a worker's current
+ * job has resolved its next batch is selected and started too, on a
+ * second RNG slot. Lookaheads are capped at two per pool thread and at
+ * the batches left to assign; one whose size differs from the batch
+ * it is handed (a batch_mix) is dropped and that batch sampled afresh,
+ * so outputs equal a serial run's bit for bit (DESIGN.md §2).
  */
 
 #ifndef SMARTSAGE_PIPELINE_SCHEDULER_HH

@@ -51,9 +51,10 @@ class EventQueue
     Tick runUntil(Tick limit);
 
     /**
-     * Rewind the clock to 0 and drop any pending events. The blocking
-     * submit-and-drain adapters (sim/io.hh) reuse one queue across
-     * independent drains whose arrival ticks are not monotonic.
+     * Rewind the clock to 0 and drop any pending events. The
+     * submit-and-drain adapter (sim::drainOne, sim/io.hh) reuses one
+     * queue across independent drains whose arrival ticks are not
+     * monotonic.
      */
     void reset();
 

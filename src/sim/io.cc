@@ -39,6 +39,17 @@ dispatchPolicyName(DispatchPolicy policy)
     return "unknown";
 }
 
+void
+failBlockingRequest(std::string_view component, IoStatus status,
+                    std::uint64_t request_id)
+{
+    // A blocking caller would read whatever is in its buffer; die
+    // loudly instead of returning stale bytes.
+    SS_FATAL("blocking read on '", component, "' failed with status ",
+             ioStatusName(status), " (request ", request_id,
+             "): recovery requires the async submit path");
+}
+
 bool
 applyKnob(SchedConfig &config, std::string_view key, double value)
 {
@@ -143,58 +154,52 @@ StorageChannel::backoffBefore(unsigned next_attempt, Rng &rng) const
     return backoff;
 }
 
-void
-StorageChannel::runAttempt(EventQueue &eq, Tick start, unsigned attempt,
-                           const std::shared_ptr<RetryState> &state,
-                           IoCompletion complete)
+StorageChannel::AttemptVerdict
+StorageChannel::judgeAttempt(const IoOutcome &out, unsigned attempt,
+                             Tick deadline, Rng &rng)
 {
-    auto deliver = [&eq](Tick at, IoStatus status, IoCompletion c) {
-        eq.schedule(at, [c = std::move(c), at, status] { c(at, status); });
-    };
-
-    // The deadline can pass while the request waits for a slot or sits
-    // in backoff; time it out without burning another service attempt.
-    if (state->deadline != 0 && start > state->deadline) {
-        ++timeouts_;
-        deliver(start, IoStatus::Timeout, std::move(complete));
-        return;
-    }
-
-    IoOutcome out = state->service(start, attempt);
-    SS_ASSERT(out.finish >= start, "attempt ", attempt, " on channel '",
-              name_, "' finished at ", out.finish,
-              " before it started at ", start);
-
     if (out.status == IoStatus::Ok) {
-        if (state->deadline != 0 && out.finish > state->deadline) {
+        if (deadline != 0 && out.finish > deadline) {
             ++timeouts_;
-            deliver(out.finish, IoStatus::Timeout, std::move(complete));
-        } else {
-            deliver(out.finish, IoStatus::Ok, std::move(complete));
+            return {false, out.finish, IoStatus::Timeout};
         }
-        return;
+        return {false, out.finish, IoStatus::Ok};
     }
 
     if (attempt >= retry_.max_attempts) {
         ++abandoned_;
-        deliver(out.finish, out.status, std::move(complete));
-        return;
+        return {false, out.finish, out.status};
     }
 
     // Budget remains: back off, then re-run the service. The check
     // above keeps exhausted requests from drawing jitter they will
     // never use.
-    Tick next = out.finish + backoffBefore(attempt + 1, state->rng);
-    if (state->deadline != 0 && next > state->deadline) {
+    Tick next = out.finish + backoffBefore(attempt + 1, rng);
+    if (deadline != 0 && next > deadline) {
         ++timeouts_;
-        deliver(out.finish, IoStatus::Timeout, std::move(complete));
-        return;
+        return {false, out.finish, IoStatus::Timeout};
     }
     ++retries_;
-    eq.schedule(next, [this, &eq, next, attempt, state,
-                       complete = std::move(complete)]() mutable {
-        runAttempt(eq, next, attempt + 1, state, std::move(complete));
-    });
+    return {true, next, IoStatus::Ok};
+}
+
+void
+StorageChannel::runAttempt(EventQueue &eq, Tick start, unsigned attempt,
+                           const std::shared_ptr<RetryState> &state,
+                           IoCompletion complete)
+{
+    AttemptVerdict verdict = runAttemptAt(start, attempt, state->deadline,
+                                          state->rng, state->service);
+    if (verdict.retry) {
+        Tick next = verdict.at;
+        eq.schedule(next, [this, &eq, next, attempt, state,
+                           complete = std::move(complete)]() mutable {
+            runAttempt(eq, next, attempt + 1, state, std::move(complete));
+        });
+        return;
+    }
+    eq.schedule(verdict.at, [c = std::move(complete), at = verdict.at,
+                             status = verdict.status] { c(at, status); });
 }
 
 bool
@@ -378,13 +383,8 @@ drainOne(EventQueue &eq, Tick arrival,
     });
     eq.run();
     SS_ASSERT(completed, "blocking adapter drained without a completion");
-    if (status != IoStatus::Ok) {
-        // A blocking caller would read whatever is in its buffer; die
-        // loudly instead of returning stale bytes.
-        SS_FATAL("blocking read on '", component, "' failed with status ",
-                 ioStatusName(status), " (request ", request_id,
-                 "): recovery requires the async submit path");
-    }
+    if (status != IoStatus::Ok)
+        failBlockingRequest(component, status, request_id);
     return result;
 }
 

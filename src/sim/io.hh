@@ -12,16 +12,21 @@
  * the *service-time* math inside a dispatch; the channel layer decides
  * *when* a request may begin service.
  *
- * The legacy blocking API (`EdgeStore::read`, `SsdDevice::readBlocks`,
- * ...) survives as a thin submit-and-drain adapter over this layer: one
- * request is submitted on a private event queue and the queue is run to
- * completion, which reproduces the pre-async completion ticks exactly
- * (a single in-flight request never queues).
+ * The blocking API (`EdgeStore::read`, `SsdDevice::readBlocks`,
+ * `IspEngine::runGroup`) is served in place: `StorageChannel::serveNow`
+ * computes one request on an idle channel directly — the same counter
+ * updates, jitter stream and retry/timeout rules as the event path
+ * (one shared helper decides each attempt), with no event queue. A
+ * lone request on an idle channel never queues, so the ticks equal a
+ * submit-and-drain of the async port. `drainOne` remains the
+ * submit-and-drain adapter for callers whose async port reshapes
+ * traffic (the feature-cache decorator's MSHRs).
  */
 
 #ifndef SMARTSAGE_SIM_IO_HH
 #define SMARTSAGE_SIM_IO_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -31,6 +36,7 @@
 
 #include "event_queue.hh"
 #include "fault.hh"
+#include "logging.hh"
 #include "random.hh"
 #include "types.hh"
 
@@ -160,6 +166,15 @@ struct IoRequest
 };
 
 /**
+ * Fatal exit of a blocking request that ended with a non-Ok @p status:
+ * a blocking caller has nowhere to report it. @p component and
+ * @p request_id identify the offender in the message.
+ */
+[[noreturn]] void failBlockingRequest(std::string_view component,
+                                      IoStatus status,
+                                      std::uint64_t request_id);
+
+/**
  * A bounded service station (FIFO by default).
  *
  * At most `depth` requests are in service at once; excess submissions
@@ -234,6 +249,47 @@ class StorageChannel
      */
     void submitFallible(EventQueue &eq, FallibleService service,
                         IoCompletion done, const DispatchTag &tag = {});
+
+    /**
+     * Serve one blocking request in place: @p service (an attempt
+     * callable, `IoOutcome(Tick start, unsigned attempt)`) arrives at
+     * @p arrival on this idle channel. Bit-identical to
+     * drainOne(submitFallible) — counters, jitter fork, deadline and
+     * retry/backoff/abandon/timeout outcomes — without an event queue.
+     * A blocking caller has nowhere to report a failed request, so a
+     * non-Ok final status is fatal; @p component names the offender.
+     * An infallible service (always Ok) on a channel without a
+     * deadline completes after its one attempt, as submit() would.
+     * @pre idle()
+     * @return completion tick
+     */
+    template <typename Attempt>
+    Tick
+    serveNow(Tick arrival, Attempt &&service,
+             std::string_view component = "blocking adapter")
+    {
+        SS_ASSERT(idle(), "channel '", name_,
+                  "' serves in place only when idle");
+        const std::uint64_t request_id = submitted_;
+        Rng rng = jitter_master_.fork(submitted_);
+        const Tick deadline =
+            retry_.wantsDeadline() ? arrival + retry_.timeout : 0;
+        ++submitted_;
+        peak_outstanding_ = std::max<std::uint64_t>(peak_outstanding_, 1);
+        Tick start = arrival;
+        AttemptVerdict verdict;
+        for (unsigned attempt = 1;; ++attempt) {
+            verdict = runAttemptAt(start, attempt, deadline, rng, service);
+            if (!verdict.retry)
+                break;
+            start = verdict.at;
+        }
+        ++completed_;
+        total_service_ += verdict.at - arrival;
+        if (verdict.status != IoStatus::Ok)
+            failBlockingRequest(component, verdict.status, request_id);
+        return verdict.at;
+    }
 
     /** No request in service and none pending. */
     bool
@@ -313,7 +369,44 @@ class StorageChannel
      *  @pre !pending_.empty() */
     std::size_t pickNext() const;
 
-    /** Run attempt @p attempt of a fallible request at @p start. */
+    /** What becomes of a fallible request after one attempt. */
+    struct AttemptVerdict
+    {
+        bool retry = false; //!< run the next attempt at `at`
+        Tick at = 0;        //!< next attempt's start, or delivery tick
+        IoStatus status = IoStatus::Ok; //!< final status unless retry
+    };
+
+    /**
+     * The retry rules, shared by the event path and serveNow: run
+     * attempt @p attempt of @p service at @p start (unless the
+     * deadline already passed) and decide — deliver now, time out,
+     * abandon, or retry at a backoff tick drawn from @p rng. Bumps the
+     * recovery counters.
+     */
+    template <typename Attempt>
+    AttemptVerdict
+    runAttemptAt(Tick start, unsigned attempt, Tick deadline, Rng &rng,
+                 Attempt &service)
+    {
+        // The deadline can pass while the request waits for a slot or
+        // sits in backoff; time it out without burning an attempt.
+        if (deadline != 0 && start > deadline) {
+            ++timeouts_;
+            return {false, start, IoStatus::Timeout};
+        }
+        const IoOutcome out = service(start, attempt);
+        SS_ASSERT(out.finish >= start, "attempt ", attempt,
+                  " on channel '", name_, "' finished at ", out.finish,
+                  " before it started at ", start);
+        return judgeAttempt(out, attempt, deadline, rng);
+    }
+
+    /** The decision half of runAttemptAt, for a finished attempt. */
+    AttemptVerdict judgeAttempt(const IoOutcome &out, unsigned attempt,
+                                Tick deadline, Rng &rng);
+
+    /** Event-path attempt @p attempt of a fallible request. */
     void runAttempt(EventQueue &eq, Tick start, unsigned attempt,
                     const std::shared_ptr<RetryState> &state,
                     IoCompletion complete);
@@ -349,7 +442,9 @@ class StorageChannel
  * first), runs the queue dry, and returns the completion tick the
  * submission reported. A blocking caller has nowhere to report a
  * failed request, so a non-Ok completion is fatal — @p component and
- * @p request_id identify the offender in the message.
+ * @p request_id identify the offender in the message. Blocking calls
+ * on a plain channel use StorageChannel::serveNow instead; this is for
+ * async ports that reshape traffic (host/feature_cache.hh).
  * @pre eq has no pending events
  */
 Tick drainOne(EventQueue &eq, Tick arrival,

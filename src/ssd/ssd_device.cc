@@ -30,42 +30,57 @@ SsdDevice::fetchPage(sim::Tick arrival, std::uint64_t lpn)
     return in_reg + config_.page_buffer_hit;
 }
 
-void
-SsdDevice::submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                      std::uint64_t bytes, sim::IoCompletion done)
+SsdDevice::BlockRange
+SsdDevice::blockRange(std::uint64_t addr, std::uint64_t bytes) const
 {
     SS_ASSERT(bytes > 0, "zero-length block read");
-
     // Round the range out to logical-block granularity: a block device
     // cannot transfer less than a block.
     std::uint64_t bs = config_.block_bytes;
     std::uint64_t lo = addr / bs * bs;
     std::uint64_t hi = (addr + bytes + bs - 1) / bs * bs;
-    std::uint64_t xfer = hi - lo;
+    return {lo, hi - lo};
+}
 
+sim::Tick
+SsdDevice::commandStage(sim::Tick start)
+{
+    return cores_.execute(start, config_.nvme_command).finish;
+}
+
+sim::Tick
+SsdDevice::fetchStage(sim::Tick issued, const BlockRange &range)
+{
+    // Every flash page the range spans proceeds in parallel across
+    // dies; the transfer starts once all are buffered.
+    sim::Tick ready = issued;
+    const std::uint64_t last = ftl_.pageOf(range.lo + range.xfer - 1);
+    for (std::uint64_t lpn = ftl_.pageOf(range.lo); lpn <= last; ++lpn)
+        ready = std::max(ready, fetchPage(issued, lpn));
+    ++host_reads_;
+    bytes_to_host_ += range.xfer;
+    return ready;
+}
+
+void
+SsdDevice::submitRead(sim::EventQueue &eq, std::uint64_t addr,
+                      std::uint64_t bytes, sim::IoCompletion done)
+{
+    // Three event stages: NVMe command handling on the firmware cores,
+    // the flash page fetches, then the PCIe DMA of the blocks.
+    BlockRange range = blockRange(addr, bytes);
     nvme_sq_.submitStaged(
         eq,
-        [this, lo, xfer](sim::EventQueue &q, sim::Tick start,
-                         sim::IoCompletion complete) {
-            // Stage 1: NVMe command handling on the firmware cores.
-            auto cmd = cores_.execute(start, config_.nvme_command);
-            q.schedule(cmd.finish, [this, &q, lo, xfer,
-                                    issued = cmd.finish,
-                                    complete =
-                                        std::move(complete)]() mutable {
-                // Stage 2: fetch every flash page the range spans;
-                // they proceed in parallel across dies and the
-                // transfer starts once all are buffered.
-                sim::Tick ready = issued;
-                for (std::uint64_t lpn : ftl_.pagesSpanned(lo, xfer))
-                    ready = std::max(ready, fetchPage(issued, lpn));
-                ++host_reads_;
-                bytes_to_host_ += xfer;
+        [this, range](sim::EventQueue &q, sim::Tick start,
+                      sim::IoCompletion complete) {
+            sim::Tick issued = commandStage(start);
+            q.schedule(issued, [this, &q, range, issued,
+                                complete = std::move(complete)]() mutable {
+                sim::Tick ready = fetchStage(issued, range);
                 q.schedule(
-                    ready, [this, &q, xfer, ready,
+                    ready, [this, &q, range, ready,
                             complete = std::move(complete)]() mutable {
-                        // Stage 3: DMA the blocks over PCIe.
-                        sim::Tick finish = dmaToHost(ready, xfer);
+                        sim::Tick finish = dmaToHost(ready, range.xfer);
                         q.schedule(finish,
                                    [complete = std::move(complete),
                                     finish] {
@@ -82,12 +97,17 @@ sim::Tick
 SsdDevice::readBlocks(sim::Tick arrival, std::uint64_t addr,
                       std::uint64_t bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitRead(eq, addr, bytes, std::move(done));
+    // The staged path's three stages back to back: on an idle queue
+    // nothing can run between them.
+    BlockRange range = blockRange(addr, bytes);
+    return nvme_sq_.serveNow(
+        arrival,
+        [this, &range](sim::Tick start, unsigned) {
+            sim::Tick ready = fetchStage(commandStage(start), range);
+            return sim::IoOutcome{dmaToHost(ready, range.xfer),
+                                  sim::IoStatus::Ok};
         },
-        nvme_sq_.name(), nvme_sq_.submitted());
+        nvme_sq_.name());
 }
 
 sim::Tick
@@ -110,7 +130,6 @@ SsdDevice::reset()
     flash_.reset();
     pcie_.reset();
     nvme_sq_.reset();
-    drain_eq_.reset();
     host_reads_ = 0;
     bytes_to_host_ = 0;
 }

@@ -17,9 +17,9 @@
 #include "embedded_cores.hh"
 #include "flash/flash_array.hh"
 #include "ftl.hh"
-#include "page_buffer.hh"
 #include "sim/io.hh"
 #include "sim/resource.hh"
+#include "sim/set_assoc.hh"
 
 namespace smartsage::ssd
 {
@@ -50,8 +50,9 @@ class SsdDevice
                     std::uint64_t bytes, sim::IoCompletion done);
 
     /**
-     * Host block read, blocking form: submit-and-drain over the async
-     * port (bit-identical to the pre-async path).
+     * Host block read, blocking form: served in place on the idle
+     * submission queue through the same three stages as submitRead
+     * (bit-identical to a submit-and-drain of the async port).
      *
      * @param arrival tick the NVMe command reaches the device
      * @return tick the last byte lands in host memory
@@ -74,7 +75,9 @@ class SsdDevice
 
     const SsdConfig &config() const { return config_; }
     const Ftl &ftl() const { return ftl_; }
-    PageBuffer &pageBuffer() { return buffer_; }
+    /** The DRAM page buffer: an LRU cache of flash pages keyed by
+     *  logical page number. */
+    sim::SetAssocLru &pageBuffer() { return buffer_; }
     EmbeddedCores &cores() { return cores_; }
     flash::FlashArray &flashArray() { return flash_; }
 
@@ -92,14 +95,31 @@ class SsdDevice
     void reset();
 
   private:
+    /** A read's byte range rounded out to whole logical blocks. */
+    struct BlockRange
+    {
+        std::uint64_t lo = 0;   //!< first byte
+        std::uint64_t xfer = 0; //!< bytes moved
+    };
+
+    /** Round [@p addr, @p addr+@p bytes) out to blocks. @pre bytes > 0 */
+    BlockRange blockRange(std::uint64_t addr, std::uint64_t bytes) const;
+
+    /** Stage 1: NVMe command handling on the firmware cores.
+     *  @return tick the command is issued */
+    sim::Tick commandStage(sim::Tick start);
+
+    /** Stage 2: fetch every flash page @p range spans into the page
+     *  buffer. @return tick the last page is buffered */
+    sim::Tick fetchStage(sim::Tick issued, const BlockRange &range);
+
     SsdConfig config_;
     Ftl ftl_;
-    PageBuffer buffer_;
+    sim::SetAssocLru buffer_;
     EmbeddedCores cores_;
     flash::FlashArray flash_;
     sim::BandwidthLink pcie_;
     sim::StorageChannel nvme_sq_;
-    sim::EventQueue drain_eq_; //!< blocking-adapter drain queue
     std::uint64_t host_reads_ = 0;
     std::uint64_t bytes_to_host_ = 0;
 };

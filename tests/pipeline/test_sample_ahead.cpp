@@ -2,14 +2,18 @@
  * @file
  * Tests for sampling ahead of the timing replay: startBatch launches
  * each batch's functional sample on the kernel pool, and the job waits
- * for it on first use. Outputs must be bit-identical at any kernel
- * thread count, the caller's RNG must advance exactly as a synchronous
- * sample would advance it, and jobs destroyed unresolved must leave
- * nothing running behind them.
+ * for it on first use; runWorkers starts each worker's next batch once
+ * its current one has resolved. Outputs must be bit-identical at any
+ * kernel thread count, the caller's RNG must advance exactly as a
+ * synchronous sample would advance it, a lookahead of the wrong size
+ * must be dropped, and jobs destroyed unresolved must leave nothing
+ * running behind them.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -96,6 +100,128 @@ class ThrowingSampler final : public gnn::AnySampler
     {
         throw std::runtime_error("sampler failed");
     }
+};
+
+/**
+ * Counts startBatch calls and the jobs alive at once. Without
+ * lookahead a worker holds one job, so more live jobs than workers
+ * means batches were started ahead.
+ */
+class CountingProducer final : public SubgraphProducer
+{
+  public:
+    explicit CountingProducer(SubgraphProducer &inner) : inner_(inner) {}
+
+    std::unique_ptr<BatchJob>
+    startBatch(const std::vector<graph::LocalNodeId> &targets,
+               sim::Rng &rng) override
+    {
+        ++starts;
+        max_live = std::max(max_live, ++live);
+        return std::make_unique<Job>(inner_.startBatch(targets, rng),
+                                     live);
+    }
+
+    void reset() override { inner_.reset(); }
+
+    std::size_t starts = 0;
+    std::size_t live = 0;
+    std::size_t max_live = 0;
+
+  private:
+    class Job final : public BatchJob
+    {
+      public:
+        Job(std::unique_ptr<BatchJob> inner, std::size_t &live)
+            : inner_(std::move(inner)), live_(live)
+        {
+        }
+        ~Job() override { --live_; }
+
+        bool done() const override { return inner_->done(); }
+        sim::Tick step(sim::Tick now) override { return inner_->step(now); }
+        gnn::Subgraph takeSubgraph() override
+        {
+            return inner_->takeSubgraph();
+        }
+
+      private:
+        std::unique_ptr<BatchJob> inner_;
+        std::size_t &live_;
+    };
+
+    SubgraphProducer &inner_;
+};
+
+/** One counted runWorkers on a fresh system. */
+struct CountedRun
+{
+    std::vector<ProducedBatch> batches;
+    std::size_t starts = 0;
+    std::size_t max_live = 0;
+};
+
+CountedRun
+countedRun(unsigned threads, const core::SystemConfig &sc,
+           std::size_t num_batches)
+{
+    gnn::ScopedGemmThreads pin(threads);
+    core::GnnSystem system(sc, smallWorkload());
+    CountingProducer counting(system.producer());
+    ScheduleConfig sched;
+    sched.workers = sc.pipeline.workers;
+    sched.num_batches = num_batches;
+    sched.batch_size = sc.pipeline.batch_size;
+    sched.batch_mix = sc.pipeline.batch_mix;
+    sched.seed = sc.pipeline.seed;
+    CountedRun run;
+    run.batches = runWorkers(counting, smallWorkload().graph, sched);
+    run.starts = counting.starts;
+    run.max_live = counting.max_live;
+    EXPECT_EQ(counting.live, 0u);
+    return run;
+}
+
+void
+expectSameBatches(const std::vector<ProducedBatch> &a,
+                  const std::vector<ProducedBatch> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].ready, b[i].ready) << "batch " << i;
+        EXPECT_EQ(a[i].sampling_time, b[i].sampling_time) << "batch " << i;
+        EXPECT_EQ(a[i].stats.num_targets, b[i].stats.num_targets);
+        EXPECT_EQ(a[i].stats.total_edges, b[i].stats.total_edges);
+        EXPECT_EQ(a[i].stats.unique_nodes, b[i].stats.unique_nodes);
+        EXPECT_EQ(a[i].stats.blocks, b[i].stats.blocks);
+    }
+}
+
+/** Delegates to a SageSampler, but throws from the Nth sample. */
+class NthThrowingSampler final : public gnn::AnySampler
+{
+  public:
+    NthThrowingSampler(std::vector<unsigned> fanouts, std::size_t n)
+        : inner_(std::move(fanouts)), n_(n)
+    {
+    }
+
+    void
+    sampleInto(const graph::CsrGraph &graph,
+               const std::vector<graph::LocalNodeId> &targets,
+               sim::Rng &rng, gnn::SampleScratch &scratch,
+               gnn::Subgraph &out,
+               gnn::SampleVisitor *visitor) const override
+    {
+        if (calls_.fetch_add(1) + 1 == n_)
+            throw std::runtime_error("sampler failed");
+        inner_.sampleInto(graph, targets, rng, scratch, out, visitor);
+    }
+
+  private:
+    gnn::SageSampler inner_;
+    std::size_t n_;
+    mutable std::atomic<std::size_t> calls_{0};
 };
 
 } // namespace
@@ -233,5 +359,84 @@ TEST(SampleAhead, SamplerExceptionIsRethrownOnFirstUse)
         auto job = producer.startBatch(targets, rng);
         EXPECT_THROW(job->step(0), std::runtime_error) << threads;
         EXPECT_THROW(job->done(), std::runtime_error) << threads;
+    }
+}
+
+TEST(SampleAhead, UniformSizesStartExactlyOneJobPerBatch)
+{
+    // Multi-step replays (one step per node or page fault), so workers
+    // resolve well before they finish and lookaheads are handed out;
+    // on uniform sizes every one of them must be used.
+    for (const std::string backend : {"dram", "ssd-mmap"}) {
+        SCOPED_TRACE(backend);
+        const core::SystemConfig sc = smallConfig(backend, {});
+        const std::size_t num_batches = 30;
+        const CountedRun serial = countedRun(1, sc, num_batches);
+        const CountedRun ahead = countedRun(4, sc, num_batches);
+        EXPECT_EQ(serial.starts, num_batches);
+        EXPECT_EQ(ahead.starts, num_batches);
+        // One job per worker with no pool; more with lookahead.
+        EXPECT_LE(serial.max_live, sc.pipeline.workers);
+        EXPECT_GT(ahead.max_live, sc.pipeline.workers);
+        expectSameBatches(serial.batches, ahead.batches);
+    }
+}
+
+TEST(SampleAhead, BatchMixRejectsWrongSizedLookaheads)
+{
+    // A mix whose sizes change from batch to batch: lookaheads guessed
+    // for one size get handed a batch of another, are dropped, and the
+    // batch is sampled afresh from the untouched RNG slot.
+    core::SystemConfig sc = smallConfig("ssd-mmap", {16, 64, 40, 64, 16});
+    const std::size_t num_batches = 30;
+    const CountedRun serial = countedRun(1, sc, num_batches);
+    const CountedRun ahead = countedRun(4, sc, num_batches);
+    EXPECT_EQ(serial.starts, num_batches);
+    EXPECT_GT(ahead.starts, num_batches); // some lookaheads rejected
+
+    ScheduleConfig sched;
+    sched.batch_mix = sc.pipeline.batch_mix;
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < num_batches; ++i)
+        want.push_back(sched.sizeOfBatch(i));
+    std::vector<std::size_t> got;
+    for (const ProducedBatch &b : ahead.batches)
+        got.push_back(b.stats.num_targets);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    expectSameBatches(serial.batches, ahead.batches);
+}
+
+TEST(SampleAhead, SamplerFailurePropagatesAndEveryJobIsDestroyed)
+{
+    graph::PowerLawParams p;
+    p.num_nodes = 4096;
+    p.avg_degree = 12;
+    p.seed = 3;
+    const graph::CsrGraph graph = graph::generatePowerLaw(p);
+    host::HostConfig host;
+    graph::EdgeLayout layout;
+    ScheduleConfig sched;
+    sched.workers = 6;
+    sched.num_batches = 40;
+    sched.batch_size = 32;
+
+    for (unsigned threads : {1u, 4u}) {
+        for (std::size_t nth : {3u, 9u, 20u}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, sample " +
+                         std::to_string(nth));
+            gnn::ScopedGemmThreads pin(threads);
+            host::DramEdgeStore store(host);
+            NthThrowingSampler sampler({5, 3}, nth);
+            CpuProducer producer(graph, sampler, store, host, layout);
+            CountingProducer counting(producer);
+            EXPECT_THROW(runWorkers(counting, graph, sched),
+                         std::runtime_error);
+            // Every job, current or sampled ahead, was destroyed on
+            // the way out (cancelled or waited for, never leaked).
+            EXPECT_EQ(counting.live, 0u);
+            EXPECT_LT(counting.starts, sched.num_batches);
+        }
     }
 }

@@ -11,6 +11,9 @@
  *  - Samplers: per-batch `std::unordered_map`/`unordered_set` dedup and
  *    virtual visitor dispatch, the pre-optimization implementation.
  *    The library's samplers must match them bit for bit.
+ *  - Set-associative LRU: one array of {line, stamp, valid} ways with
+ *    separate lookup and insert scans, the layout before the library
+ *    split tags from stamps. Hits, misses and evictions must match.
  */
 
 #ifndef SMARTSAGE_TESTS_REFERENCE_REFERENCE_HH
@@ -82,6 +85,49 @@ gnn::Subgraph sampleBaseline(const gnn::SaintSampler &sampler,
                              const std::vector<graph::LocalNodeId> &roots,
                              sim::Rng &rng,
                              gnn::SampleVisitor *visitor = nullptr);
+
+/**
+ * Set-associative LRU directory as one array of {line, lru, valid}
+ * ways: the straightforward layout sim::SetAssocLru is checked against.
+ * Same shape rules, set hash and counters.
+ */
+class SetAssocLruAos
+{
+  public:
+    SetAssocLruAos(std::uint64_t capacity_bytes, std::uint64_t line_bytes,
+                   unsigned ways);
+
+    /** lookup() then insert() on a miss. @return true on hit */
+    bool access(std::uint64_t line);
+    /** Probe + recency update without filling. @return true on hit */
+    bool lookup(std::uint64_t line);
+    /** Fill the first invalid way, else the set's LRU way. */
+    void insert(std::uint64_t line);
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t numSets() const { return sets_; }
+
+    /** Drop contents and counters. */
+    void reset();
+
+  private:
+    struct Way
+    {
+        std::uint64_t line = ~std::uint64_t(0);
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    Way *setBase(std::uint64_t line);
+
+    unsigned ways_;
+    std::uint64_t sets_ = 1;
+    std::vector<Way> table_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
 
 } // namespace smartsage::ref
 

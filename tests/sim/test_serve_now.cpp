@@ -1,0 +1,318 @@
+/** @file Equivalence tests for in-place blocking service: a blocking
+ *  call served by StorageChannel::serveNow must be indistinguishable
+ *  from a submit-and-drain of the async port — the same completion
+ *  ticks, the same channel counters, the same jitter and fault draws,
+ *  and the same fatal exit on a request that ends non-Ok. Covered at
+ *  the channel, at an EdgeStore under a host fault plan, at
+ *  SsdDevice::readBlocks and at IspEngine::runGroup. */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "graph/layout.hh"
+#include "host/config.hh"
+#include "host/io_path.hh"
+#include "isp/isp_engine.hh"
+#include "isp/nsconfig.hh"
+#include "sim/io.hh"
+#include "sim/random.hh"
+#include "ssd/ssd_device.hh"
+
+using namespace smartsage;
+using namespace smartsage::sim;
+
+namespace
+{
+
+/** Every public counter of two channels agrees. */
+void
+expectSameCounters(const StorageChannel &a, const StorageChannel &b)
+{
+    EXPECT_EQ(a.submitted(), b.submitted());
+    EXPECT_EQ(a.completed(), b.completed());
+    EXPECT_EQ(a.peakOutstanding(), b.peakOutstanding());
+    EXPECT_EQ(a.queuedCount(), b.queuedCount());
+    EXPECT_EQ(a.totalQueueWait(), b.totalQueueWait());
+    EXPECT_EQ(a.maxQueueWait(), b.maxQueueWait());
+    EXPECT_EQ(a.retries(), b.retries());
+    EXPECT_EQ(a.timeouts(), b.timeouts());
+    EXPECT_EQ(a.abandoned(), b.abandoned());
+    EXPECT_EQ(a.shedAdmission(), b.shedAdmission());
+    EXPECT_EQ(a.idle(), b.idle());
+}
+
+/**
+ * A deterministic fallible service: request @p id's attempts fail until
+ * attempt `succeed_at`, and each takes a request- and attempt-specific
+ * time. Both paths call it with the same (start, attempt) sequence.
+ */
+IoOutcome
+scriptedAttempt(std::uint64_t id, unsigned max_attempts, Tick start,
+                unsigned attempt)
+{
+    Rng rng = Rng(0x5e7e).fork(id * 64 + attempt);
+    Tick took = us(5) + rng.nextBounded(us(40));
+    unsigned succeed_at =
+        1 + static_cast<unsigned>(Rng(0xa77).fork(id).nextBounded(
+                max_attempts));
+    return {start + took, attempt < succeed_at ? IoStatus::TransientError
+                                               : IoStatus::Ok};
+}
+
+/** Blocking fallible request through the event path. */
+Tick
+drainFallible(StorageChannel &ch, EventQueue &eq, Tick arrival,
+              StorageChannel::FallibleService service,
+              std::string_view component = "blocking adapter")
+{
+    return drainOne(
+        eq, arrival,
+        [&](EventQueue &q, IoCompletion done) {
+            ch.submitFallible(q, service, std::move(done));
+        },
+        component, ch.submitted());
+}
+
+RetryPolicy
+policy(unsigned attempts, double jitter, Tick timeout)
+{
+    RetryPolicy p;
+    p.max_attempts = attempts;
+    p.backoff_base = us(20);
+    p.backoff_cap = us(200);
+    p.jitter = jitter;
+    p.timeout = timeout;
+    return p;
+}
+
+/** Random NodeWork lists over one shared entry pool. */
+struct WorkStream
+{
+    std::vector<std::vector<std::uint64_t>> entries;
+    std::vector<isp::NodeWork> work;
+
+    WorkStream(std::size_t nodes, Rng &rng)
+    {
+        entries.resize(nodes);
+        work.resize(nodes);
+        for (std::size_t i = 0; i < nodes; ++i) {
+            std::size_t n = rng.nextBounded(12);
+            std::uint64_t base = rng.nextBounded(1u << 24);
+            for (std::size_t k = 0; k < n; ++k)
+                entries[i].push_back(base + rng.nextBounded(4096));
+            work[i] = {static_cast<graph::LocalNodeId>(i), entries[i]};
+        }
+    }
+};
+
+} // namespace
+
+TEST(ServeNow, MatchesDrainedFallibleSubmit)
+{
+    // Jitter-free single attempts, retries with jitter, and retries
+    // with jitter under a deadline every request still meets.
+    const std::vector<RetryPolicy> policies = {
+        policy(1, 0.0, 0), policy(4, 0.5, 0), policy(4, 0.5, ms(5))};
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        SCOPED_TRACE("policy " + std::to_string(p));
+        const RetryPolicy &rp = policies[p];
+        StorageChannel drained("ch", 4);
+        StorageChannel served("ch", 4);
+        drained.setRetryPolicy(rp);
+        served.setRetryPolicy(rp);
+        EventQueue eq;
+        Rng arrivals(p + 1);
+        for (int round = 0; round < 2; ++round) {
+            Tick t = 0;
+            for (std::uint64_t id = 0; id < 400; ++id) {
+                // Mostly forward in time, sometimes back: a blocking
+                // caller's arrival is its own business.
+                t = arrivals.nextBounded(8) == 0
+                        ? t / 2
+                        : t + arrivals.nextBounded(us(100));
+                auto service = [id, &rp](Tick start, unsigned attempt) {
+                    return scriptedAttempt(id, rp.max_attempts, start,
+                                           attempt);
+                };
+                Tick a = drainFallible(drained, eq, t, service);
+                Tick b = served.serveNow(t, service);
+                ASSERT_EQ(a, b) << "request " << id;
+            }
+            expectSameCounters(drained, served);
+            if (p > 0)
+                EXPECT_GT(served.retries(), 0u);
+            drained.reset();
+            served.reset();
+        }
+    }
+}
+
+TEST(ServeNowDeath, NonOkStatusIsFatalLikeTheDrain)
+{
+    // An exhausted attempt budget and a missed deadline: both paths
+    // die with the same component, status and request id.
+    const auto always_fails = [](Tick start, unsigned) {
+        return IoOutcome{start + us(10), IoStatus::TransientError};
+    };
+    const auto slow = [](Tick start, unsigned) {
+        return IoOutcome{start + us(50), IoStatus::Ok};
+    };
+    const auto ok = [](Tick start, unsigned) {
+        return IoOutcome{start + us(1), IoStatus::Ok};
+    };
+    const auto exhausted =
+        "blocking read on 'test-io' failed with status "
+        "transient-error \\(request 2\\)";
+    const auto timed_out =
+        "blocking read on 'test-io' failed with status timeout "
+        "\\(request 2\\)";
+
+    auto channel = [](const RetryPolicy &rp) {
+        auto ch = std::make_unique<StorageChannel>("ch", 2);
+        ch->setRetryPolicy(rp);
+        return ch;
+    };
+    EventQueue eq;
+    {
+        auto ch = channel(policy(3, 0.5, 0));
+        ch->serveNow(0, ok);
+        ch->serveNow(0, ok);
+        EXPECT_DEATH(ch->serveNow(0, always_fails, "test-io"), exhausted);
+        EXPECT_DEATH(drainFallible(*ch, eq, 0, always_fails, "test-io"),
+                     exhausted);
+    }
+    {
+        auto ch = channel(policy(3, 0.5, us(20)));
+        ch->serveNow(0, ok);
+        ch->serveNow(0, ok);
+        EXPECT_DEATH(ch->serveNow(0, slow, "test-io"), timed_out);
+        EXPECT_DEATH(drainFallible(*ch, eq, 0, slow, "test-io"),
+                     timed_out);
+        // A retry whose backoff would cross the deadline times out too.
+        EXPECT_DEATH(ch->serveNow(0, always_fails, "test-io"), timed_out);
+        EXPECT_DEATH(drainFallible(*ch, eq, 0, always_fails, "test-io"),
+                     timed_out);
+    }
+}
+
+TEST(ServeNow, EdgeStoreReadsMatchDrainedSubmitsUnderAHostFaultPlan)
+{
+    host::HostConfig config;
+    config.page_cache_bytes = sim::MiB(1);
+    config.fault.read_error_rate = 0.2;
+    config.fault.slow_rate = 0.2;
+    config.retry.max_attempts = 8;
+    config.retry.jitter = 0.5;
+    config.retry.timeout = ms(20);
+    ssd::SsdConfig ssd_config;
+    ssd_config.page_buffer_bytes = sim::MiB(1);
+
+    ssd::SsdDevice drained_ssd(ssd_config), served_ssd(ssd_config);
+    host::MmapEdgeStore drained(config, drained_ssd);
+    host::MmapEdgeStore served(config, served_ssd);
+    EventQueue eq;
+    Rng rng(11);
+    std::vector<std::uint64_t> addrs;
+    Tick t = 0;
+    for (int i = 0; i < 600; ++i) {
+        t += rng.nextBounded(us(50));
+        Tick a = 0;
+        Tick b = 0;
+        if (rng.nextBounded(2) == 0) {
+            std::uint64_t addr = rng.nextBounded(sim::MiB(64));
+            std::uint64_t bytes = 1 + rng.nextBounded(sim::KiB(16));
+            a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
+                drained.submitRead(q, addr, bytes, std::move(done));
+            });
+            b = served.read(t, addr, bytes);
+        } else {
+            addrs.clear();
+            std::size_t n = rng.nextBounded(6); // empty gathers too
+            for (std::size_t k = 0; k < n; ++k)
+                addrs.push_back(rng.nextBounded(sim::MiB(64)));
+            a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
+                drained.submitGather(q, addrs, 8, std::move(done));
+            });
+            b = served.readGather(t, addrs, 8);
+        }
+        ASSERT_EQ(a, b) << "request " << i;
+        t = std::max(t, b);
+    }
+    expectSameCounters(drained.ioChannel(), served.ioChannel());
+    EXPECT_GT(served.ioChannel().retries(), 0u);
+    EXPECT_EQ(drained.pageFaults(), served.pageFaults());
+    EXPECT_EQ(drained.pageCacheHitRate(), served.pageCacheHitRate());
+    EXPECT_EQ(drained_ssd.hostReads(), served_ssd.hostReads());
+    EXPECT_EQ(drained_ssd.bytesToHost(), served_ssd.bytesToHost());
+    expectSameCounters(drained_ssd.nvmeQueue(), served_ssd.nvmeQueue());
+}
+
+TEST(ServeNow, SsdReadBlocksMatchesDrainedSubmitRead)
+{
+    ssd::SsdConfig config;
+    config.page_buffer_bytes = sim::MiB(2);
+    config.flash.fault.ecc_rate = 0.1;
+    ssd::SsdDevice drained(config), served(config);
+    EventQueue eq;
+    Rng rng(5);
+    Tick t = 0;
+    for (int i = 0; i < 2000; ++i) {
+        t = rng.nextBounded(8) == 0 ? t / 3 : t + rng.nextBounded(us(30));
+        std::uint64_t addr = rng.nextBounded(sim::MiB(256));
+        std::uint64_t bytes = 1 + rng.nextBounded(sim::KiB(96));
+        Tick a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
+            drained.submitRead(q, addr, bytes, std::move(done));
+        });
+        Tick b = served.readBlocks(t, addr, bytes);
+        ASSERT_EQ(a, b) << "read " << i;
+    }
+    expectSameCounters(drained.nvmeQueue(), served.nvmeQueue());
+    EXPECT_EQ(drained.hostReads(), served.hostReads());
+    EXPECT_EQ(drained.bytesToHost(), served.bytesToHost());
+    EXPECT_EQ(drained.eccRetries(), served.eccRetries());
+    EXPECT_EQ(drained.pageBuffer().hits(), served.pageBuffer().hits());
+    EXPECT_EQ(drained.pageBuffer().misses(), served.pageBuffer().misses());
+}
+
+TEST(ServeNow, IspRunGroupMatchesDrainedSubmitGroup)
+{
+    ssd::SsdConfig ssd_config;
+    ssd_config.page_buffer_bytes = sim::MiB(2);
+    ssd::SsdDevice drained_ssd(ssd_config), served_ssd(ssd_config);
+    graph::EdgeLayout layout;
+    isp::IspConfig config;
+    isp::IspEngine drained(config, drained_ssd, layout);
+    isp::IspEngine served(config, served_ssd, layout);
+
+    Rng rng(9);
+    WorkStream stream(3000, rng);
+    isp::IspBatchResult drained_result, served_result;
+    EventQueue eq;
+    Tick t = 0;
+    std::size_t next = 0;
+    while (next < stream.work.size()) {
+        std::size_t n = std::min<std::size_t>(1 + rng.nextBounded(64),
+                                               stream.work.size() - next);
+        const isp::NodeWork *work = stream.work.data() + next;
+        t += rng.nextBounded(us(200));
+        Tick a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
+            drained.submitGroup(q, work, n, drained_result,
+                                std::move(done));
+        });
+        Tick b = served.runGroup(work, n, t, served_result);
+        ASSERT_EQ(a, b) << "group at " << next;
+        next += n;
+    }
+    expectSameCounters(drained.commandQueue(), served.commandQueue());
+    EXPECT_EQ(drained_result.commands, served_result.commands);
+    EXPECT_EQ(drained_result.bytes_to_host, served_result.bytes_to_host);
+    EXPECT_EQ(drained_result.bytes_from_host,
+              served_result.bytes_from_host);
+    EXPECT_EQ(drained_result.flash_pages, served_result.flash_pages);
+    EXPECT_EQ(drained_ssd.pageBuffer().hits(),
+              served_ssd.pageBuffer().hits());
+    expectSameCounters(drained_ssd.nvmeQueue(), served_ssd.nvmeQueue());
+}

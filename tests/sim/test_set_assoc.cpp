@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "reference/reference.hh"
 #include "sim/set_assoc.hh"
 #include "sim/types.hh"
 #include "sim/random.hh"
@@ -72,6 +75,78 @@ TEST(SetAssoc, ResetRestoresColdState)
     c.reset();
     EXPECT_EQ(c.hits() + c.misses(), 0u);
     EXPECT_FALSE(c.access(5));
+}
+
+TEST(SetAssoc, SplitLayoutMatchesArrayOfStructsReference)
+{
+    // The tag/stamp split must be a pure layout change: every access,
+    // lookup and insert answers as the array-of-structs reference does,
+    // with the same counters, before and after a reset. Streams mix
+    // hot lines (hits, LRU refresh) with a wide cold range (evictions)
+    // and runs of one line (the split layout's repeat shortcut); line 0
+    // and ~0 are in the mix because 0 is the empty-way tag and ~0 the
+    // reference's.
+    struct Shape
+    {
+        std::uint64_t capacity;
+        std::uint64_t line;
+        unsigned ways;
+    };
+    const std::vector<Shape> shapes = {
+        {64, 64, 1},        {128, 64, 2},      {256, 64, 4},
+        {KiB(1), 64, 16},   {KiB(4), 64, 1},   {KiB(8), 64, 2},
+        {KiB(16), 64, 4},   {KiB(64), 64, 16}, {KiB(96), 64, 16},
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE("capacity " + std::to_string(shape.capacity) +
+                     ", ways " + std::to_string(shape.ways));
+        SetAssocLru split(shape.capacity, shape.line, shape.ways);
+        smartsage::ref::SetAssocLruAos aos(shape.capacity, shape.line,
+                                           shape.ways);
+        ASSERT_EQ(split.numSets(), aos.numSets());
+        Rng rng(shape.capacity * 31 + shape.ways);
+        for (int round = 0; round < 2; ++round) {
+            std::uint64_t line = 0;
+            for (int i = 0; i < 20000; ++i) {
+                switch (rng.nextBounded(10)) {
+                  case 8:
+                  case 9:
+                    break; // touch the previous line again
+                  case 0:
+                    line = 0;
+                    break;
+                  case 1:
+                    line = ~std::uint64_t(0);
+                    break;
+                  case 2:
+                  case 3:
+                  case 4:
+                    line = rng.nextBounded(4 * shape.ways);
+                    break;
+                  default:
+                    line = rng.nextBounded(1u << 16);
+                }
+                switch (rng.nextBounded(4)) {
+                  case 0:
+                    ASSERT_EQ(split.lookup(line), aos.lookup(line)) << i;
+                    break;
+                  case 1:
+                    // A bare insert may duplicate a resident line; the
+                    // two layouts must agree on that too.
+                    split.insert(line);
+                    aos.insert(line);
+                    break;
+                  default:
+                    ASSERT_EQ(split.access(line), aos.access(line)) << i;
+                }
+            }
+            EXPECT_EQ(split.hits(), aos.hits());
+            EXPECT_EQ(split.misses(), aos.misses());
+            split.reset();
+            aos.reset();
+            EXPECT_EQ(split.hits() + split.misses(), 0u);
+        }
+    }
 }
 
 TEST(SetAssocDeath, TooSmallForOneSetPanics)

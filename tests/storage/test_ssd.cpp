@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "sim/set_assoc.hh"
 #include "ssd/ssd_device.hh"
 
 using namespace smartsage::ssd;
@@ -69,7 +70,7 @@ TEST(Ftl, PagesSpannedCoversRange)
 
 TEST(PageBuffer, HitAfterInsert)
 {
-    PageBuffer buf(sim::MiB(1), sim::KiB(16), 4);
+    sim::SetAssocLru buf(sim::MiB(1), sim::KiB(16), 4);
     EXPECT_FALSE(buf.access(7));
     EXPECT_TRUE(buf.access(7));
     EXPECT_DOUBLE_EQ(buf.hitRate(), 0.5);
@@ -77,7 +78,7 @@ TEST(PageBuffer, HitAfterInsert)
 
 TEST(PageBuffer, EvictsUnderPressure)
 {
-    PageBuffer buf(sim::KiB(64), sim::KiB(16), 4); // 4 pages total
+    sim::SetAssocLru buf(sim::KiB(64), sim::KiB(16), 4); // 4 pages total
     for (std::uint64_t p = 0; p < 64; ++p)
         buf.access(p);
     std::uint64_t hits = 0;
