@@ -309,9 +309,12 @@ runTenantServingLoad(GnnSystem &system, const ServingConfig &config,
                 eq.schedule(streams[t][j].think,
                             [&, t, j] { submitRequest(t, j); });
         } else {
-            for (std::size_t j = 0; j < streams[t].size(); ++j)
-                eq.schedule(open_arrivals[t][j],
-                            [&, t, j] { submitRequest(t, j); });
+            // Streamed one ahead of the clock; the arrivals are
+            // cumulative non-negative gaps, so non-decreasing.
+            eq.scheduleStream(
+                streams[t].size(),
+                [&, t](std::size_t j) { return open_arrivals[t][j]; },
+                [&, t](std::size_t j) { submitRequest(t, j); });
         }
     }
     eq.run();
@@ -403,11 +406,17 @@ runServingLoad(GnnSystem &system, const ServingConfig &config)
             ? cache->params().prefetch_lookahead
             : 0;
 
+    // Arrivals stream into the queue one ahead of the clock (arrival
+    // ticks are cumulative non-negative gaps, so non-decreasing): the
+    // heap holds in-flight work only, in the same order as scheduling
+    // every arrival up front.
     sim::EventQueue eq;
     sim::Tick last_completion = 0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const ServingRequest &req = requests[i];
-        eq.schedule(req.arrival, [&, &req = req, i] {
+    eq.scheduleStream(
+        requests.size(),
+        [&](std::size_t i) { return requests[i].arrival; },
+        [&](std::size_t i) {
+            const ServingRequest &req = requests[i];
             if (lookahead && i + lookahead < requests.size())
                 cache->announceGather(
                     eq, requests[i + lookahead].addrs, entry_bytes);
@@ -432,7 +441,6 @@ runServingLoad(GnnSystem &system, const ServingConfig &config)
                         std::max(last_completion, finish);
                 });
         });
-    }
     eq.run();
 
     SS_ASSERT(result.completed_ok + result.shed_timeout +

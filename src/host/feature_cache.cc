@@ -623,14 +623,19 @@ FeatureCacheStore::issueFill(sim::EventQueue &eq,
                              std::vector<std::uint64_t> lines,
                              const sim::DispatchTag &tag)
 {
-    std::vector<std::uint64_t> addrs;
-    addrs.reserve(lines.size());
+    // The inner store reads the addresses whenever the fill dispatches
+    // or retries, after this call returns, so the completion owns them
+    // until the fill completes.
+    auto addrs = std::make_shared<std::vector<std::uint64_t>>();
+    addrs->reserve(lines.size());
     for (std::uint64_t line : lines)
-        addrs.push_back(line * params_.line_bytes);
+        addrs->push_back(line * params_.line_bytes);
+    const std::vector<std::uint64_t> &fill_addrs = *addrs;
     inner_->submitGather(
-        eq, addrs, static_cast<unsigned>(params_.line_bytes),
-        [this, &eq, lines = std::move(lines)](sim::Tick finish,
-                                              sim::IoStatus status) {
+        eq, fill_addrs, static_cast<unsigned>(params_.line_bytes),
+        [this, &eq, lines = std::move(lines),
+         addrs = std::move(addrs)](sim::Tick finish,
+                                   sim::IoStatus status) {
             completeFill(eq, lines, finish, status);
         },
         tag);

@@ -50,11 +50,13 @@ Rng::next()
 std::uint64_t
 Rng::nextBounded(std::uint64_t bound)
 {
-    // Lemire-style rejection to remove modulo bias.
-    std::uint64_t threshold = (0 - bound) % bound;
+    // Rejection to remove modulo bias: draws below (2^64 mod bound) are
+    // redrawn. That threshold is below bound, so a draw >= bound is
+    // accepted without computing it, and nearly every call pays one
+    // division instead of two.
     for (;;) {
         std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (0 - bound) % bound)
             return r % bound;
     }
 }

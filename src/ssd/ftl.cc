@@ -22,18 +22,4 @@ Ftl::translate(std::uint64_t lpn) const
     return addr;
 }
 
-std::vector<std::uint64_t>
-Ftl::pagesSpanned(std::uint64_t addr, std::uint64_t bytes) const
-{
-    std::vector<std::uint64_t> pages;
-    if (bytes == 0)
-        return pages;
-    std::uint64_t first = pageOf(addr);
-    std::uint64_t last = pageOf(addr + bytes - 1);
-    pages.reserve(last - first + 1);
-    for (std::uint64_t p = first; p <= last; ++p)
-        pages.push_back(p);
-    return pages;
-}
-
 } // namespace smartsage::ssd

@@ -14,7 +14,6 @@
 #define SMARTSAGE_SSD_FTL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "config.hh"
 #include "flash/config.hh"
@@ -37,13 +36,6 @@ class Ftl
 
     /** Physical location of logical page @p lpn (channel-striped). */
     flash::PageAddress translate(std::uint64_t lpn) const;
-
-    /**
-     * All distinct logical pages overlapped by the byte range
-     * [@p addr, @p addr + @p bytes).
-     */
-    std::vector<std::uint64_t> pagesSpanned(std::uint64_t addr,
-                                            std::uint64_t bytes) const;
 
   private:
     SsdConfig config_;

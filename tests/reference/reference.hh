@@ -14,6 +14,8 @@
  *  - Set-associative LRU: one array of {line, stamp, valid} ways with
  *    separate lookup and insert scans, the layout before the library
  *    split tags from stamps. Hits, misses and evictions must match.
+ *  - Bounded RNG draws: the rejection loop that computes its threshold
+ *    on every call. sim::Rng::nextBounded must match it draw for draw.
  */
 
 #ifndef SMARTSAGE_TESTS_REFERENCE_REFERENCE_HH
@@ -128,6 +130,13 @@ class SetAssocLruAos
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+/**
+ * Uniform integer in [0, @p bound) from @p rng: redraw while the raw
+ * draw is below 2^64 mod bound, computed up front on every call (two
+ * divisions a draw). @pre bound > 0
+ */
+std::uint64_t nextBoundedTwoDivision(sim::Rng &rng, std::uint64_t bound);
 
 } // namespace smartsage::ref
 

@@ -14,6 +14,7 @@
 #include "core/scenario.hh"
 #include "core/serving.hh"
 #include "core/system.hh"
+#include "sim/serialize.hh"
 
 using namespace smartsage;
 using namespace smartsage::core;
@@ -47,6 +48,45 @@ servingConfig(double qps)
     cfg.fanout = 10;
     cfg.seed = 0x5e12e;
     return cfg;
+}
+
+/**
+ * FNV-1a over a run's integer outcomes: request and terminal-status
+ * counts, makespan ticks, the channel high-water mark and retry
+ * counters, then each class's Ok/SLO/shed counts. Integers only, so the
+ * digest does not depend on how a build type contracts the latency
+ * arithmetic.
+ */
+std::uint64_t
+integerDigest(const ServingResult &r)
+{
+    std::vector<std::uint64_t> v = {
+        r.requests,     r.completed_ok,     r.shed_error,
+        r.shed_timeout, r.shed_admission,   r.makespan,
+        r.peak_outstanding, r.io_retries,   r.io_timeouts,
+        r.io_abandoned, r.latency_us.count(), r.tenants.size()};
+    for (const TenantServingResult &t : r.tenants) {
+        v.push_back(t.requests);
+        v.push_back(t.completed_ok);
+        v.push_back(t.slo_met);
+        v.push_back(t.shed);
+    }
+    return sim::fnv1a64(v.data(), v.size() * sizeof(v[0]));
+}
+
+/** 300k qps of Poisson gathers on direct I/O behind the feature cache,
+ *  with MSHRs and a two-request prefetch lookahead. */
+SystemConfig
+cachedDirectIo()
+{
+    SystemConfig sc = servingSystem("direct-io");
+    for (KnobSetting knob : std::vector<KnobSetting>{
+             {"cache.capacity_fraction", 0.2},
+             {"cache.mshr.enabled", 1},
+             {"cache.prefetch.enabled", 1},
+             {"cache.prefetch.lookahead", 2}})
+        EXPECT_TRUE(applyKnob(sc, knob)) << knob.key;
+    return sc;
 }
 
 } // namespace
@@ -227,4 +267,77 @@ TEST(ServingFamily, ServingJsonCarriesTheBenchSchema)
         EXPECT_NE(json.find(key), std::string::npos) << key;
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+// The digests below were recorded at the commit before arrivals were
+// streamed into the event queue (when every arrival was scheduled up
+// front), so they pin that streaming changed no simulated outcome. The
+// faulted one was recorded there with the feature cache's fill
+// addresses already kept alive until the fill completes: before that,
+// a retried fill read a dead stack vector and the run crashed.
+
+TEST(ServingPinned, CachedDirectIoWithPrefetch)
+{
+    GnnSystem system(cachedDirectIo(), smallWorkload());
+    ServingConfig cfg = servingConfig(300000);
+    cfg.num_requests = 4000;
+    ServingResult r = runServingLoad(system, cfg);
+    EXPECT_EQ(r.completed_ok, r.requests);
+    EXPECT_EQ(integerDigest(r), 0x1bdf01a65abfd785ull)
+        << std::hex << integerDigest(r);
+}
+
+TEST(ServingPinned, CachedDirectIoUnderHostFaults)
+{
+    SystemConfig sc = cachedDirectIo();
+    for (KnobSetting knob : std::vector<KnobSetting>{
+             {"fault.read_error_rate", 0.05},
+             {"fault.slow_rate", 0.05},
+             {"retry.max_attempts", 3},
+             {"retry.timeout_us", 400}})
+        EXPECT_TRUE(applyKnob(sc, knob)) << knob.key;
+    GnnSystem system(sc, smallWorkload());
+    ServingConfig cfg = servingConfig(300000);
+    cfg.num_requests = 4000;
+    ServingResult r = runServingLoad(system, cfg);
+    EXPECT_GT(r.io_retries, 0u);
+    EXPECT_GT(r.shed_timeout + r.shed_error, 0u);
+    EXPECT_EQ(integerDigest(r), 0x2d0d94bf76debee3ull)
+        << std::hex << integerDigest(r);
+}
+
+TEST(ServingPinned, BurstyOpenLoopBesideClosedLoopClients)
+{
+    SystemConfig sc = servingSystem("ssd-mmap");
+    sc.host.io_queue_depth = 8;
+    EXPECT_TRUE(applyKnob(sc, {"sched.policy", 2}));
+    EXPECT_TRUE(applyKnob(sc, {"admit.slo_aware", 1}));
+
+    TenantClass bursty;
+    bursty.name = "bursty";
+    bursty.arrival_qps = 60000;
+    bursty.shape = ArrivalShape::Bursty;
+    bursty.shape_period = sim::us(500);
+    bursty.shape_mag = 4.0;
+    bursty.fanout = 8;
+    bursty.slo = sim::us(800);
+    bursty.priority = 10;
+    bursty.requests = 1500;
+
+    TenantClass clients;
+    clients.name = "clients";
+    clients.clients = 12;
+    clients.think = sim::us(40);
+    clients.fanout = 16;
+    clients.slo = sim::us(3000);
+    clients.requests = 1500;
+
+    ServingConfig cfg = servingConfig(60000);
+    cfg.tenants = {bursty, clients};
+    GnnSystem system(sc, smallWorkload());
+    ServingResult r = runServingLoad(system, cfg);
+    ASSERT_EQ(r.tenants.size(), 2u);
+    EXPECT_EQ(r.requests, 3000u);
+    EXPECT_EQ(integerDigest(r), 0xa5359036cb60c9f5ull)
+        << std::hex << integerDigest(r);
 }

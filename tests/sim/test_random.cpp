@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "reference/reference.hh"
 #include "sim/random.hh"
 
 using namespace smartsage::sim;
@@ -108,6 +110,47 @@ TEST(Random, SavedStatesCompareByValue)
     EXPECT_FALSE(a.save() == c.save());
     a.next();
     EXPECT_FALSE(a.save() == b.save());
+}
+
+/**
+ * nextBounded skips the rejection threshold's division whenever the draw
+ * is at least the bound; it must still return the same values and
+ * consume the same raw draws as the form that computes the threshold
+ * every call. Edge bounds (1, powers of two and their neighbours, where
+ * up to half the raw draws are rejected), then a fresh random bound of
+ * random width per draw.
+ */
+TEST(Random, BoundedMatchesTwoDivisionReference)
+{
+    // 1, 2, 3, 2^64 - 1, then 2^32 and 2^63 with both neighbours.
+    std::vector<std::uint64_t> edges = {1, 2, 3, ~0ull};
+    for (int shift : {32, 63}) {
+        for (std::uint64_t delta : {~0ull, 0ull, 1ull})
+            edges.push_back((1ull << shift) + delta);
+    }
+    std::uint64_t draws = 0;
+    for (std::uint64_t seed : {1ull, 0x5eedull, 0xb0b0ull}) {
+        Rng fast(seed), ref(seed);
+        for (std::uint64_t bound : edges) {
+            for (int i = 0; i < 40000; ++i, ++draws)
+                ASSERT_EQ(fast.nextBounded(bound),
+                          smartsage::ref::nextBoundedTwoDivision(ref,
+                                                                 bound))
+                    << "bound " << bound << " draw " << i;
+        }
+        Rng bounds(seed + 1);
+        for (int i = 0; i < 100000; ++i, ++draws) {
+            std::uint64_t bound =
+                std::max<std::uint64_t>(1, bounds.next() >>
+                                               bounds.nextBounded(64));
+            ASSERT_EQ(fast.nextBounded(bound),
+                      smartsage::ref::nextBoundedTwoDivision(ref, bound))
+                << "bound " << bound << " draw " << i;
+        }
+        EXPECT_EQ(fast.next(), ref.next()) << "seed " << seed;
+        EXPECT_EQ(fast.save(), ref.save()) << "seed " << seed;
+    }
+    EXPECT_GE(draws, 1000000u);
 }
 
 /** Property sweep: bounded draws look uniform for several bounds. */

@@ -25,15 +25,6 @@ smallConfig()
 
 } // namespace
 
-TEST(Ftl, PageOfUsesFlashPageSize)
-{
-    SsdConfig c = smallConfig();
-    Ftl ftl(c);
-    EXPECT_EQ(ftl.pageOf(0), 0u);
-    EXPECT_EQ(ftl.pageOf(c.flash.page_bytes - 1), 0u);
-    EXPECT_EQ(ftl.pageOf(c.flash.page_bytes), 1u);
-}
-
 TEST(Ftl, StripingCoversAllDies)
 {
     SsdConfig c = smallConfig();
@@ -57,15 +48,15 @@ TEST(Ftl, TranslationIsInjective)
     }
 }
 
-TEST(Ftl, PagesSpannedCoversRange)
+TEST(Ftl, PageOfMapsFirstAndLastByteOfEachPage)
 {
     SsdConfig c = smallConfig();
     Ftl ftl(c);
     std::uint64_t pb = c.flash.page_bytes;
-    EXPECT_EQ(ftl.pagesSpanned(0, 1).size(), 1u);
-    EXPECT_EQ(ftl.pagesSpanned(pb - 1, 2).size(), 2u);
-    EXPECT_EQ(ftl.pagesSpanned(0, 3 * pb).size(), 3u);
-    EXPECT_TRUE(ftl.pagesSpanned(0, 0).empty());
+    for (std::uint64_t page = 0; page < 3; ++page) {
+        EXPECT_EQ(ftl.pageOf(page * pb), page);
+        EXPECT_EQ(ftl.pageOf((page + 1) * pb - 1), page);
+    }
 }
 
 TEST(PageBuffer, HitAfterInsert)
