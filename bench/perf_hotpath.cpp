@@ -56,6 +56,14 @@ now_s()
         .count();
 }
 
+/** Median of @p v (upper middle for an even count). @pre !v.empty() */
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
 /** One naive-vs-fast measurement. */
 struct Pair
 {
@@ -84,7 +92,8 @@ struct AdapterCost
     double direct_ops_per_s = 0;  //!< serviceGather called directly
     double adapter_ops_per_s = 0; //!< blocking call, served in place
 
-    /** Fraction of direct-call throughput lost to the blocking call. */
+    /** Fraction of direct-call throughput lost to the blocking call,
+     *  from the two legs' medians. */
     double
     overheadFrac() const
     {
@@ -154,7 +163,9 @@ class RawDirectIoStore : public host::DirectIoEdgeStore
  * call vs the blocking call served in place, on identical request
  * streams against identical (separate) stores. Tracks what the
  * channel's counters, jitter fork and retry rules cost the classic
- * sweep replay path.
+ * sweep replay path. Each rep runs both legs on fresh stores and
+ * alternates which leg goes first, so neither leg always inherits the
+ * other's warm caches; each leg reports its median rep.
  */
 AdapterCost
 benchStorageAdapter(const BenchConfig &cfg)
@@ -175,27 +186,38 @@ benchStorageAdapter(const BenchConfig &cfg)
             a = node_base + rng.nextBounded(sim::KiB(64));
     }
 
-    AdapterCost cost;
-    {
+    auto direct = [&] {
         ssd::SsdDevice ssd(ssd_cfg);
         RawDirectIoStore store(host, ssd);
         sim::Tick t = 0;
         double t0 = now_s();
         for (const auto &addrs : gathers)
             t = store.rawGather(t, addrs, 8);
-        cost.direct_ops_per_s =
-            static_cast<double>(gathers.size()) / (now_s() - t0);
-    }
-    {
+        return static_cast<double>(gathers.size()) / (now_s() - t0);
+    };
+    auto in_place = [&] {
         ssd::SsdDevice ssd(ssd_cfg);
         host::DirectIoEdgeStore store(host, ssd);
         sim::Tick t = 0;
         double t0 = now_s();
         for (const auto &addrs : gathers)
             t = store.readGather(t, addrs, 8);
-        cost.adapter_ops_per_s =
-            static_cast<double>(gathers.size()) / (now_s() - t0);
+        return static_cast<double>(gathers.size()) / (now_s() - t0);
+    };
+    constexpr int reps = 5;
+    std::vector<double> direct_reps, in_place_reps;
+    for (int rep = 0; rep < reps; ++rep) {
+        if (rep % 2 == 0) {
+            direct_reps.push_back(direct());
+            in_place_reps.push_back(in_place());
+        } else {
+            in_place_reps.push_back(in_place());
+            direct_reps.push_back(direct());
+        }
     }
+    AdapterCost cost;
+    cost.direct_ops_per_s = median(direct_reps);
+    cost.adapter_ops_per_s = median(in_place_reps);
     return cost;
 }
 

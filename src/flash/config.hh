@@ -27,15 +27,6 @@ struct FlashConfig
     std::uint64_t page_bytes = sim::KiB(16); //!< NAND page size
     sim::Tick read_latency = sim::us(55);    //!< tR: cell array -> die reg
     double channel_gbps = 1.0;      //!< ONFI transfer rate per channel
-    /**
-     * Page-read commands in service at once per channel on the async
-     * port (FlashArray::submitRead, controller-side per-channel
-     * command queue); excess commands wait. One-at-a-time blocking
-     * callers never exceed 1, so this is a programmatic parameter of
-     * the async port, deliberately not an applyKnob key until a
-     * workload drives the port concurrently.
-     */
-    unsigned channel_queue_depth = 8;
 
     /**
      * Fault schedule consulted for ECC-retry injection (ecc_rate /

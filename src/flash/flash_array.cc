@@ -13,12 +13,8 @@ FlashArray::FlashArray(const FlashConfig &config) : config_(config)
     for (unsigned i = 0; i < config.totalDies(); ++i)
         dies_.emplace_back("die" + std::to_string(i));
     channels_.reserve(config.channels);
-    channel_queues_.reserve(config.channels);
-    for (unsigned i = 0; i < config.channels; ++i) {
+    for (unsigned i = 0; i < config.channels; ++i)
         channels_.emplace_back("ch" + std::to_string(i));
-        channel_queues_.emplace_back("chq" + std::to_string(i),
-                                     config.channel_queue_depth);
-    }
     if (config.fault.injectsEcc())
         ecc_ = std::make_unique<sim::FaultInjector>(config.fault, "flash");
 }
@@ -47,26 +43,6 @@ FlashArray::readPage(const PageAddress &addr, sim::Tick arrival)
         sensed.finish, config_.pageTransferTime());
     ++pages_read_;
     return moved.finish;
-}
-
-void
-FlashArray::submitRead(sim::EventQueue &eq, const PageAddress &addr,
-                       sim::IoCompletion done)
-{
-    SS_ASSERT(addr.channel < config_.channels, "channel ", addr.channel,
-              " out of range");
-    channel_queues_[addr.channel].submit(
-        eq,
-        [this, addr](sim::Tick start) { return readPage(addr, start); },
-        std::move(done));
-}
-
-const sim::StorageChannel &
-FlashArray::channelQueue(unsigned channel) const
-{
-    SS_ASSERT(channel < channel_queues_.size(), "channel ", channel,
-              " out of range");
-    return channel_queues_[channel];
 }
 
 double
@@ -100,8 +76,6 @@ FlashArray::reset()
         d.reset();
     for (auto &c : channels_)
         c.reset();
-    for (auto &q : channel_queues_)
-        q.reset();
     if (ecc_)
         ecc_->reset();
     pages_read_ = 0;

@@ -15,7 +15,6 @@
 
 #include "config.hh"
 #include "sim/fault.hh"
-#include "sim/io.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -34,18 +33,6 @@ class FlashArray
      * channel-side buffer (i.e. is available to the SSD controller).
      */
     sim::Tick readPage(const PageAddress &addr, sim::Tick arrival);
-
-    /**
-     * Async page read: submit at eq.now() into the owning channel's
-     * bounded command queue (FlashConfig::channel_queue_depth); when a
-     * slot frees the read proceeds through the die + channel timelines
-     * and @p done fires at the buffered tick.
-     */
-    void submitRead(sim::EventQueue &eq, const PageAddress &addr,
-                    sim::IoCompletion done);
-
-    /** Per-channel command queue (occupancy and wait stats). */
-    const sim::StorageChannel &channelQueue(unsigned channel) const;
 
     const FlashConfig &config() const { return config_; }
 
@@ -68,7 +55,6 @@ class FlashArray
     FlashConfig config_;
     std::vector<sim::Server> dies_;     //!< channels * dies_per_channel
     std::vector<sim::Server> channels_; //!< one per channel
-    std::vector<sim::StorageChannel> channel_queues_; //!< async port
     std::unique_ptr<sim::FaultInjector> ecc_; //!< null when inert
     std::uint64_t pages_read_ = 0;
     std::uint64_t ecc_retries_ = 0;

@@ -39,7 +39,7 @@ EdgeStore::submitRead(sim::EventQueue &eq, std::uint64_t addr,
     // A retried attempt re-runs the full service: cache state mutated
     // by the failed attempt stays mutated, exactly as a real runtime
     // re-issuing a command would find it.
-    channel_.submitFallible(
+    channel_.submit(
         eq,
         [this, addr, bytes](sim::Tick start, unsigned) {
             return injectFaults(start, serviceRead(start, addr, bytes));
@@ -58,7 +58,7 @@ EdgeStore::submitGather(sim::EventQueue &eq,
             done(eq.now(), sim::IoStatus::Ok);
         return;
     }
-    channel_.submitFallible(
+    channel_.submit(
         eq,
         [this, &addrs, entry_bytes](sim::Tick start, unsigned) {
             return injectFaults(start,

@@ -10,48 +10,15 @@ namespace smartsage::isp
 
 IspEngine::IspEngine(const IspConfig &config, ssd::SsdDevice &ssd,
                      const graph::EdgeLayout &layout)
-    : config_(config), ssd_(ssd), layout_(layout),
-      cmd_queue_("isp-cmd", config.queue_depth)
+    : config_(config), ssd_(ssd), layout_(layout)
 {
     SS_ASSERT(config.coalesce_targets > 0,
               "coalescing granularity must be positive");
 }
 
-void
-IspEngine::submitGroup(sim::EventQueue &eq, const NodeWork *work,
-                       std::size_t count, IspBatchResult &result,
-                       sim::IoCompletion done) const
-{
-    cmd_queue_.submit(
-        eq,
-        [this, work, count, &result](sim::Tick start) {
-            return serviceGroup(work, count, start, result);
-        },
-        std::move(done));
-}
-
 sim::Tick
 IspEngine::runGroup(const NodeWork *work, std::size_t count,
                     sim::Tick arrival, IspBatchResult &result) const
-{
-    return cmd_queue_.serveNow(
-        arrival,
-        [&](sim::Tick start, unsigned) {
-            return sim::IoOutcome{serviceGroup(work, count, start, result),
-                                  sim::IoStatus::Ok};
-        },
-        cmd_queue_.name());
-}
-
-void
-IspEngine::reset()
-{
-    cmd_queue_.reset();
-}
-
-sim::Tick
-IspEngine::serviceGroup(const NodeWork *work, std::size_t count,
-                        sim::Tick arrival, IspBatchResult &result) const
 {
     const auto &ssd_cfg = ssd_.config();
 

@@ -17,7 +17,6 @@
 
 #include "graph/layout.hh"
 #include "nsconfig.hh"
-#include "sim/io.hh"
 #include "sim/types.hh"
 #include "ssd/ssd_device.hh"
 
@@ -34,14 +33,6 @@ struct IspConfig
      * The paper's default folds the whole mini-batch (1024).
      */
     std::size_t coalesce_targets = 1024;
-    /**
-     * Coalesced command groups in service at once on the async port
-     * (submitGroup); excess groups wait at the device front end.
-     * Blocking callers never exceed 1, so this is a programmatic
-     * parameter of the async port, deliberately not an applyKnob key
-     * until a workload drives the port concurrently.
-     */
-    unsigned queue_depth = 16;
     NsConfigFormat format;
 };
 
@@ -86,23 +77,10 @@ class IspEngine
                             sim::Tick arrival) const;
 
     /**
-     * Async submission of one coalesced group of node work at
-     * eq.now(): the group takes a slot in the engine's bounded command
-     * queue (IspConfig::queue_depth), then proceeds through NSconfig
-     * DMA, firmware parse, flash fetches, in-buffer gather, and the
-     * subgraph DMA back. @p work and @p result must stay alive until
-     * @p done fires with the tick the subgraph chunk lands in host
-     * DRAM.
-     */
-    void submitGroup(sim::EventQueue &eq, const NodeWork *work,
-                     std::size_t count, IspBatchResult &result,
-                     sim::IoCompletion done) const;
-
-    /**
-     * Blocking form of submitGroup, served in place on the idle
-     * command queue (bit-identical to a submit-and-drain of the async
-     * port). Exposed so the pipeline can interleave groups from
-     * concurrent workers in time order.
+     * Service one coalesced group of node work arriving at @p arrival:
+     * NSconfig DMA, firmware parse, flash fetches, in-buffer gather,
+     * and the subgraph DMA back. Exposed so the pipeline can
+     * interleave groups from concurrent workers in time order.
      * @return tick the group's subgraph chunk lands in host DRAM
      */
     sim::Tick runGroup(const NodeWork *work, std::size_t count,
@@ -110,21 +88,10 @@ class IspEngine
 
     const IspConfig &config() const { return config_; }
 
-    /** The bounded command queue (occupancy and wait stats). */
-    const sim::StorageChannel &commandQueue() const { return cmd_queue_; }
-
-    /** Fresh queue counters for a new experiment. */
-    void reset();
-
   private:
-    /** Service timing of one group dispatched at @p start. */
-    sim::Tick serviceGroup(const NodeWork *work, std::size_t count,
-                           sim::Tick start, IspBatchResult &result) const;
-
     IspConfig config_;
     ssd::SsdDevice &ssd_;
     graph::EdgeLayout layout_;
-    mutable sim::StorageChannel cmd_queue_;
 };
 
 } // namespace smartsage::isp

@@ -559,7 +559,6 @@ void
 IspProducer::reset()
 {
     ssd_.reset();
-    engine_.reset();
     accum_ = isp::IspBatchResult{};
 }
 

@@ -96,7 +96,7 @@ struct FaultPlan
 };
 
 /**
- * Retry/timeout policy for a StorageChannel's fallible submissions.
+ * Retry/timeout policy for a StorageChannel's submissions.
  *
  * max_attempts == 1 means no retries; timeout == 0 means no deadline.
  * Backoff before attempt n (n >= 2) is

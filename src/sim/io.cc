@@ -93,46 +93,6 @@ StorageChannel::setRetryPolicy(const RetryPolicy &policy)
     retry_ = policy;
 }
 
-void
-StorageChannel::submit(EventQueue &eq, Service service, IoCompletion done,
-                       const DispatchTag &tag)
-{
-    // Wrap the synchronous service as a one-event staged service: the
-    // finish tick is known at dispatch; the slot is released (and the
-    // completion delivered) by an event at that tick.
-    submitStaged(
-        eq,
-        [service = std::move(service)](EventQueue &q, Tick start,
-                                       IoCompletion complete) {
-            Tick finish = service(start);
-            SS_ASSERT(finish >= start, "service finished at ", finish,
-                      " before it started at ", start);
-            q.schedule(finish, [complete = std::move(complete), finish] {
-                complete(finish, IoStatus::Ok);
-            });
-        },
-        std::move(done), tag);
-}
-
-void
-StorageChannel::submitFallible(EventQueue &eq, FallibleService service,
-                               IoCompletion done, const DispatchTag &tag)
-{
-    // Fork the jitter stream by submission index *before* submitStaged
-    // bumps the counter; forking never advances the master, so the
-    // stream a request sees depends only on its arrival order.
-    auto state = std::make_shared<RetryState>(RetryState{
-        std::move(service),
-        retry_.wantsDeadline() ? eq.now() + retry_.timeout : 0,
-        jitter_master_.fork(submitted_)});
-    submitStaged(
-        eq,
-        [this, state](EventQueue &q, Tick start, IoCompletion complete) {
-            runAttempt(q, start, 1, state, std::move(complete));
-        },
-        std::move(done), tag);
-}
-
 Tick
 StorageChannel::backoffBefore(unsigned next_attempt, Rng &rng) const
 {
@@ -241,9 +201,16 @@ StorageChannel::shouldShed(const EventQueue &eq,
 }
 
 void
-StorageChannel::submitStaged(EventQueue &eq, StagedService service,
-                             IoCompletion done, const DispatchTag &tag)
+StorageChannel::submit(EventQueue &eq, Service service, IoCompletion done,
+                       const DispatchTag &tag)
 {
+    // Fork the jitter stream by submission index *before* counting the
+    // submission; forking never advances the master, so the stream a
+    // request sees depends only on its arrival order.
+    auto state = std::make_shared<RetryState>(RetryState{
+        std::move(service),
+        retry_.wantsDeadline() ? eq.now() + retry_.timeout : 0,
+        jitter_master_.fork(submitted_)});
     ++submitted_;
     // Admission control runs only with every slot busy and a rule
     // enabled, so the default (admission-off) submit path is untouched.
@@ -259,7 +226,7 @@ StorageChannel::submitStaged(EventQueue &eq, StagedService service,
     }
     peak_outstanding_ = std::max<std::uint64_t>(
         peak_outstanding_, in_flight_ + pending_.size() + 1);
-    Pending p{std::move(service), std::move(done), eq.now(), tag,
+    Pending p{std::move(state), std::move(done), eq.now(), tag,
               submitted_};
     if (in_flight_ < depth_) {
         dispatch(eq, std::move(p), /*queued=*/false);
@@ -274,8 +241,8 @@ StorageChannel::dispatch(EventQueue &eq, Pending p, bool queued)
     ++in_flight_;
     Tick start = eq.now();
     // Wait stats cover only requests that actually sat in the pending
-    // queue; sync completions dispatched straight into a free slot
-    // would otherwise skew the mean queue wait toward zero.
+    // queue; requests dispatched straight into a free slot would
+    // otherwise skew the mean queue wait toward zero.
     if (queued) {
         Tick wait = start - p.submit;
         ++queued_;
@@ -283,17 +250,16 @@ StorageChannel::dispatch(EventQueue &eq, Pending p, bool queued)
         max_queue_wait_ = std::max(max_queue_wait_, wait);
     }
 
-    // The staged service owns its own event scheduling; the channel
-    // only hears back through this wrapper, which frees the slot and
-    // pulls the next pending request forward at the completion tick.
-    auto service = std::move(p.service);
-    service(eq, start,
-            [this, &eq, start, done = std::move(p.done)](Tick finish,
-                                                         IoStatus status) {
-                onComplete(eq, finish, start);
-                if (done)
-                    done(finish, status);
-            });
+    // The attempts schedule their own events; the channel only hears
+    // back through this wrapper, which frees the slot and pulls the
+    // next pending request forward at the completion tick.
+    runAttempt(eq, start, 1, p.state,
+               [this, &eq, start, done = std::move(p.done)](Tick finish,
+                                                            IoStatus status) {
+                   onComplete(eq, finish, start);
+                   if (done)
+                       done(finish, status);
+               });
 }
 
 std::size_t

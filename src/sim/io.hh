@@ -12,15 +12,19 @@
  * the *service-time* math inside a dispatch; the channel layer decides
  * *when* a request may begin service.
  *
- * The blocking API (`EdgeStore::read`, `SsdDevice::readBlocks`,
- * `IspEngine::runGroup`) is served in place: `StorageChannel::serveNow`
- * computes one request on an idle channel directly — the same counter
- * updates, jitter stream and retry/timeout rules as the event path
- * (one shared helper decides each attempt), with no event queue. A
- * lone request on an idle channel never queues, so the ticks equal a
- * submit-and-drain of the async port. `drainOne` remains the
- * submit-and-drain adapter for callers whose async port reshapes
- * traffic (the feature-cache decorator's MSHRs).
+ * A request is submitted one way, `StorageChannel::submit`, as an
+ * attempt callable that may fail; the channel's RetryPolicy turns a
+ * failed attempt into a backoff and retry, a timeout or an abandon.
+ *
+ * The edge stores' blocking reads (`EdgeStore::read`/`readGather`) are
+ * served in place: `StorageChannel::serveNow` computes one request on
+ * an idle channel directly — the same counter updates, jitter stream
+ * and retry/timeout rules as the event path (one shared helper decides
+ * each attempt), with no event queue. A lone request on an idle
+ * channel never queues, so the ticks equal a submit-and-drain of the
+ * async port. `drainOne` remains the submit-and-drain adapter for
+ * callers whose async port reshapes traffic (the feature-cache
+ * decorator's MSHRs).
  */
 
 #ifndef SMARTSAGE_SIM_IO_HH
@@ -143,7 +147,7 @@ bool applyKnob(AdmissionControl &admit, std::string_view key,
 /** Completion callback: invoked at the request's finish tick. */
 using IoCompletion = std::function<void(Tick finish, IoStatus status)>;
 
-/** Result of one fallible service attempt. */
+/** Result of one service attempt. */
 struct IoOutcome
 {
     Tick finish = 0;
@@ -182,38 +186,27 @@ struct IoRequest
  * DispatchPolicy when a slot frees (Fifo reproduces strict arrival
  * order; Priority and Deadline reorder by DispatchTag). An optional
  * AdmissionControl sheds submissions at the submit edge before they
- * queue. Service itself is expressed as a callback so
- * any existing timing math (busy-until servers, links, nested blocking
- * calls) can stand in as the station's service process:
- *
- *  - submit():       synchronous service — service(start) returns the
- *                    finish tick; the slot is held until that tick.
- *  - submitStaged(): multi-stage service — the service schedules its
- *                    own events and reports the finish tick through the
- *                    provided completion; the slot is held until then.
+ * queue. Service itself is expressed as an attempt callback so any
+ * existing timing math (busy-until servers, links, nested blocking
+ * calls) can stand in as the station's service process: attempt(start,
+ * n) returns the finish tick and status of attempt n, and the slot is
+ * held until the request's final attempt finishes.
  */
 class StorageChannel
 {
   public:
-    /** Service process returning the finish tick for a dispatch. */
-    using Service = std::function<Tick(Tick start)>;
-    /** Staged service: complete(finish, status) must be called exactly
-     *  once, at a tick >= start, from an event on the same queue. */
-    using StagedService =
-        std::function<void(EventQueue &eq, Tick start, IoCompletion complete)>;
     /**
-     * Fallible service attempt: runs the service-time math for attempt
-     * number @p attempt (1-based) starting at @p start and reports the
-     * finish tick plus whether the attempt succeeded. The channel's
+     * Service attempt: runs the service-time math for attempt number
+     * @p attempt (1-based) starting at @p start and reports the finish
+     * tick plus whether the attempt succeeded. The channel's
      * RetryPolicy decides what a non-Ok outcome turns into.
      */
-    using FallibleService =
-        std::function<IoOutcome(Tick start, unsigned attempt)>;
+    using Service = std::function<IoOutcome(Tick start, unsigned attempt)>;
 
     /** @param depth maximum requests in service at once (>= 1) */
     StorageChannel(std::string name, unsigned depth);
 
-    /** Install the retry/timeout policy for fallible submissions. */
+    /** Install the retry/timeout policy for later submissions. */
     void setRetryPolicy(const RetryPolicy &policy);
     const RetryPolicy &retryPolicy() const { return retry_; }
 
@@ -227,39 +220,30 @@ class StorageChannel
     void setAdmission(const AdmissionControl &admit) { admit_ = admit; }
     const AdmissionControl &admission() const { return admit_; }
 
-    /** Submit a synchronous-service request at eq.now(). @p tag
-     *  carries the scheduling metadata (default: untagged/FIFO). */
-    void submit(EventQueue &eq, Service service, IoCompletion done,
-                const DispatchTag &tag = {});
-
-    /** Submit a staged (self-scheduling) request at eq.now(). */
-    void submitStaged(EventQueue &eq, StagedService service,
-                      IoCompletion done, const DispatchTag &tag = {});
-
     /**
-     * Submit a request whose service attempts may fail. The channel
-     * re-runs the service with exponential backoff (jitter from a
-     * per-request RNG fork) until an attempt succeeds, the policy's
-     * attempt budget is exhausted (TransientError), or the end-to-end
-     * deadline passes (Timeout). The slot is held across retries — a
-     * retrying command still occupies its queue entry. A deadline in
+     * Submit a request at eq.now(). The channel re-runs @p service with
+     * exponential backoff (jitter from a per-request RNG fork) until an
+     * attempt succeeds, the policy's attempt budget is exhausted
+     * (TransientError), or the end-to-end deadline passes (Timeout);
+     * an always-Ok service under the default policy completes after
+     * its one attempt. The slot is held across retries — a retrying
+     * command still occupies its queue entry. @p tag carries the
+     * scheduling metadata (default: untagged/FIFO). A deadline in
      * @p tag steers Deadline dispatch and SLO-aware admission; it does
      * not time the request out (that stays the RetryPolicy's business),
      * so a late request is still answered and its latency recorded.
      */
-    void submitFallible(EventQueue &eq, FallibleService service,
-                        IoCompletion done, const DispatchTag &tag = {});
+    void submit(EventQueue &eq, Service service, IoCompletion done,
+                const DispatchTag &tag = {});
 
     /**
      * Serve one blocking request in place: @p service (an attempt
      * callable, `IoOutcome(Tick start, unsigned attempt)`) arrives at
      * @p arrival on this idle channel. Bit-identical to
-     * drainOne(submitFallible) — counters, jitter fork, deadline and
+     * drainOne(submit) — counters, jitter fork, deadline and
      * retry/backoff/abandon/timeout outcomes — without an event queue.
      * A blocking caller has nowhere to report a failed request, so a
      * non-Ok final status is fatal; @p component names the offender.
-     * An infallible service (always Ok) on a channel without a
-     * deadline completes after its one attempt, as submit() would.
      * @pre idle()
      * @return completion tick
      */
@@ -322,7 +306,7 @@ class StorageChannel
     /** Largest single queue wait. */
     Tick maxQueueWait() const { return max_queue_wait_; }
 
-    // ---- recovery counters (fallible submissions only) ----
+    // ---- recovery counters ----
     /** Service attempts re-run after a transient failure. */
     std::uint64_t retries() const { return retries_; }
     /** Requests that missed their end-to-end deadline. */
@@ -339,21 +323,21 @@ class StorageChannel
     void reset();
 
   private:
+    /** Mutable per-request retry bookkeeping. */
+    struct RetryState
+    {
+        Service service;
+        Tick deadline; //!< absolute tick; 0 means none
+        Rng rng;       //!< per-request jitter stream
+    };
+
     struct Pending
     {
-        StagedService service;
+        std::shared_ptr<RetryState> state;
         IoCompletion done;
         Tick submit;
         DispatchTag tag;
         std::uint64_t seq = 0; //!< arrival order (FIFO tie-break)
-    };
-
-    /** Mutable per-request retry bookkeeping. */
-    struct RetryState
-    {
-        FallibleService service;
-        Tick deadline; //!< absolute tick; 0 means none
-        Rng rng;       //!< per-request jitter stream
     };
 
     /** @param queued whether @p p waited in the pending queue */
@@ -369,7 +353,7 @@ class StorageChannel
      *  @pre !pending_.empty() */
     std::size_t pickNext() const;
 
-    /** What becomes of a fallible request after one attempt. */
+    /** What becomes of a request after one attempt. */
     struct AttemptVerdict
     {
         bool retry = false; //!< run the next attempt at `at`
@@ -406,7 +390,7 @@ class StorageChannel
     AttemptVerdict judgeAttempt(const IoOutcome &out, unsigned attempt,
                                 Tick deadline, Rng &rng);
 
-    /** Event-path attempt @p attempt of a fallible request. */
+    /** Event-path attempt @p attempt of a request. */
     void runAttempt(EventQueue &eq, Tick start, unsigned attempt,
                     const std::shared_ptr<RetryState> &state,
                     IoCompletion complete);

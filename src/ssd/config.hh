@@ -44,18 +44,6 @@ struct SsdConfig
     /** NVMe command handling (submission + completion doorbells). */
     sim::Tick nvme_command = sim::us(5);
 
-    /**
-     * NVMe submission-queue depth: block-read commands in service at
-     * once on the device's async port (submitRead); excess commands
-     * queue at the front end. One-at-a-time blocking callers never
-     * exceed depth 1, and the edge-store service paths are blocking by
-     * design — so this is a programmatic parameter of the async port,
-     * deliberately *not* an applyKnob key until a workload drives the
-     * device port concurrently (a knob that sweeps flat would read as
-     * a misleading sensitivity result).
-     */
-    unsigned queue_depth = 32;
-
     /** PCIe link to host (OpenSSD: gen2 x8 ~ 3.2 GB/s effective). */
     double pcie_gbps = 3.2;
     sim::Tick pcie_latency = sim::ns(900);

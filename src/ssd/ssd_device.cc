@@ -12,8 +12,7 @@ SsdDevice::SsdDevice(const SsdConfig &config, bool dedicated_isp)
       buffer_(config.page_buffer_bytes, config.flash.page_bytes,
               config.page_buffer_ways),
       cores_(config, dedicated_isp), flash_(config.flash),
-      pcie_("pcie", config.pcie_gbps, config.pcie_latency),
-      nvme_sq_("nvme-sq", config.queue_depth)
+      pcie_("pcie", config.pcie_gbps, config.pcie_latency)
 {
 }
 
@@ -30,8 +29,9 @@ SsdDevice::fetchPage(sim::Tick arrival, std::uint64_t lpn)
     return in_reg + config_.page_buffer_hit;
 }
 
-SsdDevice::BlockRange
-SsdDevice::blockRange(std::uint64_t addr, std::uint64_t bytes) const
+sim::Tick
+SsdDevice::readBlocks(sim::Tick arrival, std::uint64_t addr,
+                      std::uint64_t bytes)
 {
     SS_ASSERT(bytes > 0, "zero-length block read");
     // Round the range out to logical-block granularity: a block device
@@ -39,75 +39,19 @@ SsdDevice::blockRange(std::uint64_t addr, std::uint64_t bytes) const
     std::uint64_t bs = config_.block_bytes;
     std::uint64_t lo = addr / bs * bs;
     std::uint64_t hi = (addr + bytes + bs - 1) / bs * bs;
-    return {lo, hi - lo};
-}
+    std::uint64_t xfer = hi - lo;
 
-sim::Tick
-SsdDevice::commandStage(sim::Tick start)
-{
-    return cores_.execute(start, config_.nvme_command).finish;
-}
-
-sim::Tick
-SsdDevice::fetchStage(sim::Tick issued, const BlockRange &range)
-{
-    // Every flash page the range spans proceeds in parallel across
-    // dies; the transfer starts once all are buffered.
+    // NVMe command handling on the firmware cores; then every flash
+    // page the range spans proceeds in parallel across dies, and the
+    // transfer starts once all are buffered.
+    sim::Tick issued = cores_.execute(arrival, config_.nvme_command).finish;
     sim::Tick ready = issued;
-    const std::uint64_t last = ftl_.pageOf(range.lo + range.xfer - 1);
-    for (std::uint64_t lpn = ftl_.pageOf(range.lo); lpn <= last; ++lpn)
+    const std::uint64_t last = ftl_.pageOf(hi - 1);
+    for (std::uint64_t lpn = ftl_.pageOf(lo); lpn <= last; ++lpn)
         ready = std::max(ready, fetchPage(issued, lpn));
     ++host_reads_;
-    bytes_to_host_ += range.xfer;
-    return ready;
-}
-
-void
-SsdDevice::submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                      std::uint64_t bytes, sim::IoCompletion done)
-{
-    // Three event stages: NVMe command handling on the firmware cores,
-    // the flash page fetches, then the PCIe DMA of the blocks.
-    BlockRange range = blockRange(addr, bytes);
-    nvme_sq_.submitStaged(
-        eq,
-        [this, range](sim::EventQueue &q, sim::Tick start,
-                      sim::IoCompletion complete) {
-            sim::Tick issued = commandStage(start);
-            q.schedule(issued, [this, &q, range, issued,
-                                complete = std::move(complete)]() mutable {
-                sim::Tick ready = fetchStage(issued, range);
-                q.schedule(
-                    ready, [this, &q, range, ready,
-                            complete = std::move(complete)]() mutable {
-                        sim::Tick finish = dmaToHost(ready, range.xfer);
-                        q.schedule(finish,
-                                   [complete = std::move(complete),
-                                    finish] {
-                                       complete(finish,
-                                                sim::IoStatus::Ok);
-                                   });
-                    });
-            });
-        },
-        std::move(done));
-}
-
-sim::Tick
-SsdDevice::readBlocks(sim::Tick arrival, std::uint64_t addr,
-                      std::uint64_t bytes)
-{
-    // The staged path's three stages back to back: on an idle queue
-    // nothing can run between them.
-    BlockRange range = blockRange(addr, bytes);
-    return nvme_sq_.serveNow(
-        arrival,
-        [this, &range](sim::Tick start, unsigned) {
-            sim::Tick ready = fetchStage(commandStage(start), range);
-            return sim::IoOutcome{dmaToHost(ready, range.xfer),
-                                  sim::IoStatus::Ok};
-        },
-        nvme_sq_.name());
+    bytes_to_host_ += xfer;
+    return dmaToHost(ready, xfer);
 }
 
 sim::Tick
@@ -129,7 +73,6 @@ SsdDevice::reset()
     cores_.reset();
     flash_.reset();
     pcie_.reset();
-    nvme_sq_.reset();
     host_reads_ = 0;
     bytes_to_host_ = 0;
 }

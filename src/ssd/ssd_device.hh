@@ -17,7 +17,6 @@
 #include "embedded_cores.hh"
 #include "flash/flash_array.hh"
 #include "ftl.hh"
-#include "sim/io.hh"
 #include "sim/resource.hh"
 #include "sim/set_assoc.hh"
 
@@ -36,23 +35,11 @@ class SsdDevice
                        bool dedicated_isp = false);
 
     /**
-     * Async host block read: submit a read of the byte range
-     * [@p addr, @p addr+@p bytes) at eq.now(). The command takes an
-     * NVMe submission-queue slot (bounded by SsdConfig::queue_depth;
-     * excess commands wait at the front end), then proceeds through
-     * staged events — firmware command handling, flash page fetches
-     * overlapping across dies, PCIe DMA — and @p done fires at the
-     * tick the last byte lands in host memory. The range is rounded
-     * out to logical-block (4 KiB) granularity, as a real block device
-     * must.
-     */
-    void submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                    std::uint64_t bytes, sim::IoCompletion done);
-
-    /**
-     * Host block read, blocking form: served in place on the idle
-     * submission queue through the same three stages as submitRead
-     * (bit-identical to a submit-and-drain of the async port).
+     * Host block read of the byte range [@p addr, @p addr+@p bytes):
+     * NVMe command handling on the firmware cores, the flash page
+     * fetches (overlapping across dies), then the PCIe DMA of the
+     * blocks. The range is rounded out to logical-block (4 KiB)
+     * granularity, as a real block device must.
      *
      * @param arrival tick the NVMe command reaches the device
      * @return tick the last byte lands in host memory
@@ -88,38 +75,15 @@ class SsdDevice
     /** Bytes shipped to the host over PCIe. */
     std::uint64_t bytesToHost() const { return bytes_to_host_; }
 
-    /** The NVMe submission queue (depth, occupancy, wait stats). */
-    sim::StorageChannel &nvmeQueue() { return nvme_sq_; }
-    const sim::StorageChannel &nvmeQueue() const { return nvme_sq_; }
-
     void reset();
 
   private:
-    /** A read's byte range rounded out to whole logical blocks. */
-    struct BlockRange
-    {
-        std::uint64_t lo = 0;   //!< first byte
-        std::uint64_t xfer = 0; //!< bytes moved
-    };
-
-    /** Round [@p addr, @p addr+@p bytes) out to blocks. @pre bytes > 0 */
-    BlockRange blockRange(std::uint64_t addr, std::uint64_t bytes) const;
-
-    /** Stage 1: NVMe command handling on the firmware cores.
-     *  @return tick the command is issued */
-    sim::Tick commandStage(sim::Tick start);
-
-    /** Stage 2: fetch every flash page @p range spans into the page
-     *  buffer. @return tick the last page is buffered */
-    sim::Tick fetchStage(sim::Tick issued, const BlockRange &range);
-
     SsdConfig config_;
     Ftl ftl_;
     sim::SetAssocLru buffer_;
     EmbeddedCores cores_;
     flash::FlashArray flash_;
     sim::BandwidthLink pcie_;
-    sim::StorageChannel nvme_sq_;
     std::uint64_t host_reads_ = 0;
     std::uint64_t bytes_to_host_ = 0;
 };

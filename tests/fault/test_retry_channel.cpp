@@ -28,7 +28,7 @@ struct ScriptedService
     Tick service_time = us(10);
     std::vector<Tick> starts;
 
-    StorageChannel::FallibleService
+    StorageChannel::Service
     make()
     {
         return [this](Tick start, unsigned attempt) {
@@ -55,39 +55,6 @@ exactPolicy(unsigned attempts, Tick base = us(100), Tick cap = ms(10))
 
 } // namespace
 
-TEST(RetryChannel, FallibleDefaultsMatchPlainSubmit)
-{
-    // An always-Ok fallible submission under the default policy must
-    // reproduce the plain submit() event pattern exactly — this is the
-    // channel-level half of the fault-free byte-identity guarantee.
-    EventQueue eq;
-    StorageChannel plain("plain", 2), fallible("fallible", 2);
-    Tick t_plain = 0, t_fallible = 0;
-    eq.schedule(50, [&] {
-        plain.submit(
-            eq, [](Tick start) { return start + us(10); },
-            [&](Tick f, IoStatus s) {
-                t_plain = f;
-                EXPECT_EQ(s, IoStatus::Ok);
-            });
-        fallible.submitFallible(
-            eq,
-            [](Tick start, unsigned) {
-                return IoOutcome{start + us(10), IoStatus::Ok};
-            },
-            [&](Tick f, IoStatus s) {
-                t_fallible = f;
-                EXPECT_EQ(s, IoStatus::Ok);
-            });
-    });
-    eq.run();
-    EXPECT_EQ(t_plain, 50 + us(10));
-    EXPECT_EQ(t_fallible, t_plain);
-    EXPECT_EQ(fallible.retries(), 0u);
-    EXPECT_EQ(fallible.timeouts(), 0u);
-    EXPECT_EQ(fallible.abandoned(), 0u);
-}
-
 TEST(RetryChannel, ExponentialBackoffGoldenWithZeroJitter)
 {
     EventQueue eq;
@@ -99,7 +66,7 @@ TEST(RetryChannel, ExponentialBackoffGoldenWithZeroJitter)
     Tick finish = 0;
     IoStatus status = IoStatus::TransientError;
     eq.schedule(0, [&] {
-        ch.submitFallible(eq, svc.make(), [&](Tick f, IoStatus s) {
+        ch.submit(eq, svc.make(), [&](Tick f, IoStatus s) {
             finish = f;
             status = s;
         });
@@ -125,7 +92,7 @@ TEST(RetryChannel, BackoffSaturatesAtTheCap)
     ch.setRetryPolicy(exactPolicy(3, us(100), us(150)));
     ScriptedService svc{{IoStatus::TransientError,
                          IoStatus::TransientError, IoStatus::Ok}};
-    eq.schedule(0, [&] { ch.submitFallible(eq, svc.make(), {}); });
+    eq.schedule(0, [&] { ch.submit(eq, svc.make(), {}); });
     eq.run();
     // The doubled backoff (200 us) clips to the 150 us cap.
     ASSERT_EQ(svc.starts.size(), 3u);
@@ -143,7 +110,7 @@ TEST(RetryChannel, ExhaustedBudgetAbandonsWithTransientError)
     Tick finish = 0;
     IoStatus status = IoStatus::Ok;
     eq.schedule(0, [&] {
-        ch.submitFallible(eq, svc.make(), [&](Tick f, IoStatus s) {
+        ch.submit(eq, svc.make(), [&](Tick f, IoStatus s) {
             finish = f;
             status = s;
         });
@@ -167,8 +134,7 @@ TEST(RetryChannel, DeadlinePassedAtCompletionTimesOut)
     ScriptedService svc{{IoStatus::Ok}};
     IoStatus status = IoStatus::Ok;
     eq.schedule(0, [&] {
-        ch.submitFallible(eq, svc.make(),
-                          [&](Tick, IoStatus s) { status = s; });
+        ch.submit(eq, svc.make(), [&](Tick, IoStatus s) { status = s; });
     });
     eq.run();
     EXPECT_EQ(status, IoStatus::Timeout);
@@ -186,7 +152,7 @@ TEST(RetryChannel, BackoffOvershootingTheDeadlineTimesOut)
     IoStatus status = IoStatus::Ok;
     Tick finish = 0;
     eq.schedule(0, [&] {
-        ch.submitFallible(eq, svc.make(), [&](Tick f, IoStatus s) {
+        ch.submit(eq, svc.make(), [&](Tick f, IoStatus s) {
             finish = f;
             status = s;
         });
@@ -210,13 +176,15 @@ TEST(RetryChannel, DeadlinePassedWhileQueuedSkipsTheServiceAttempt)
     StorageChannel ch("ch", 1);
     RetryPolicy p = exactPolicy(3);
     p.timeout = us(5);
-    ch.setRetryPolicy(p);
+    ScriptedService blocker{{IoStatus::Ok}, us(100)};
     ScriptedService starved{{IoStatus::Ok}};
     IoStatus status = IoStatus::Ok;
     eq.schedule(0, [&] {
-        ch.submit(eq, [](Tick start) { return start + us(100); }, {});
-        ch.submitFallible(eq, starved.make(),
-                          [&](Tick, IoStatus s) { status = s; });
+        // The blocker is submitted before the policy is installed, so
+        // it carries no deadline of its own.
+        ch.submit(eq, blocker.make(), {});
+        ch.setRetryPolicy(p);
+        ch.submit(eq, starved.make(), [&](Tick, IoStatus s) { status = s; });
     });
     eq.run();
     EXPECT_TRUE(starved.starts.empty());
@@ -235,9 +203,8 @@ TEST(RetryChannel, RetryingRequestHoldsItsQueueSlot)
     ScriptedService flaky{{IoStatus::TransientError, IoStatus::Ok}};
     Tick first = 0, second = 0;
     eq.schedule(0, [&] {
-        ch.submitFallible(eq, flaky.make(),
-                          [&](Tick f, IoStatus) { first = f; });
-        ch.submitFallible(
+        ch.submit(eq, flaky.make(), [&](Tick f, IoStatus) { first = f; });
+        ch.submit(
             eq,
             [](Tick start, unsigned) {
                 return IoOutcome{start + us(10), IoStatus::Ok};
@@ -261,7 +228,7 @@ TEST(RetryChannel, JitterReplaysAfterReset)
         std::vector<Tick> finishes;
         eq.schedule(0, [&] {
             for (int i = 0; i < 8; ++i) {
-                ch.submitFallible(
+                ch.submit(
                     eq,
                     [](Tick start, unsigned attempt) {
                         return IoOutcome{start + us(10),
@@ -303,7 +270,7 @@ TEST(BlockingAdapter, DiesOnAFailedRequest)
         drainOne(
             eq, 0,
             [&](EventQueue &q, IoCompletion done) {
-                ch.submitFallible(
+                ch.submit(
                     q,
                     [](Tick start, unsigned) {
                         return IoOutcome{start + us(10),

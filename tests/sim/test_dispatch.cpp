@@ -15,11 +15,14 @@ using namespace smartsage::sim;
 namespace
 {
 
-/** Fixed-service process: every dispatch takes exactly @p ticks. */
+/** Fixed-service process: every dispatch takes exactly @p ticks and
+ *  succeeds. */
 StorageChannel::Service
 fixedService(Tick ticks)
 {
-    return [ticks](Tick start) { return start + ticks; };
+    return [ticks](Tick start, unsigned) {
+        return IoOutcome{start + ticks, IoStatus::Ok};
+    };
 }
 
 } // namespace

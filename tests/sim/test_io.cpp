@@ -1,6 +1,6 @@
 /** @file Unit tests for the async storage request layer (sim/io.hh):
- *  StorageChannel admission, queue-depth bounding, the submit-and-drain
- *  blocking adapter, and the async ports of SsdDevice / FlashArray. */
+ *  StorageChannel admission, queue-depth bounding, and the
+ *  submit-and-drain blocking adapter. */
 
 #include <gtest/gtest.h>
 
@@ -8,13 +8,22 @@
 
 #include "sim/io.hh"
 #include "sim/resource.hh"
-#include "ssd/ssd_device.hh"
 
 using namespace smartsage;
 using namespace smartsage::sim;
 
 namespace
 {
+
+/** An always-Ok attempt finishing at @p finish(start). */
+template <typename Finish>
+StorageChannel::Service
+alwaysOk(Finish finish)
+{
+    return [finish](Tick start, unsigned) {
+        return IoOutcome{finish(start), IoStatus::Ok};
+    };
+}
 
 /** Channel whose service takes a fixed time on a shared server. */
 struct FixedService
@@ -25,9 +34,9 @@ struct FixedService
     StorageChannel::Service
     make()
     {
-        return [this](Tick start) {
+        return alwaysOk([this](Tick start) {
             return server.request(start, service_time).finish;
-        };
+        });
     }
 };
 
@@ -64,9 +73,9 @@ TEST(StorageChannel, DepthBoundsConcurrentService)
         for (int i = 0; i < 3; ++i) {
             ch.submit(
                 eq,
-                [&pool](Tick start) {
+                alwaysOk([&pool](Tick start) {
                     return pool.request(start, 100).finish;
-                },
+                }),
                 [&](Tick f, IoStatus) { finishes.push_back(f); });
         }
     });
@@ -90,9 +99,9 @@ TEST(StorageChannel, QueueWaitStatsCoverOnlyQueuedRequests)
     EventQueue eq;
     StorageChannel ch("ch", 1);
     Server server("srv");
-    auto service = [&server](Tick start) {
+    auto service = alwaysOk([&server](Tick start) {
         return server.request(start, 100).finish;
-    };
+    });
 
     eq.schedule(0, [&] { ch.submit(eq, service, {}); });
     eq.schedule(500, [&] { ch.submit(eq, service, {}); });
@@ -136,9 +145,9 @@ TEST(StorageChannel, PendingRequestsDispatchInFifoOrder)
         for (int i = 0; i < 4; ++i) {
             ch.submit(
                 eq,
-                [&server](Tick start) {
+                alwaysOk([&server](Tick start) {
                     return server.request(start, 10).finish;
-                },
+                }),
                 [&order, i](Tick, IoStatus) { order.push_back(i); });
         }
     });
@@ -157,9 +166,9 @@ TEST(StorageChannel, WiderQueueNeverIncreasesWait)
             eq.schedule(static_cast<Tick>(i), [&ch, &eq, &pool] {
                 ch.submit(
                     eq,
-                    [&pool](Tick start) {
+                    alwaysOk([&pool](Tick start) {
                         return pool.request(start, 50).finish;
-                    },
+                    }),
                     {});
             });
         }
@@ -172,33 +181,6 @@ TEST(StorageChannel, WiderQueueNeverIncreasesWait)
     EXPECT_LT(wide, narrow);
 }
 
-TEST(StorageChannel, StagedServiceHoldsTheSlotUntilCompletion)
-{
-    EventQueue eq;
-    StorageChannel ch("ch", 1);
-    std::vector<Tick> finishes;
-
-    auto staged = [](EventQueue &q, Tick start, IoCompletion complete) {
-        // Two-stage service: 30 ticks, then 20 more.
-        q.schedule(start + 30, [&q, complete = std::move(complete)] {
-            Tick mid = q.now();
-            q.schedule(mid + 20, [complete = std::move(complete), mid] {
-                complete(mid + 20, IoStatus::Ok);
-            });
-        });
-    };
-    eq.schedule(0, [&] {
-        ch.submitStaged(eq, staged,
-                        [&](Tick f, IoStatus) { finishes.push_back(f); });
-        ch.submitStaged(eq, staged,
-                        [&](Tick f, IoStatus) { finishes.push_back(f); });
-    });
-    eq.run();
-    ASSERT_EQ(finishes.size(), 2u);
-    EXPECT_EQ(finishes[0], 50u);
-    EXPECT_EQ(finishes[1], 100u); // waited for the full staged service
-}
-
 TEST(DrainOne, ReturnsTheCompletionTick)
 {
     EventQueue eq;
@@ -207,9 +189,9 @@ TEST(DrainOne, ReturnsTheCompletionTick)
     Tick t = drainOne(eq, 500, [&](EventQueue &q, IoCompletion done) {
         ch.submit(
             q,
-            [&server](Tick start) {
+            alwaysOk([&server](Tick start) {
                 return server.request(start, 25).finish;
-            },
+            }),
             std::move(done));
     });
     EXPECT_EQ(t, 525u);
@@ -217,118 +199,10 @@ TEST(DrainOne, ReturnsTheCompletionTick)
     Tick t2 = drainOne(eq, 100, [&](EventQueue &q, IoCompletion done) {
         ch.submit(
             q,
-            [&server](Tick start) {
+            alwaysOk([&server](Tick start) {
                 return server.request(start, 25).finish;
-            },
+            }),
             std::move(done));
     });
     EXPECT_EQ(t2, 550u); // server busy until 525, then 25 of service
-}
-
-TEST(SsdAsync, BlockingAdapterMatchesSingleAsyncSubmission)
-{
-    ssd::SsdConfig cfg;
-    ssd::SsdDevice blocking_dev(cfg);
-    ssd::SsdDevice async_dev(cfg);
-
-    Tick blocking = blocking_dev.readBlocks(1000, 4096, 8192);
-
-    EventQueue eq;
-    Tick async = 0;
-    eq.schedule(1000, [&] {
-        async_dev.submitRead(eq, 4096, 8192,
-                             [&](Tick f, IoStatus) { async = f; });
-    });
-    eq.run();
-    EXPECT_EQ(async, blocking);
-    EXPECT_EQ(async_dev.hostReads(), blocking_dev.hostReads());
-    EXPECT_EQ(async_dev.bytesToHost(), blocking_dev.bytesToHost());
-}
-
-TEST(SsdAsync, ConcurrentReadsOverlapInsideTheDevice)
-{
-    // Eight same-tick single-block reads: async in-flight service
-    // must beat the serialized blocking sequence, because flash pages
-    // on distinct dies overlap while the blocking path drains each
-    // command before submitting the next.
-    ssd::SsdConfig cfg;
-    ssd::SsdDevice serial_dev(cfg);
-    ssd::SsdDevice async_dev(cfg);
-
-    Tick serial = 0;
-    for (int i = 0; i < 8; ++i)
-        serial = serial_dev.readBlocks(serial, i * sim::KiB(64), 4096);
-
-    EventQueue eq;
-    Tick last = 0;
-    eq.schedule(0, [&] {
-        for (int i = 0; i < 8; ++i) {
-            async_dev.submitRead(eq, i * sim::KiB(64), 4096,
-                                 [&](Tick f, IoStatus) {
-                                     last = std::max(last, f);
-                                 });
-        }
-    });
-    eq.run();
-    EXPECT_GT(last, 0u);
-    EXPECT_LT(last, serial);
-}
-
-TEST(SsdAsync, NarrowNvmeQueueSerializes)
-{
-    ssd::SsdConfig cfg;
-    cfg.queue_depth = 1;
-    ssd::SsdDevice dev(cfg);
-
-    EventQueue eq;
-    eq.schedule(0, [&] {
-        for (int i = 0; i < 4; ++i)
-            dev.submitRead(eq, i * sim::MiB(1), 4096, {});
-    });
-    eq.run();
-    EXPECT_EQ(dev.nvmeQueue().completed(), 4u);
-    // Three of the four commands had to wait for the single SQ slot.
-    EXPECT_GT(dev.nvmeQueue().totalQueueWait(), 0u);
-    EXPECT_EQ(dev.nvmeQueue().peakOutstanding(), 4u);
-}
-
-TEST(FlashAsync, ChannelQueueBoundsPageReads)
-{
-    flash::FlashConfig cfg;
-    cfg.channels = 2;
-    cfg.dies_per_channel = 2;
-    cfg.channel_queue_depth = 1;
-    flash::FlashArray flash(cfg);
-
-    EventQueue eq;
-    std::vector<Tick> finishes;
-    eq.schedule(0, [&] {
-        // Four reads on channel 0, alternating dies: with a depth-1
-        // command queue the second die read cannot start early even
-        // though its die is free.
-        for (unsigned i = 0; i < 4; ++i) {
-            flash.submitRead(eq, {0, i % 2, i},
-                             [&](Tick f, IoStatus) { finishes.push_back(f); });
-        }
-    });
-    eq.run();
-    ASSERT_EQ(finishes.size(), 4u);
-    EXPECT_GT(flash.channelQueue(0).totalQueueWait(), 0u);
-    EXPECT_EQ(flash.pagesRead(), 4u);
-
-    // The same reads through a deep queue finish strictly earlier.
-    flash::FlashConfig deep_cfg = cfg;
-    deep_cfg.channel_queue_depth = 8;
-    flash::FlashArray deep(deep_cfg);
-    EventQueue eq2;
-    Tick deep_last = 0;
-    eq2.schedule(0, [&] {
-        for (unsigned i = 0; i < 4; ++i) {
-            deep.submitRead(eq2, {0, i % 2, i}, [&](Tick f, IoStatus) {
-                deep_last = std::max(deep_last, f);
-            });
-        }
-    });
-    eq2.run();
-    EXPECT_LT(deep_last, finishes.back());
 }

@@ -3,8 +3,10 @@
  *  from a submit-and-drain of the async port — the same completion
  *  ticks, the same channel counters, the same jitter and fault draws,
  *  and the same fatal exit on a request that ends non-Ok. Covered at
- *  the channel, at an EdgeStore under a host fault plan, at
- *  SsdDevice::readBlocks and at IspEngine::runGroup. */
+ *  the channel and at an EdgeStore under a host fault plan. The
+ *  device-level blocking calls, SsdDevice::readBlocks and
+ *  IspEngine::runGroup, have no async form to compare against; they
+ *  are pinned to digests of their completion ticks and counters. */
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "isp/nsconfig.hh"
 #include "sim/io.hh"
 #include "sim/random.hh"
+#include "sim/serialize.hh"
 #include "ssd/ssd_device.hh"
 
 using namespace smartsage;
@@ -65,13 +68,13 @@ scriptedAttempt(std::uint64_t id, unsigned max_attempts, Tick start,
 /** Blocking fallible request through the event path. */
 Tick
 drainFallible(StorageChannel &ch, EventQueue &eq, Tick arrival,
-              StorageChannel::FallibleService service,
+              StorageChannel::Service service,
               std::string_view component = "blocking adapter")
 {
     return drainOne(
         eq, arrival,
         [&](EventQueue &q, IoCompletion done) {
-            ch.submitFallible(q, service, std::move(done));
+            ch.submit(q, service, std::move(done));
         },
         component, ch.submitted());
 }
@@ -247,72 +250,73 @@ TEST(ServeNow, EdgeStoreReadsMatchDrainedSubmitsUnderAHostFaultPlan)
     EXPECT_EQ(drained.pageCacheHitRate(), served.pageCacheHitRate());
     EXPECT_EQ(drained_ssd.hostReads(), served_ssd.hostReads());
     EXPECT_EQ(drained_ssd.bytesToHost(), served_ssd.bytesToHost());
-    expectSameCounters(drained_ssd.nvmeQueue(), served_ssd.nvmeQueue());
 }
 
-TEST(ServeNow, SsdReadBlocksMatchesDrainedSubmitRead)
+namespace
+{
+
+/** FNV-1a over a run's integer outcomes. */
+std::uint64_t
+digestOf(const std::vector<std::uint64_t> &v)
+{
+    return fnv1a64(v.data(), v.size() * sizeof(v[0]));
+}
+
+} // namespace
+
+// The digests below were recorded when readBlocks and runGroup were
+// still served through a device submission queue, on the same streams
+// that then matched a submit-and-drain of each device's async port
+// tick for tick. They cover every completion tick and the device and
+// batch counters, so any change in what the blocking calls compute
+// shows here.
+
+TEST(ServeInPlacePinned, SsdReadBlocks)
 {
     ssd::SsdConfig config;
     config.page_buffer_bytes = sim::MiB(2);
     config.flash.fault.ecc_rate = 0.1;
-    ssd::SsdDevice drained(config), served(config);
-    EventQueue eq;
+    ssd::SsdDevice ssd(config);
     Rng rng(5);
     Tick t = 0;
+    std::vector<std::uint64_t> v;
     for (int i = 0; i < 2000; ++i) {
         t = rng.nextBounded(8) == 0 ? t / 3 : t + rng.nextBounded(us(30));
         std::uint64_t addr = rng.nextBounded(sim::MiB(256));
         std::uint64_t bytes = 1 + rng.nextBounded(sim::KiB(96));
-        Tick a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
-            drained.submitRead(q, addr, bytes, std::move(done));
-        });
-        Tick b = served.readBlocks(t, addr, bytes);
-        ASSERT_EQ(a, b) << "read " << i;
+        v.push_back(ssd.readBlocks(t, addr, bytes));
     }
-    expectSameCounters(drained.nvmeQueue(), served.nvmeQueue());
-    EXPECT_EQ(drained.hostReads(), served.hostReads());
-    EXPECT_EQ(drained.bytesToHost(), served.bytesToHost());
-    EXPECT_EQ(drained.eccRetries(), served.eccRetries());
-    EXPECT_EQ(drained.pageBuffer().hits(), served.pageBuffer().hits());
-    EXPECT_EQ(drained.pageBuffer().misses(), served.pageBuffer().misses());
+    v.insert(v.end(), {ssd.hostReads(), ssd.bytesToHost(), ssd.eccRetries(),
+                       ssd.pageBuffer().hits(), ssd.pageBuffer().misses()});
+    EXPECT_GT(ssd.eccRetries(), 0u);
+    EXPECT_GT(ssd.pageBuffer().hits(), 0u);
+    EXPECT_EQ(digestOf(v), 0x7eb901a679134d4aull) << std::hex << digestOf(v);
 }
 
-TEST(ServeNow, IspRunGroupMatchesDrainedSubmitGroup)
+TEST(ServeInPlacePinned, IspRunGroup)
 {
     ssd::SsdConfig ssd_config;
     ssd_config.page_buffer_bytes = sim::MiB(2);
-    ssd::SsdDevice drained_ssd(ssd_config), served_ssd(ssd_config);
+    ssd::SsdDevice ssd(ssd_config);
     graph::EdgeLayout layout;
-    isp::IspConfig config;
-    isp::IspEngine drained(config, drained_ssd, layout);
-    isp::IspEngine served(config, served_ssd, layout);
+    isp::IspEngine engine(isp::IspConfig{}, ssd, layout);
 
     Rng rng(9);
     WorkStream stream(3000, rng);
-    isp::IspBatchResult drained_result, served_result;
-    EventQueue eq;
+    isp::IspBatchResult result;
     Tick t = 0;
     std::size_t next = 0;
+    std::vector<std::uint64_t> v;
     while (next < stream.work.size()) {
         std::size_t n = std::min<std::size_t>(1 + rng.nextBounded(64),
                                                stream.work.size() - next);
-        const isp::NodeWork *work = stream.work.data() + next;
         t += rng.nextBounded(us(200));
-        Tick a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
-            drained.submitGroup(q, work, n, drained_result,
-                                std::move(done));
-        });
-        Tick b = served.runGroup(work, n, t, served_result);
-        ASSERT_EQ(a, b) << "group at " << next;
+        v.push_back(engine.runGroup(stream.work.data() + next, n, t, result));
         next += n;
     }
-    expectSameCounters(drained.commandQueue(), served.commandQueue());
-    EXPECT_EQ(drained_result.commands, served_result.commands);
-    EXPECT_EQ(drained_result.bytes_to_host, served_result.bytes_to_host);
-    EXPECT_EQ(drained_result.bytes_from_host,
-              served_result.bytes_from_host);
-    EXPECT_EQ(drained_result.flash_pages, served_result.flash_pages);
-    EXPECT_EQ(drained_ssd.pageBuffer().hits(),
-              served_ssd.pageBuffer().hits());
-    expectSameCounters(drained_ssd.nvmeQueue(), served_ssd.nvmeQueue());
+    v.insert(v.end(), {result.finish, result.commands, result.bytes_to_host,
+                       result.bytes_from_host, result.flash_pages,
+                       ssd.pageBuffer().hits(), ssd.pageBuffer().misses()});
+    EXPECT_GT(ssd.pageBuffer().hits(), 0u);
+    EXPECT_EQ(digestOf(v), 0x95d5692072ef4a21ull) << std::hex << digestOf(v);
 }
