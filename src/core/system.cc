@@ -1,7 +1,6 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -405,51 +404,6 @@ GnnSystem::runSamplingResumed(
     return result;
 }
 
-namespace
-{
-
-/** Pipeline config for a functional run off this system's settings. */
-pipeline::ParallelSampleConfig
-functionalConfig(const SystemConfig &config, unsigned workers,
-                 std::size_t batches)
-{
-    pipeline::ParallelSampleConfig psc;
-    psc.workers = workers;
-    psc.num_batches = batches;
-    psc.batch_size = config.pipeline.batch_size;
-    psc.seed = config.pipeline.seed;
-    return psc;
-}
-
-double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
-} // namespace
-
-GnnSystem::FunctionalResult
-GnnSystem::runFunctionalSampling(unsigned workers, std::size_t batches)
-{
-    SS_ASSERT(workers > 0 && batches > 0, "degenerate functional run");
-    auto psc = functionalConfig(config_, workers, batches);
-    sim::ThreadPool pool(workers);
-
-    FunctionalResult result;
-    auto start = std::chrono::steady_clock::now();
-    pipeline::runSamplingPipeline(
-        workload_.graph, *sampler_, psc, &pool,
-        [&](std::size_t, pipeline::FunctionalBatch &&batch) {
-            result.sampled_edges += batch.subgraph.totalSampledEdges();
-        });
-    result.wall_seconds = elapsedSeconds(start);
-    result.batches = batches;
-    return result;
-}
-
 GnnSystem::FunctionalResult
 GnnSystem::runFunctionalTraining(gnn::SageModel &model, unsigned workers,
                                  std::size_t batches)
@@ -457,21 +411,21 @@ GnnSystem::runFunctionalTraining(gnn::SageModel &model, unsigned workers,
     SS_ASSERT(workers > 0 && batches > 0, "degenerate functional run");
     SS_ASSERT(model.config().depth == config_.depth(),
               "model depth must match the sampling depth");
-    auto psc = functionalConfig(config_, workers, batches);
+    pipeline::ParallelSampleConfig psc;
+    psc.workers = workers;
+    psc.num_batches = batches;
+    psc.batch_size = config_.pipeline.batch_size;
+    psc.seed = config_.pipeline.seed;
     sim::ThreadPool pool(workers);
 
-    FunctionalResult result;
     double loss_sum = 0;
-    auto start = std::chrono::steady_clock::now();
     pipeline::runSamplingPipeline(
         workload_.graph, *sampler_, psc, &pool,
         [&](std::size_t, pipeline::FunctionalBatch &&batch) {
-            result.sampled_edges += batch.subgraph.totalSampledEdges();
             loss_sum +=
                 model.trainStep(batch.subgraph, workload_.features);
         });
-    result.wall_seconds = elapsedSeconds(start);
-    result.batches = batches;
+    FunctionalResult result;
     result.mean_loss = loss_sum / static_cast<double>(batches);
     return result;
 }

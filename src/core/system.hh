@@ -208,43 +208,13 @@ class GnnSystem
     runSamplingResumed(unsigned workers, std::size_t batches,
                        const std::vector<std::uint64_t> *warm_lines);
 
-    /**
-     * Wall-clock outcome of a *functional* multi-worker run: real
-     * subgraphs sampled (and optionally a real model trained) on host
-     * threads, as opposed to the simulated-time results above.
-     */
+    /** Outcome of a *functional* training run: a real model trained
+     *  on real subgraphs, as opposed to the simulated-time results
+     *  above. */
     struct FunctionalResult
     {
-        double wall_seconds = 0;
-        std::uint64_t batches = 0;
-        std::uint64_t sampled_edges = 0;
-        double mean_loss = 0; //!< training runs only
-
-        double
-        edgesPerSecond() const
-        {
-            return wall_seconds > 0
-                       ? static_cast<double>(sampled_edges) / wall_seconds
-                       : 0.0;
-        }
-
-        double
-        batchesPerSecond() const
-        {
-            return wall_seconds > 0
-                       ? static_cast<double>(batches) / wall_seconds
-                       : 0.0;
-        }
+        double mean_loss = 0;
     };
-
-    /**
-     * Functionally sample @p batches mini-batches over @p workers host
-     * threads. Output batches (and therefore sampled_edges) are
-     * bit-identical for any worker count at a fixed pipeline seed; see
-     * pipeline::runSamplingPipeline.
-     */
-    FunctionalResult runFunctionalSampling(unsigned workers,
-                                           std::size_t batches);
 
     /**
      * The real per-batch sampling/training loop: @p workers sampler

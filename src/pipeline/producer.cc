@@ -1,11 +1,9 @@
 #include "producer.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
+#include <deque>
 #include <functional>
-#include <mutex>
+#include <optional>
 
 #include "gnn/tensor.hh"
 #include "host/feature_cache.hh"
@@ -25,8 +23,8 @@ sampleBatchIndex(const graph::CsrGraph &graph,
                  FunctionalBatch &out)
 {
     // Per-index RNG forks keep the output independent of how indices
-    // land on threads; the shared per-thread scratch gives each worker
-    // its own allocation-free arena.
+    // land on threads; the shared per-thread scratch gives each thread
+    // that samples, the consumer included, its own allocation-free arena.
     gnn::SampleScratch &scratch = gnn::threadSampleScratch();
     sim::Rng rng = sim::Rng(config.seed).fork(config.first_batch + i);
     gnn::selectTargetsInto(graph, config.batch_size, rng, scratch,
@@ -49,156 +47,32 @@ runSamplingPipeline(
 
     const std::size_t producers = std::min<std::size_t>(
         {config.workers, pool ? pool->size() : 1, n});
-    if (!pool || producers <= 1) {
-        // Serial pipeline: produce then consume, one batch at a time.
-        for (std::size_t i = 0; i < n; ++i) {
-            FunctionalBatch batch;
-            sampleBatchIndex(graph, sampler, config, i, batch);
-            consume(i, std::move(batch));
-        }
-        return;
-    }
-    // Enough staged batches to keep every producer busy while the
+    // One producer: queue nothing, so each resolve() samples inline.
+    sim::ThreadPool *helpers = producers > 1 ? pool : nullptr;
+    // Enough batches in flight to keep every producer busy while the
     // consumer catches up. Memory is O(window), never O(num_batches):
-    // slots form a ring, and the window backpressure guarantees slot
-    // i % slots is free (batch i - slots already consumed) before
-    // batch i is produced into it.
-    const std::size_t window = 2 * producers + 2;
-    const std::size_t slots = std::min(window, n);
-    constexpr std::size_t no_batch = static_cast<std::size_t>(-1);
+    // batch i samples into ring slot i % window, launched only once
+    // batch i - window has been consumed out of it.
+    const std::size_t window = std::min(2 * producers + 2, n);
 
-    std::vector<FunctionalBatch> staged(slots);
-    std::vector<std::size_t> slot_batch(slots, no_batch);
-    std::mutex m;
-    std::condition_variable cv_ready, cv_space;
-    std::size_t consumed = 0;
-    std::size_t live = 0;              // launched tasks, guarded by m
-    std::exception_ptr producer_error; // first failure, guarded by m
-    bool cancelled = false;            // abort signal, guarded by m
-    std::atomic<std::size_t> next{0};
-
-    auto submitProducer = [&] {
-        pool->submit([&] {
-            try {
-                for (;;) {
-                    std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= n)
-                        break;
-                    {
-                        std::unique_lock<std::mutex> lock(m);
-                        cv_space.wait(lock, [&] {
-                            return i < consumed + window ||
-                                   producer_error || cancelled;
-                        });
-                        // Re-check after waking: a drain must not let a
-                        // released producer write into a ring slot that
-                        // another producer may still be filling.
-                        if (producer_error || cancelled)
-                            break;
-                    }
-                    sampleBatchIndex(graph, sampler, config, i,
-                                     staged[i % slots]);
-                    {
-                        std::unique_lock<std::mutex> lock(m);
-                        slot_batch[i % slots] = i;
-                    }
-                    cv_ready.notify_all();
-                }
-            } catch (...) {
-                {
-                    std::unique_lock<std::mutex> lock(m);
-                    if (!producer_error)
-                        producer_error = std::current_exception();
-                }
-                next.store(n, std::memory_order_relaxed);
-                cv_space.notify_all();
-            }
-            // Notify under the lock: once live reaches 0 the drain may
-            // return and destroy this frame, cv_ready included.
-            std::unique_lock<std::mutex> lock(m);
-            --live;
-            cv_ready.notify_all();
+    std::vector<FunctionalBatch> staged(window);
+    // Declared after the ring, so on any exception the tasks still in
+    // flight are cancelled or waited out before the slots they write.
+    std::deque<sim::ClaimableTask> in_flight;
+    auto launch = [&](std::size_t i) {
+        in_flight.emplace_back(helpers, [&, i] {
+            sampleBatchIndex(graph, sampler, config, i, staged[i % window]);
         });
     };
-
-    // Wait for *our* producers only — never the whole pool, which may
-    // be running unrelated tasks. Stealing the remaining indices and
-    // lifting the window lets every producer run to completion first.
-    auto drainProducers = [&] {
-        next.store(n, std::memory_order_relaxed);
-        {
-            std::unique_lock<std::mutex> lock(m);
-            cancelled = true;
-        }
-        cv_space.notify_all();
-        std::unique_lock<std::mutex> lock(m);
-        cv_ready.wait(lock, [&] { return live == 0; });
-    };
-
-    // Launch producers one at a time; if a submit itself throws (e.g.
-    // allocation failure), the already-launched tasks still reference
-    // this frame — drain them before unwinding.
-    try {
-        for (std::size_t t = 0; t < producers; ++t) {
-            {
-                std::unique_lock<std::mutex> lock(m);
-                ++live;
-            }
-            try {
-                submitProducer();
-            } catch (...) {
-                std::unique_lock<std::mutex> lock(m);
-                --live; // this task never launched
-                throw;
-            }
-        }
-    } catch (...) {
-        drainProducers();
-        throw;
+    for (std::size_t i = 0; i < window; ++i)
+        launch(i);
+    for (std::size_t i = 0; i < n; ++i) {
+        in_flight.front().resolve();
+        in_flight.pop_front();
+        consume(i, std::move(staged[i % window]));
+        if (i + window < n)
+            launch(i + window);
     }
-
-    try {
-        for (std::size_t i = 0; i < n; ++i) {
-            {
-                std::unique_lock<std::mutex> lock(m);
-                cv_ready.wait(lock, [&] {
-                    return slot_batch[i % slots] == i || producer_error;
-                });
-                if (slot_batch[i % slots] != i)
-                    break; // a producer failed; abort consumption
-            }
-            consume(i, std::move(staged[i % slots]));
-            {
-                std::unique_lock<std::mutex> lock(m);
-                ++consumed;
-            }
-            cv_space.notify_all();
-        }
-    } catch (...) {
-        // The producers reference this frame's locals; drain them
-        // before unwinding the consumer's exception.
-        drainProducers();
-        throw;
-    }
-    drainProducers();
-    if (producer_error)
-        std::rethrow_exception(producer_error);
-}
-
-std::vector<FunctionalBatch>
-sampleBatchesParallel(const graph::CsrGraph &graph,
-                      const gnn::AnySampler &sampler,
-                      const ParallelSampleConfig &config,
-                      sim::ThreadPool *pool)
-{
-    std::vector<FunctionalBatch> batches(config.num_batches);
-    runSamplingPipeline(graph, sampler, config, pool,
-                        [&batches](std::size_t i,
-                                   FunctionalBatch &&batch) {
-                            batches[i] = std::move(batch);
-                        });
-    return batches;
 }
 
 SubgraphStats
@@ -367,11 +241,9 @@ class FpgaBatchJob : public BatchJob
 };
 
 /**
- * One batch's traced functional sample, shared by its job and the
- * kernel-pool task that may run it. Whichever thread claims it first
- * runs it: a pool worker that gets to it early, or the thread that
- * resolves the job. The sampler works on private copies of the
- * targets and RNG, so a pool worker never writes the caller's memory.
+ * One batch's traced functional sample. The sampler works on private
+ * copies of the targets and RNG, so a pool worker never writes the
+ * caller's memory.
  */
 struct PendingSample
 {
@@ -382,47 +254,12 @@ struct PendingSample
     {
     }
 
-    /** True for exactly one caller: the one that runs (or cancels) it. */
-    bool
-    claim()
-    {
-        return !claimed.exchange(true, std::memory_order_acq_rel);
-    }
-
-    /** Sample, then publish. @pre this thread claim()ed it */
-    void
-    run()
-    {
-        try {
-            subgraph = sampler.sample(graph, targets, rng, &trace);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        finished = true;
-        finished_cv.notify_all();
-    }
-
-    /** Block until the thread that claimed it has run it. */
-    void
-    waitFinished()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        finished_cv.wait(lock, [this] { return finished; });
-    }
-
     const graph::CsrGraph &graph;
     const gnn::AnySampler &sampler;
     const std::vector<graph::LocalNodeId> targets;
     sim::Rng rng;
     isp::IspTraceVisitor trace;
     gnn::Subgraph subgraph;
-    std::exception_ptr error;
-
-    std::atomic<bool> claimed{false};
-    std::mutex mutex;
-    std::condition_variable finished_cv;
-    bool finished = false; //!< guarded by mutex
 };
 
 /** Builds a batch's replay job from its resolved sample. */
@@ -433,19 +270,15 @@ using ReplayFactory = std::function<std::unique_ptr<BatchJob>(
 class SampleAheadJob final : public BatchJob
 {
   public:
-    SampleAheadJob(std::shared_ptr<PendingSample> sample, sim::Rng &rng,
+    SampleAheadJob(std::unique_ptr<PendingSample> sample, sim::Rng &rng,
                    ReplayFactory make_replay)
         : sample_(std::move(sample)), rng_(rng),
-          make_replay_(std::move(make_replay))
+          make_replay_(std::move(make_replay)),
+          task_(std::in_place, gnn::kernelPool(), [s = sample_.get()] {
+              s->subgraph =
+                  s->sampler.sample(s->graph, s->targets, s->rng, &s->trace);
+          })
     {
-    }
-
-    ~SampleAheadJob() override
-    {
-        // Cancel a sample no one has started; wait out one a pool
-        // worker is running, since it reads the graph and sampler.
-        if (sample_ && !sample_->claim())
-            sample_->waitFinished();
     }
 
     bool done() const override { return replay().done(); }
@@ -462,24 +295,23 @@ class SampleAheadJob final : public BatchJob
     replay() const
     {
         if (!replay_) {
-            if (sample_->claim())
-                sample_->run();
-            else
-                sample_->waitFinished();
-            if (sample_->error)
-                std::rethrow_exception(sample_->error);
+            task_->resolve();
             rng_ = sample_->rng;
             replay_ = make_replay_(std::move(sample_->subgraph),
                                    std::move(sample_->trace));
+            task_.reset();
             sample_.reset();
         }
         return *replay_;
     }
 
-    mutable std::shared_ptr<PendingSample> sample_;
+    mutable std::unique_ptr<PendingSample> sample_;
     sim::Rng &rng_;
     ReplayFactory make_replay_;
     mutable std::unique_ptr<BatchJob> replay_;
+    /** Declared last, so a job dropped unresolved cancels or waits out
+     *  its sample before the sample's memory goes. */
+    mutable std::optional<sim::ClaimableTask> task_;
 };
 
 /**
@@ -492,16 +324,9 @@ launchSample(const graph::CsrGraph &graph, const gnn::AnySampler &sampler,
              const std::vector<graph::LocalNodeId> &targets, sim::Rng &rng,
              ReplayFactory make_replay)
 {
-    auto sample =
-        std::make_shared<PendingSample>(graph, sampler, targets, rng);
-    if (sim::ThreadPool *pool = gnn::kernelPool()) {
-        pool->submit([sample] {
-            if (sample->claim())
-                sample->run();
-        });
-    }
-    return std::make_unique<SampleAheadJob>(std::move(sample), rng,
-                                            std::move(make_replay));
+    return std::make_unique<SampleAheadJob>(
+        std::make_unique<PendingSample>(graph, sampler, targets, rng), rng,
+        std::move(make_replay));
 }
 
 } // namespace

@@ -72,40 +72,31 @@ struct ParallelSampleConfig
 };
 
 /**
- * Overlapped functional pipeline: sampling runs on the pool's worker
- * threads while @p consume runs on the calling thread, once per batch,
- * in strict batch-index order (with bounded in-flight backpressure).
- * This is the real multi-worker producer/consumer loop of Fig 4 — W
- * samplers feeding one trainer — executing on host cores.
+ * Overlapped functional pipeline: the real multi-worker
+ * producer/consumer loop of Fig 4 — W samplers feeding one trainer —
+ * executing on host cores. Batch i is sampled by a sim::ClaimableTask
+ * on @p pool, at most 2 * producers + 2 batches ahead of the consumer,
+ * where producers = min(config.workers, pool size, num_batches);
+ * @p consume runs on the calling thread, once per batch, in strict
+ * batch-index order. A batch no pool worker has started yet is sampled
+ * by the calling thread itself; with one producer (or a null @p pool)
+ * nothing is queued and every batch is sampled inline.
  *
- * Same determinism contract as sampleBatchesParallel: batch i is drawn
- * from fork(i) of the master seed, so both the batches and the
- * in-order consumer's state evolution are bit-identical for any worker
- * count.
+ * Determinism contract: batch i draws its targets and its sampling
+ * stream from fork(first_batch + i) of the master seed, and every
+ * thread samples into its own thread-local SampleScratch, so both the
+ * batches and the in-order consumer's state evolution are
+ * **bit-identical for any worker count**, regardless of thread
+ * scheduling.
+ *
+ * If sampling batch k throws, batches 0..k-1 are consumed and the
+ * exception is rethrown; an exception from @p consume propagates too.
+ * Either way no task is left running on the pool when this returns.
  */
 void runSamplingPipeline(
     const graph::CsrGraph &graph, const gnn::AnySampler &sampler,
     const ParallelSampleConfig &config, sim::ThreadPool *pool,
     const std::function<void(std::size_t, FunctionalBatch &&)> &consume);
-
-/**
- * Sample @p config.num_batches real subgraphs over the pool's worker
- * threads.
- *
- * Determinism contract: batch i draws its targets and its sampling
- * stream from fork(i) of the master seed, and results are stored by
- * batch index — so for a fixed seed the returned batches are
- * **bit-identical for any worker count** (1, 2, 8, ...), regardless of
- * thread scheduling. Each worker thread keeps a private SampleScratch,
- * so steady-state sampling does not allocate.
- *
- * @param pool thread pool to run on; null runs inline on the caller.
- */
-std::vector<FunctionalBatch>
-sampleBatchesParallel(const graph::CsrGraph &graph,
-                      const gnn::AnySampler &sampler,
-                      const ParallelSampleConfig &config,
-                      sim::ThreadPool *pool);
 
 /** Shape summary of a produced subgraph (enough for timing models). */
 struct SubgraphStats

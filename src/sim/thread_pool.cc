@@ -155,4 +155,75 @@ parallelFor(ThreadPool *pool, std::size_t count,
         std::rethrow_exception(call->first_error);
 }
 
+/** What the owner and its queued pool task share. */
+struct ClaimableTask::State
+{
+    explicit State(std::function<void()> w) : work(std::move(w)) {}
+
+    /** True for exactly one caller: the one that runs (or cancels) it. */
+    bool
+    claim()
+    {
+        return !claimed.exchange(true, std::memory_order_acq_rel);
+    }
+
+    /** Run the work, then publish. @pre this thread claim()ed it */
+    void
+    run()
+    {
+        try {
+            work();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        finished = true;
+        finished_cv.notify_all();
+    }
+
+    /** Block until the thread that claimed it has run it. */
+    void
+    waitFinished()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        finished_cv.wait(lock, [this] { return finished; });
+    }
+
+    std::function<void()> work;
+    std::exception_ptr error; //!< written by the runner before finished
+    std::atomic<bool> claimed{false};
+    std::mutex mutex;
+    std::condition_variable finished_cv;
+    bool finished = false; //!< guarded by mutex
+};
+
+ClaimableTask::ClaimableTask(ThreadPool *pool, std::function<void()> work)
+    : state_(std::make_shared<State>(std::move(work)))
+{
+    SS_ASSERT(state_->work, "null work passed to ClaimableTask");
+    if (pool) {
+        pool->submit([state = state_] {
+            if (state->claim())
+                state->run();
+        });
+    }
+}
+
+ClaimableTask::~ClaimableTask()
+{
+    if (!state_->claim())
+        state_->waitFinished();
+}
+
+void
+ClaimableTask::resolve()
+{
+    if (state_->claim())
+        state_->run();
+    else
+        state_->waitFinished();
+    if (state_->error)
+        std::rethrow_exception(state_->error);
+}
+
 } // namespace smartsage::sim

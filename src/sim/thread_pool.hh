@@ -10,6 +10,11 @@
  * across host cores. Determinism is preserved by construction at the
  * call sites: work items are keyed by index or carry their own RNG
  * stream, so results never depend on which thread ran what.
+ *
+ * Two ways to put work on a pool: parallelFor() runs an indexed loop
+ * and returns when every index is done; ClaimableTask queues one item
+ * ahead of need (a mini-batch sample), and whoever gets to it first —
+ * a pool worker or the thread that needs the result — runs it.
  */
 
 #ifndef SMARTSAGE_SIM_THREAD_POOL_HH
@@ -18,7 +23,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -83,6 +90,41 @@ class ThreadPool
  */
 void parallelFor(ThreadPool *pool, std::size_t count,
                  const std::function<void(std::size_t)> &fn);
+
+/**
+ * One unit of work that runs exactly once, on whichever thread claims
+ * it first: a worker of the pool it was queued on, or the thread that
+ * calls resolve(). The owner never waits on a queue it does not need
+ * (resolve() runs an unclaimed task itself) and never leaves work
+ * touching freed memory (the destructor cancels a task still queued
+ * and waits out one that is running), so @p work may reference
+ * anything that outlives the task.
+ */
+class ClaimableTask
+{
+  public:
+    /** Queue @p work on @p pool; a null @p pool queues nothing, and
+     *  the work runs inside resolve() on the caller. */
+    ClaimableTask(ThreadPool *pool, std::function<void()> work);
+
+    /** Cancels the work if no thread has claimed it, else waits for
+     *  it to finish. */
+    ~ClaimableTask();
+
+    ClaimableTask(const ClaimableTask &) = delete;
+    ClaimableTask &operator=(const ClaimableTask &) = delete;
+
+    /**
+     * Run the work on this thread unless a worker has claimed it, in
+     * which case wait for that worker; then rethrow the exception the
+     * work threw, if any.
+     */
+    void resolve();
+
+  private:
+    struct State;
+    std::shared_ptr<State> state_; //!< shared with the queued pool task
+};
 
 } // namespace smartsage::sim
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gnn/model.hh"
@@ -62,6 +63,19 @@ expectIdentical(const std::vector<FunctionalBatch> &a,
     }
 }
 
+/** Every batch of one pipeline run, in consume order. */
+std::vector<FunctionalBatch>
+collect(const graph::CsrGraph &g, const gnn::AnySampler &sampler,
+        const ParallelSampleConfig &config, sim::ThreadPool *pool)
+{
+    std::vector<FunctionalBatch> batches;
+    runSamplingPipeline(g, sampler, config, pool,
+                        [&](std::size_t, FunctionalBatch &&batch) {
+                            batches.push_back(std::move(batch));
+                        });
+    return batches;
+}
+
 std::vector<FunctionalBatch>
 sampleWith(unsigned workers, const graph::CsrGraph &g,
            const gnn::AnySampler &sampler)
@@ -69,8 +83,39 @@ sampleWith(unsigned workers, const graph::CsrGraph &g,
     sim::ThreadPool pool(workers);
     auto config = testConfig();
     config.workers = workers;
-    return sampleBatchesParallel(g, sampler, config, &pool);
+    return collect(g, sampler, config, &pool);
 }
+
+/**
+ * Delegates to a SageSampler, but throws on one batch. The batch is
+ * identified by its targets, not by call count, because samples of
+ * different batches race across the workers.
+ */
+class TargetThrowingSampler final : public gnn::AnySampler
+{
+  public:
+    TargetThrowingSampler(std::vector<unsigned> fanouts,
+                          std::vector<graph::LocalNodeId> poison)
+        : inner_(std::move(fanouts)), poison_(std::move(poison))
+    {
+    }
+
+    void
+    sampleInto(const graph::CsrGraph &graph,
+               const std::vector<graph::LocalNodeId> &targets,
+               sim::Rng &rng, gnn::SampleScratch &scratch,
+               gnn::Subgraph &out,
+               gnn::SampleVisitor *visitor) const override
+    {
+        if (targets == poison_)
+            throw std::runtime_error("sampler failed");
+        inner_.sampleInto(graph, targets, rng, scratch, out, visitor);
+    }
+
+  private:
+    gnn::SageSampler inner_;
+    std::vector<graph::LocalNodeId> poison_;
+};
 
 } // namespace
 
@@ -116,8 +161,8 @@ TEST(ParallelSampling, PipelineConsumesInBatchOrder)
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
 
-    // The streamed batches equal the batch-indexed parallel result.
-    auto reference = sampleBatchesParallel(g, sampler, config, &pool);
+    // The streamed batches equal the serial result.
+    auto reference = collect(g, sampler, config, nullptr);
     expectIdentical(streamed, reference);
 }
 
@@ -126,10 +171,10 @@ TEST(ParallelSampling, NullPoolRunsSerially)
     graph::CsrGraph g = testGraph();
     gnn::SageSampler sampler({6});
     auto config = testConfig();
-    auto serial = sampleBatchesParallel(g, sampler, config, nullptr);
+    auto serial = collect(g, sampler, config, nullptr);
     sim::ThreadPool pool(4);
     config.workers = 4;
-    auto pooled = sampleBatchesParallel(g, sampler, config, &pool);
+    auto pooled = collect(g, sampler, config, &pool);
     expectIdentical(serial, pooled);
 }
 
@@ -153,8 +198,42 @@ TEST(ParallelSampling, ConsumerExceptionDrainsProducersAndPropagates)
     EXPECT_EQ(consumed, 4u);
 
     // The pool must be fully drained and reusable afterwards.
-    auto batches = sampleBatchesParallel(g, sampler, config, &pool);
+    auto batches = collect(g, sampler, config, &pool);
     EXPECT_EQ(batches.size(), config.num_batches);
+}
+
+TEST(ParallelSampling, SamplerExceptionConsumesEarlierBatchesAndPropagates)
+{
+    graph::CsrGraph g = testGraph();
+    gnn::SageSampler sage({6, 3});
+    auto config = testConfig();
+    const auto reference = collect(g, sage, config, nullptr);
+    const std::size_t n = config.num_batches;
+
+    for (unsigned workers : {1u, 2u, 4u}) {
+        for (std::size_t k : {std::size_t{0}, n / 2, n - 1}) {
+            SCOPED_TRACE("workers " + std::to_string(workers) +
+                         ", failing batch " + std::to_string(k));
+            TargetThrowingSampler sampler({6, 3}, reference[k].targets);
+            sim::ThreadPool pool(workers);
+            config.workers = workers;
+
+            std::vector<std::size_t> order;
+            EXPECT_THROW(runSamplingPipeline(
+                             g, sampler, config, &pool,
+                             [&](std::size_t i, FunctionalBatch &&) {
+                                 order.push_back(i);
+                             }),
+                         std::runtime_error);
+            // Exactly the batches before the failing one, in order.
+            ASSERT_EQ(order.size(), k);
+            for (std::size_t i = 0; i < k; ++i)
+                EXPECT_EQ(order[i], i);
+
+            // No task is left behind: the pool serves a full run.
+            expectIdentical(collect(g, sage, config, &pool), reference);
+        }
+    }
 }
 
 TEST(ParallelSampling, TrainedModelIdenticalAcrossWorkerCounts)

@@ -5,12 +5,14 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "sim/thread_pool.hh"
 
+using smartsage::sim::ClaimableTask;
 using smartsage::sim::parallelFor;
 using smartsage::sim::ThreadPool;
 
@@ -115,4 +117,87 @@ TEST(ThreadPool, ParallelForRunsEveryIndexOnceWithBusyWorkers)
     pool.wait();
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ClaimableTask, RunsExactlyOnceWhenAWorkerAndResolveRace)
+{
+    // Each task is resolved after a varying head start, so a worker
+    // and the caller race to claim it; the loser must not run it again.
+    constexpr int kTasks = 2000;
+    ThreadPool pool(2);
+    std::atomic<int> total{0};
+    for (int t = 0; t < kTasks; ++t) {
+        std::atomic<int> runs{0};
+        ClaimableTask task(&pool, [&runs, &total] {
+            runs.fetch_add(1);
+            total.fetch_add(1);
+        });
+        for (int y = 0; y < t % 8; ++y)
+            std::this_thread::yield();
+        task.resolve();
+        ASSERT_EQ(runs.load(), 1) << "task " << t;
+    }
+    pool.wait();
+    EXPECT_EQ(total.load(), kTasks);
+}
+
+TEST(ClaimableTask, DestroyedWhileQueuedNeverRuns)
+{
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    pool.submit([opened] { opened.wait(); });
+
+    std::atomic<bool> ran{false};
+    {
+        ClaimableTask task(&pool, [&ran] { ran = true; });
+    }
+    gate.set_value();
+    pool.wait();
+    EXPECT_FALSE(ran.load());
+}
+
+TEST(ClaimableTask, DestroyingARunningTaskWaitsForTheWork)
+{
+    using namespace std::chrono_literals;
+    ThreadPool pool(1);
+    std::promise<void> started, release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<bool> finished{false};
+    auto task = std::make_unique<ClaimableTask>(&pool, [&] {
+        started.set_value();
+        released.wait();
+        finished = true;
+    });
+    started.get_future().wait(); // a worker has claimed it
+
+    std::atomic<bool> finished_at_return{false};
+    std::future<void> destroyer = std::async(std::launch::async, [&] {
+        task.reset();
+        finished_at_return = finished.load();
+    });
+    EXPECT_EQ(destroyer.wait_for(100ms), std::future_status::timeout)
+        << "the destructor returned while the work was running";
+    release.set_value();
+    destroyer.get();
+    EXPECT_TRUE(finished_at_return.load());
+}
+
+TEST(ClaimableTask, ResolveRethrowsTheWorksException)
+{
+    ThreadPool pool(2);
+    for (ThreadPool *p : {&pool, static_cast<ThreadPool *>(nullptr)}) {
+        ClaimableTask task(p, [] { throw std::runtime_error("work"); });
+        EXPECT_THROW(task.resolve(), std::runtime_error);
+    }
+}
+
+TEST(ClaimableTask, NullPoolRunsInsideResolveOnTheCaller)
+{
+    std::thread::id ran_on;
+    ClaimableTask task(nullptr,
+                       [&ran_on] { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::thread::id{}) << "ran before resolve()";
+    task.resolve();
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
