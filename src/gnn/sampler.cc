@@ -1,5 +1,6 @@
 #include "sampler.hh"
 
+#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 
@@ -12,27 +13,75 @@ namespace
 {
 
 // ------------------------------------------------------------------
-// Fast path: epoch-stamped flat dedup, reusable scratch, statically
-// dispatched visitor. The visitor parameter is a concrete type, so
-// with NoopVisitor every per-edge callback compiles away entirely.
+// The sampler cores take the visitor as a concrete type, so with
+// NoopVisitor every per-edge callback compiles away entirely and with
+// TraceRecorder it is an inline append.
 // ------------------------------------------------------------------
 
-/** Statically dispatched no-op visitor (fast path). */
+/** Statically dispatched no-op visitor (null visitor). */
 struct NoopVisitor
 {
     void onBatchStart(std::size_t) {}
+    void
+    onHopStart(const graph::CsrGraph &,
+               const std::vector<graph::LocalNodeId> &, std::uint64_t)
+    {
+    }
     void onOffsetRead(graph::LocalNodeId) {}
     void onEdgeEntryRead(graph::LocalNodeId, std::uint64_t) {}
     void onSampled(graph::LocalNodeId, graph::LocalNodeId) {}
     void onBatchEnd() {}
 };
 
-/** Forwards to the virtual SampleVisitor (instrumented path). */
+/** Fills a visitor's SampleTrace inline; only the batch boundaries
+ *  reach the visitor itself. */
+struct TraceRecorder
+{
+    SampleVisitor &v;
+    SampleTrace &trace;
+
+    void onBatchStart(std::size_t n) { v.onBatchStart(n); }
+
+    /**
+     * Size the trace for the hop about to expand @p frontier, exactly:
+     * each node reads min(degree, @p per_node) entries. Grown this way
+     * a finished trace has no slack to trim, and no entry is copied by
+     * growth within a hop.
+     */
+    void
+    onHopStart(const graph::CsrGraph &graph,
+               const std::vector<graph::LocalNodeId> &frontier,
+               std::uint64_t per_node)
+    {
+        std::uint64_t entries = 0;
+        for (graph::LocalNodeId u : frontier)
+            entries += std::min(graph.degree(u), per_node);
+        trace.nodes.reserve(trace.nodes.size() + frontier.size());
+        trace.starts.reserve(trace.starts.size() + frontier.size());
+        trace.entries.reserve(trace.entries.size() + entries);
+    }
+
+    void onOffsetRead(graph::LocalNodeId u) { trace.beginNode(u); }
+    void
+    onEdgeEntryRead(graph::LocalNodeId, std::uint64_t e)
+    {
+        trace.addEntry(e);
+    }
+    void onSampled(graph::LocalNodeId, graph::LocalNodeId) {}
+    void onBatchEnd() { v.onBatchEnd(); }
+};
+
+/** Forwards every access to the virtual SampleVisitor. */
 struct ForwardingVisitor
 {
     SampleVisitor &v;
 
     void onBatchStart(std::size_t n) { v.onBatchStart(n); }
+    void
+    onHopStart(const graph::CsrGraph &,
+               const std::vector<graph::LocalNodeId> &, std::uint64_t)
+    {
+    }
     void onOffsetRead(graph::LocalNodeId u) { v.onOffsetRead(u); }
     void
     onEdgeEntryRead(graph::LocalNodeId u, std::uint64_t e)
@@ -46,6 +95,42 @@ struct ForwardingVisitor
     }
     void onBatchEnd() { v.onBatchEnd(); }
 };
+
+/**
+ * Run @p core with the statically dispatched visitor that reports to
+ * @p visitor: none, its trace, or its virtual callbacks.
+ */
+template <typename Core>
+void
+withVisitor(SampleVisitor *visitor, Core &&core)
+{
+    if (!visitor)
+        core(NoopVisitor{});
+    else if (SampleTrace *trace = visitor->traceSink())
+        core(TraceRecorder{*visitor, *trace});
+    else
+        core(ForwardingVisitor{*visitor});
+}
+
+/**
+ * Prefetch distances, in frontier nodes ahead of the one being
+ * expanded. The offsets run further ahead so that the adjacency
+ * prefetch, which reads them, finds them in cache.
+ */
+constexpr std::size_t kOffsetsAhead = 16;
+constexpr std::size_t kAdjacencyAhead = 8;
+
+/** Prefetch the CSR lines that frontier[i]'s successors will read. */
+inline void
+prefetchAhead(const graph::CsrGraph &graph,
+              const std::vector<graph::LocalNodeId> &frontier,
+              std::size_t i)
+{
+    if (i + kOffsetsAhead < frontier.size())
+        graph.prefetchOffsets(frontier[i + kOffsetsAhead]);
+    if (i + kAdjacencyAhead < frontier.size())
+        graph.prefetchNeighbors(frontier[i + kAdjacencyAhead]);
+}
 
 /** Reset @p out to @p depth empty hops, keeping every buffer's capacity. */
 void
@@ -138,8 +223,11 @@ sageSampleCore(const std::vector<unsigned> &fanouts,
 
         block.offsets.reserve(frontier.size() + 1);
         block.offsets.push_back(0);
+        vis.onHopStart(graph, frontier, fanout);
 
-        for (graph::LocalNodeId u : frontier) {
+        for (std::size_t i = 0; i < frontier.size(); ++i) {
+            prefetchAhead(graph, frontier, i);
+            const graph::LocalNodeId u = frontier[i];
             vis.onOffsetRead(u);
             std::uint64_t degree = graph.degree(u);
             std::uint64_t base = graph.edgeOffset(u);
@@ -211,6 +299,7 @@ saintSampleCore(unsigned walk_length, const graph::CsrGraph &graph,
 
         block.offsets.reserve(frontier.size() + 1);
         block.offsets.push_back(0);
+        vis.onHopStart(graph, frontier, 1);
 
         for (graph::LocalNodeId u : frontier) {
             vis.onOffsetRead(u);
@@ -270,12 +359,9 @@ SageSampler::sampleInto(const graph::CsrGraph &graph,
                         sim::Rng &rng, SampleScratch &scratch,
                         Subgraph &out, SampleVisitor *visitor) const
 {
-    if (visitor)
-        sageSampleCore(fanouts_, graph, targets, rng,
-                       ForwardingVisitor{*visitor}, scratch, out);
-    else
-        sageSampleCore(fanouts_, graph, targets, rng, NoopVisitor{},
-                       scratch, out);
+    withVisitor(visitor, [&](auto &&vis) {
+        sageSampleCore(fanouts_, graph, targets, rng, vis, scratch, out);
+    });
 }
 
 std::uint64_t
@@ -302,12 +388,10 @@ SaintSampler::sampleInto(const graph::CsrGraph &graph,
                          sim::Rng &rng, SampleScratch &scratch,
                          Subgraph &out, SampleVisitor *visitor) const
 {
-    if (visitor)
-        saintSampleCore(walk_length_, graph, roots, rng,
-                        ForwardingVisitor{*visitor}, scratch, out);
-    else
-        saintSampleCore(walk_length_, graph, roots, rng, NoopVisitor{},
-                        scratch, out);
+    withVisitor(visitor, [&](auto &&vis) {
+        saintSampleCore(walk_length_, graph, roots, rng, vis, scratch,
+                        out);
+    });
 }
 
 void

@@ -8,16 +8,22 @@
  * reported to a SampleVisitor, which is how the storage timing models
  * replay the exact access stream of each design point.
  *
- * Two execution paths produce bit-identical subgraphs:
+ * One algorithm, compiled once per kind of observer, produces
+ * bit-identical subgraphs on every path: frontier dedup through a
+ * reusable epoch-stamped flat table, a caller-owned SampleScratch
+ * arena, and (GraphSAGE) the frontier's CSR offsets and adjacency
+ * prefetched a fixed distance ahead. What differs is how the accesses
+ * are reported:
  *
- *  - the **fast path** (`sampleInto` with a null visitor): frontier
- *    dedup through a reusable epoch-stamped flat table, a caller-owned
- *    SampleScratch arena, and statically dispatched (no-op) visitor
- *    calls — zero allocation and zero virtual dispatch per edge in
- *    steady state;
- *  - the **instrumented path** (non-null visitor): the same algorithm
- *    with every access forwarded through the virtual SampleVisitor
- *    interface, used by the storage timing drivers.
+ *  - a null visitor: statically dispatched no-ops, so zero allocation
+ *    and zero virtual dispatch per edge in steady state;
+ *  - a visitor with a SampleTrace (SampleVisitor::traceSink, the ISP
+ *    and mmap replay traces): the sampler appends every node and edge
+ *    entry to the trace's flat arrays inline — one virtual call per
+ *    batch, none per edge;
+ *  - any other visitor (the Fig 5 memory profiler, test observers):
+ *    every access forwarded through the virtual SampleVisitor
+ *    callbacks.
  *
  * The original per-batch `std::unordered_map`/`unordered_set`
  * implementation lives on outside the library, in the test/bench-only
@@ -39,11 +45,54 @@
 namespace smartsage::gnn
 {
 
+/**
+ * A batch's edge-entry reads, grouped by the frontier node that made
+ * them: node i of the walk (every hop, in sampling order) is nodes[i],
+ * and its sampled entries are entries[starts[i], starts[i + 1]) — the
+ * last node's run to the end of entries.
+ */
+struct SampleTrace
+{
+    std::vector<graph::LocalNodeId> nodes;
+    std::vector<std::size_t> starts;
+    std::vector<std::uint64_t> entries; //!< absolute edge-array indices
+
+    void
+    clear()
+    {
+        nodes.clear();
+        starts.clear();
+        entries.clear();
+    }
+
+    /** Node @p u's offsets were read: its entries follow. */
+    void
+    beginNode(graph::LocalNodeId u)
+    {
+        nodes.push_back(u);
+        starts.push_back(entries.size());
+    }
+
+    /** The current node read edge-array entry @p entry_index. */
+    void addEntry(std::uint64_t entry_index) { entries.push_back(entry_index); }
+};
+
 /** Observer of the sampler's memory access stream. */
 class SampleVisitor
 {
   public:
     virtual ~SampleVisitor() = default;
+
+    /**
+     * The trace this visitor records, or null (the default). A visitor
+     * that returns one must record exactly SampleTrace's grouping from
+     * its onOffsetRead (beginNode) and onEdgeEntryRead (addEntry)
+     * callbacks and nothing else in those or onSampled, because the
+     * library samplers, given a trace, fill it directly and skip those
+     * three callbacks. onBatchStart and onBatchEnd are still called,
+     * around the filling.
+     */
+    virtual SampleTrace *traceSink() { return nullptr; }
 
     /** A new mini-batch of @p num_targets begins. */
     virtual void onBatchStart(std::size_t num_targets) { (void)num_targets; }
@@ -104,7 +153,10 @@ class AnySampler
     /**
      * Sample a subgraph for @p targets into @p out, reusing @p scratch
      * and @p out's buffers (zero steady-state allocation with a null
-     * @p visitor; instrumented path when @p visitor is non-null).
+     * @p visitor). A non-null @p visitor observes every access, through
+     * its trace when it has one (SampleVisitor::traceSink). Virtual so
+     * a decorator (a timing or fault-injecting wrapper) can stand in
+     * for any sampler.
      */
     virtual void sampleInto(const graph::CsrGraph &graph,
                             const std::vector<graph::LocalNodeId> &targets,

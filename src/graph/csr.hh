@@ -12,6 +12,7 @@
 #ifndef SMARTSAGE_GRAPH_CSR_HH
 #define SMARTSAGE_GRAPH_CSR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -58,6 +59,33 @@ class CsrGraph
                 neighbors_.data() + offsets_[u + 1]};
     }
 
+    /** Hint that @p u's offsets entry is read soon. */
+    void
+    prefetchOffsets(LocalNodeId u) const
+    {
+        __builtin_prefetch(offsets_.data() + u);
+    }
+
+    /**
+     * Hint that @p u's neighbor list is read soon: prefetches its first
+     * kPrefetchIds ids, a line at a time. Reads @p u's offsets. Every
+     * address lies inside the list, so an empty one prefetches nothing.
+     */
+    void
+    prefetchNeighbors(LocalNodeId u) const
+    {
+        const EdgeIndex begin = offsets_[u];
+        const EdgeIndex end = std::min<EdgeIndex>(offsets_[u + 1],
+                                                  begin + kPrefetchIds);
+        for (EdgeIndex e = begin; e < end; e += kIdsPerLine)
+            __builtin_prefetch(neighbors_.data() + e);
+    }
+
+    /** Ids one prefetchNeighbors call covers: four 64-byte lines. On
+     *  Reddit (mean degree ~126) one line and eight lines both
+     *  measured slower. */
+    static constexpr EdgeIndex kPrefetchIds = 64;
+
     /** Edge-array index where @p u's list begins (for LBA computation). */
     EdgeIndex edgeOffset(LocalNodeId u) const { return offsets_[u]; }
 
@@ -80,6 +108,8 @@ class CsrGraph
     const std::vector<LocalNodeId> &rawNeighbors() const { return neighbors_; }
 
   private:
+    static constexpr EdgeIndex kIdsPerLine = 64 / sizeof(LocalNodeId);
+
     std::vector<EdgeIndex> offsets_;
     std::vector<LocalNodeId> neighbors_;
 };

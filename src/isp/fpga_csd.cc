@@ -44,12 +44,7 @@ FpgaCsdEngine::runBatch(const IspTraceVisitor &trace, sim::Tick arrival)
         if (w.entries.empty())
             continue;
 
-        pages.clear();
-        for (std::uint64_t e : w.entries)
-            pages.push_back(ssd_.ftl().pageOf(layout_.addrOf(e)));
-        std::sort(pages.begin(), pages.end());
-        pages.erase(std::unique(pages.begin(), pages.end()),
-                    pages.end());
+        nodePages(w, layout_, ssd_.ftl(), pages);
 
         // Step 1: flash -> page buffer -> FPGA DRAM over P2P.
         sim::Tick in_fpga = window_clock;

@@ -53,12 +53,7 @@ IspEngine::runGroup(const NodeWork *work, std::size_t count,
             continue;
         subgraph_entries += w.entries.size();
 
-        pages.clear();
-        for (std::uint64_t e : w.entries)
-            pages.push_back(ssd_.ftl().pageOf(layout_.addrOf(e)));
-        std::sort(pages.begin(), pages.end());
-        pages.erase(std::unique(pages.begin(), pages.end()),
-                    pages.end());
+        nodePages(w, layout_, ssd_.ftl(), pages);
         result.flash_pages += pages.size();
 
         sim::Tick buffered = parsed;
@@ -69,7 +64,10 @@ IspEngine::runGroup(const NodeWork *work, std::size_t count,
     }
 
     // Phase 2 (completion loop): gather each node's samples out of the
-    // page buffer on the embedded cores, in page-arrival order.
+    // page buffer on the embedded cores, in page-arrival order. The
+    // order std::sort leaves among equal arrivals decides which core
+    // serves which node, so the published timings depend on this very
+    // call: a stable sort, or any other tie order, moves them.
     std::sort(pending.begin(), pending.end(),
               [](const PendingGather &a, const PendingGather &b) {
                   return a.buffered < b.buffered;

@@ -1,48 +1,68 @@
 #include "nsconfig.hh"
 
+#include <algorithm>
+
 namespace smartsage::isp
 {
+
+NodeWork::NodeWork(graph::LocalNodeId n,
+                   std::span<const std::uint64_t> e)
+    : node(n), entries(e)
+{
+    if (entries.empty())
+        return;
+    const auto [lo, hi] = std::minmax_element(entries.begin(), entries.end());
+    min_entry = *lo;
+    max_entry = *hi;
+}
+
+void
+nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
+          const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages)
+{
+    pages.clear();
+    if (work.entries.empty())
+        return;
+    const std::uint64_t first = ftl.pageOf(layout.addrOf(work.min_entry));
+    if (first == ftl.pageOf(layout.addrOf(work.max_entry))) {
+        pages.push_back(first);
+        return;
+    }
+    for (std::uint64_t e : work.entries)
+        pages.push_back(ftl.pageOf(layout.addrOf(e)));
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+}
 
 void
 IspTraceVisitor::onBatchStart(std::size_t num_targets)
 {
     work_.clear();
-    entries_.clear();
-    starts_.clear();
+    trace_.clear();
     num_targets_ = num_targets;
-}
-
-void
-IspTraceVisitor::onOffsetRead(graph::LocalNodeId u)
-{
-    work_.push_back(NodeWork{u, {}});
-    starts_.push_back(entries_.size());
-}
-
-void
-IspTraceVisitor::onEdgeEntryRead(graph::LocalNodeId u,
-                                 std::uint64_t entry_index)
-{
-    (void)u;
-    entries_.push_back(entry_index);
 }
 
 void
 IspTraceVisitor::onBatchEnd()
 {
-    // entries_ is final now: trim its growth slack first, since the
-    // views must not be invalidated after they are made. A finished
+    // The entries are final now: trim their growth slack first, since
+    // the views must not be invalidated after they are made. A finished
     // trace lives on through its batch's whole replay (and a sampled-
     // ahead batch waits behind it), so slack is held for that long.
-    entries_.shrink_to_fit();
+    auto &entries = trace_.entries;
+    entries.shrink_to_fit();
+    const std::size_t count = trace_.nodes.size();
+    work_.resize(count);
     work_.shrink_to_fit();
-    const std::span<const std::uint64_t> all(entries_);
-    for (std::size_t i = 0; i < work_.size(); ++i) {
+    const std::span<const std::uint64_t> all(entries);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t begin = trace_.starts[i];
         const std::size_t end =
-            i + 1 < work_.size() ? starts_[i + 1] : entries_.size();
-        work_[i].entries = all.subspan(starts_[i], end - starts_[i]);
+            i + 1 < count ? trace_.starts[i + 1] : entries.size();
+        work_[i] = NodeWork(trace_.nodes[i], all.subspan(begin, end - begin));
     }
-    starts_ = {}; // only needed to make the views
+    trace_.nodes = {}; // only needed to make the views
+    trace_.starts = {};
 }
 
 } // namespace smartsage::isp

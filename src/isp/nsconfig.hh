@@ -17,6 +17,8 @@
 
 #include "gnn/sampler.hh"
 #include "graph/csr.hh"
+#include "graph/layout.hh"
+#include "ssd/ftl.hh"
 
 namespace smartsage::isp
 {
@@ -24,11 +26,19 @@ namespace smartsage::isp
 /** The sampling work recorded for one frontier node. */
 struct NodeWork
 {
+    NodeWork() = default;
+
+    /** Work of @p node over @p entries; finds their least and greatest
+     *  entry here, so that a replay need not scan them again. */
+    NodeWork(graph::LocalNodeId node, std::span<const std::uint64_t> entries);
+
     graph::LocalNodeId node = 0;
     /** Absolute edge-array entry indices that were sampled: a view
      *  into the flat entry array of the IspTraceVisitor that recorded
      *  them, valid while that visitor lives. */
     std::span<const std::uint64_t> entries;
+    std::uint64_t min_entry = 0; //!< least of entries; 0 if none
+    std::uint64_t max_entry = 0; //!< greatest of entries; 0 if none
 };
 
 /** Sizing parameters of the serialized NSconfig blob. */
@@ -46,6 +56,17 @@ struct NsConfigFormat
 };
 
 /**
+ * The distinct flash pages that hold @p work's entries, ascending, into
+ * @p pages (cleared first). Entries are laid out by @p layout and
+ * mapped by @p ftl, both monotone in the entry index, so when the least
+ * and the greatest entry share a page every entry is on it, and that
+ * page is the whole answer without reading the entries. A list that
+ * spans pages is mapped entry by entry, sorted and deduplicated.
+ */
+void nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
+               const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages);
+
+/**
  * SampleVisitor that captures the full per-node access trace of one
  * mini-batch so the ISP timing engine can replay it in-storage.
  *
@@ -54,6 +75,10 @@ struct NsConfigFormat
  * costs a handful of allocations however many nodes it touches, and
  * moving the visitor keeps every view valid. It is move-only, since a
  * copy's views would still point into the original's array.
+ *
+ * The library samplers fill the arrays inline through traceSink(); a
+ * sampler that only makes the virtual callbacks records the same
+ * trace through onOffsetRead and onEdgeEntryRead.
  */
 class IspTraceVisitor : public gnn::SampleVisitor
 {
@@ -64,24 +89,29 @@ class IspTraceVisitor : public gnn::SampleVisitor
     IspTraceVisitor(const IspTraceVisitor &) = delete;
     IspTraceVisitor &operator=(const IspTraceVisitor &) = delete;
 
+    gnn::SampleTrace *traceSink() override { return &trace_; }
     void onBatchStart(std::size_t num_targets) override;
-    void onOffsetRead(graph::LocalNodeId u) override;
-    void onEdgeEntryRead(graph::LocalNodeId u,
-                         std::uint64_t entry_index) override;
+    void onOffsetRead(graph::LocalNodeId u) override { trace_.beginNode(u); }
+    void
+    onEdgeEntryRead(graph::LocalNodeId, std::uint64_t entry_index) override
+    {
+        trace_.addEntry(entry_index);
+    }
     void onBatchEnd() override;
 
-    /** Work items in sampling order (all hops, flattened); their
-     *  entries are filled in when the batch ends. */
+    /** Work items in sampling order (all hops, flattened), made when
+     *  the batch ends. */
     const std::vector<NodeWork> &work() const { return work_; }
     std::size_t numTargets() const { return num_targets_; }
 
     /** Total sampled entries across the batch. */
-    std::uint64_t totalEntries() const { return entries_.size(); }
+    std::uint64_t totalEntries() const { return trace_.entries.size(); }
 
   private:
     std::vector<NodeWork> work_;
-    std::vector<std::uint64_t> entries_; //!< every node's, in order
-    std::vector<std::size_t> starts_;    //!< work_[i]'s first entry
+    /** Filled while the batch samples; once it ends only its entries
+     *  are kept, viewed by work_. */
+    gnn::SampleTrace trace_;
     std::size_t num_targets_ = 0;
 };
 

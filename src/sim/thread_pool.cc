@@ -42,21 +42,8 @@ ThreadPool::submit(std::function<void()> task)
         std::unique_lock<std::mutex> lock(mutex_);
         SS_ASSERT(!stop_, "submit on a stopping pool");
         tasks_.push_back(std::move(task));
-        ++in_flight_;
     }
     task_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_idle_.wait(lock, [this] { return in_flight_ == 0; });
-    if (first_error_) {
-        std::exception_ptr err = std::exchange(first_error_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
 }
 
 void
@@ -76,19 +63,7 @@ ThreadPool::workerLoop()
             task = std::move(tasks_.front());
             tasks_.pop_front();
         }
-        std::exception_ptr err;
-        try {
-            task();
-        } catch (...) {
-            err = std::current_exception();
-        }
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (err && !first_error_)
-                first_error_ = err;
-            if (--in_flight_ == 0)
-                all_idle_.notify_all();
-        }
+        task();
     }
 }
 

@@ -23,7 +23,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,15 +48,13 @@ class ThreadPool
     /** Number of worker threads. */
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-    /** Enqueue @p task for asynchronous execution. */
-    void submit(std::function<void()> task);
-
     /**
-     * Block until every submitted task has finished. If any task threw,
-     * the first captured exception is rethrown here (matching the
-     * behavior of running the same work inline on the caller).
+     * Enqueue @p task for asynchronous execution. The pool tracks no
+     * completion and catches nothing: a task reports its own end and
+     * errors (parallelFor and ClaimableTask do), and one that throws
+     * terminates the process.
      */
-    void wait();
+    void submit(std::function<void()> task);
 
   private:
     void workerLoop();
@@ -66,9 +63,6 @@ class ThreadPool
     std::deque<std::function<void()>> tasks_;
     std::mutex mutex_;
     std::condition_variable task_ready_;
-    std::condition_variable all_idle_;
-    std::size_t in_flight_ = 0; //!< queued + currently running tasks
-    std::exception_ptr first_error_; //!< first uncaught task exception
     bool stop_ = false;
 };
 
@@ -86,7 +80,6 @@ class ThreadPool
  * Completion and errors are tracked per call, not per pool: several
  * threads may run parallelFor on one shared pool at once, and each
  * waits only for its own indices and sees only its own exception.
- * Unlike ThreadPool::wait(), which covers every task in flight.
  */
 void parallelFor(ThreadPool *pool, std::size_t count,
                  const std::function<void(std::size_t)> &fn);

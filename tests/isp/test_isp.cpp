@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "gnn/sampler.hh"
+#include "graph/builder.hh"
 #include "graph/powerlaw.hh"
 #include "isp/fpga_csd.hh"
 #include "isp/isp_engine.hh"
+#include "reference/reference.hh"
 
 using namespace smartsage;
 using namespace smartsage::isp;
@@ -40,17 +42,27 @@ traceBatch(const graph::CsrGraph &g, std::size_t batch,
     return trace;
 }
 
-/** Records each node's sampled entries in a list of its own. */
+/**
+ * Records each node's sampled entries in a list of its own, and every
+ * onSampled call in order. A visitor with no trace, so the samplers
+ * must make every callback.
+ */
 struct PerNodeVisitor : gnn::SampleVisitor
 {
     std::vector<graph::LocalNodeId> nodes;
     std::vector<std::vector<std::uint64_t>> entries;
+    /** Each onEdgeEntryRead's node, in call order. */
+    std::vector<graph::LocalNodeId> readers;
+    std::vector<std::pair<graph::LocalNodeId, graph::LocalNodeId>> sampled;
+    std::size_t batches_ended = 0;
 
     void
     onBatchStart(std::size_t) override
     {
         nodes.clear();
         entries.clear();
+        readers.clear();
+        sampled.clear();
     }
     void
     onOffsetRead(graph::LocalNodeId u) override
@@ -59,11 +71,87 @@ struct PerNodeVisitor : gnn::SampleVisitor
         entries.emplace_back();
     }
     void
-    onEdgeEntryRead(graph::LocalNodeId, std::uint64_t e) override
+    onEdgeEntryRead(graph::LocalNodeId u, std::uint64_t e) override
     {
         entries.back().push_back(e);
+        readers.push_back(u);
     }
+    void
+    onSampled(graph::LocalNodeId u, graph::LocalNodeId v) override
+    {
+        sampled.emplace_back(u, v);
+    }
+    void onBatchEnd() override { ++batches_ended; }
 };
+
+/**
+ * @p lists saw every callback of the batch that sampled @p sg from
+ * @p g: one offset read per frontier node of every hop, each edge entry
+ * read by the node being expanded, and each followed by the onSampled
+ * of the neighbor stored at that entry.
+ */
+void
+expectEveryCallback(const graph::CsrGraph &g, const gnn::Subgraph &sg,
+                    const PerNodeVisitor &lists)
+{
+    std::size_t expanded = 0;
+    for (std::size_t h = 0; h < sg.blocks.size(); ++h)
+        expanded += sg.frontiers[h].size();
+    EXPECT_EQ(lists.nodes.size(), expanded);
+    EXPECT_EQ(lists.sampled.size(), sg.totalSampledEdges());
+    ASSERT_EQ(lists.readers.size(), lists.sampled.size());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < lists.nodes.size(); ++i) {
+        for (std::uint64_t e : lists.entries[i]) {
+            ASSERT_LT(k, lists.sampled.size());
+            EXPECT_EQ(lists.readers[k], lists.nodes[i]) << k;
+            EXPECT_EQ(lists.sampled[k].first, lists.nodes[i]) << k;
+            EXPECT_EQ(lists.sampled[k].second, g.rawNeighbors()[e]) << k;
+            ++k;
+        }
+    }
+    EXPECT_EQ(k, lists.sampled.size());
+}
+
+/** Both subgraphs hold the same frontiers and blocks. */
+void
+expectSameSubgraph(const gnn::Subgraph &a, const gnn::Subgraph &b)
+{
+    EXPECT_EQ(a.frontiers, b.frontiers);
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    for (std::size_t h = 0; h < a.blocks.size(); ++h) {
+        EXPECT_EQ(a.blocks[h].offsets, b.blocks[h].offsets) << h;
+        EXPECT_EQ(a.blocks[h].src_index, b.blocks[h].src_index) << h;
+    }
+}
+
+/**
+ * 600 nodes shaped to reach every branch of the samplers: nodes 0-49
+ * have no edges, nodes 50-59 are hubs of 150-200 neighbors (above a
+ * fanout of 64), and the rest have 1-12 neighbors, some listed twice
+ * (GraphBuilder keeps duplicate edges).
+ */
+graph::CsrGraph
+edgeCaseGraph()
+{
+    constexpr graph::LocalNodeId kNodes = 600;
+    graph::GraphBuilder b(kNodes);
+    sim::Rng rng(29);
+    auto anyLinked = [&rng] {
+        return static_cast<graph::LocalNodeId>(50 + rng.nextBounded(550));
+    };
+    for (graph::LocalNodeId u = 50; u < kNodes; ++u) {
+        const std::uint64_t degree =
+            u < 60 ? 150 + rng.nextBounded(51) : 1 + rng.nextBounded(12);
+        for (std::uint64_t k = 0; k < degree; ++k) {
+            const graph::LocalNodeId v = anyLinked();
+            b.addEdge(u, v);
+            if (rng.nextBounded(6) == 0)
+                b.addEdge(u, v);
+        }
+    }
+    return std::move(b).build();
+}
 
 /** @p trace's work equals the per-node lists of @p lists. */
 void
@@ -109,30 +197,83 @@ static_assert(std::is_nothrow_move_constructible_v<IspTraceVisitor>);
 
 TEST(NsConfig, FlatTraceMatchesPerNodeLists)
 {
-    graph::CsrGraph g = testGraph();
-    gnn::SageSampler sage({10, 5});
-    gnn::SaintSampler saint(3);
+    // The library samplers fill an IspTraceVisitor's trace inline; the
+    // reference samplers reach it through the virtual callbacks; a
+    // visitor with no trace gets every callback. All three must see
+    // the same accesses, and none may change the subgraph.
+    const graph::CsrGraph powerlaw = testGraph();
+    const graph::CsrGraph edges = edgeCaseGraph();
+    const gnn::SageSampler sage({10, 5});
+    const gnn::SageSampler wide({80, 3}); // Floyd's hash-set branch
+    const gnn::SaintSampler saint(3);
+
+    // Isolated targets, the same target twice, and hubs.
+    const std::vector<graph::LocalNodeId> edge_targets = {
+        0, 7, 55, 120, 7, 300, 55, 49, 599, 51, 400, 0, 58, 250};
+
+    struct Case
+    {
+        const gnn::SageSampler *sage;
+        const gnn::SaintSampler *saint;
+        const graph::CsrGraph *graph;
+        bool edge_targets;
+    };
+    const Case cases[] = {
+        {&sage, nullptr, &powerlaw, false},
+        {nullptr, &saint, &powerlaw, false},
+        {&sage, nullptr, &edges, true},
+        {&wide, nullptr, &edges, true},
+        {nullptr, &saint, &edges, true},
+        {&wide, nullptr, &edges, false},
+    };
     IspTraceVisitor reused;
-    for (const gnn::AnySampler *sampler :
-         {static_cast<const gnn::AnySampler *>(&sage),
-          static_cast<const gnn::AnySampler *>(&saint)}) {
+    for (const Case &c : cases) {
+        const gnn::AnySampler &sampler =
+            c.sage ? static_cast<const gnn::AnySampler &>(*c.sage)
+                   : static_cast<const gnn::AnySampler &>(*c.saint);
+        const graph::CsrGraph &g = *c.graph;
         for (std::uint64_t seed : {3u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "case " << (&c - cases) << " seed " << seed);
             sim::Rng rng(seed);
-            auto targets = gnn::selectTargets(g, 96, rng);
+            const auto targets = c.edge_targets
+                                     ? edge_targets
+                                     : gnn::selectTargets(g, 96, rng);
+
+            sim::Rng rng_plain = rng;
+            const gnn::Subgraph plain = sampler.sample(g, targets, rng_plain);
+
             sim::Rng rng_lists = rng;
             PerNodeVisitor lists;
-            sampler->sample(g, targets, rng_lists, &lists);
+            const gnn::Subgraph listed =
+                sampler.sample(g, targets, rng_lists, &lists);
             ASSERT_GT(lists.nodes.size(), targets.size());
+            EXPECT_EQ(lists.batches_ended, 1u);
+            expectEveryCallback(g, listed, lists);
+            expectSameSubgraph(listed, plain);
 
             // One visitor over several batches, then moved: the views
             // follow the array.
             sim::Rng rng_trace = rng;
-            sampler->sample(g, targets, rng_trace, &reused);
+            const gnn::Subgraph traced =
+                sampler.sample(g, targets, rng_trace, &reused);
+            expectSameSubgraph(traced, plain);
+            EXPECT_EQ(rng_trace.next(), rng_plain.next());
             expectSameWork(reused, lists);
             IspTraceVisitor moved = std::move(reused);
             expectSameWork(moved, lists);
             reused = std::move(moved);
             expectSameWork(reused, lists);
+
+            sim::Rng rng_ref = rng;
+            IspTraceVisitor by_callbacks;
+            if (c.sage)
+                ref::sampleBaseline(*c.sage, g, targets, rng_ref,
+                                    &by_callbacks);
+            else
+                ref::sampleBaseline(*c.saint, g, targets, rng_ref,
+                                    &by_callbacks);
+            expectSameWork(by_callbacks, lists);
         }
     }
 }

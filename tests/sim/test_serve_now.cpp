@@ -4,12 +4,14 @@
  *  ticks, the same channel counters, the same jitter and fault draws,
  *  and the same fatal exit on a request that ends non-Ok. Covered at
  *  the channel and at an EdgeStore under a host fault plan. The
- *  device-level blocking calls, SsdDevice::readBlocks and
- *  IspEngine::runGroup, have no async form to compare against; they
- *  are pinned to digests of their completion ticks and counters. */
+ *  device-level blocking calls, SsdDevice::readBlocks,
+ *  IspEngine::runGroup and FpgaCsdEngine::runBatch, have no async form
+ *  to compare against; they are pinned to digests of their completion
+ *  ticks and counters. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "graph/layout.hh"
 #include "host/config.hh"
 #include "host/io_path.hh"
+#include "isp/fpga_csd.hh"
 #include "isp/isp_engine.hh"
 #include "isp/nsconfig.hh"
 #include "sim/io.hh"
@@ -91,21 +94,31 @@ policy(unsigned attempts, double jitter, Tick timeout)
     return p;
 }
 
-/** Random NodeWork lists over one shared entry pool. */
+/**
+ * Random NodeWork lists over one shared entry pool. Scattered: each
+ * node's entries fall anywhere in a 4096-entry window, so most lists
+ * span flash pages. Clustered: each node samples within an adjacency
+ * list of its own, mostly short and now and then thousands of entries
+ * long, so most lists sit on one page and some straddle a boundary.
+ */
 struct WorkStream
 {
     std::vector<std::vector<std::uint64_t>> entries;
     std::vector<isp::NodeWork> work;
 
-    WorkStream(std::size_t nodes, Rng &rng)
+    WorkStream(std::size_t nodes, Rng &rng, bool clustered = false)
     {
         entries.resize(nodes);
         work.resize(nodes);
         for (std::size_t i = 0; i < nodes; ++i) {
             std::size_t n = rng.nextBounded(12);
             std::uint64_t base = rng.nextBounded(1u << 24);
+            std::uint64_t span = 4096;
+            if (clustered)
+                span = 1 + rng.nextBounded(rng.nextBounded(8) == 0 ? 8192
+                                                                   : 400);
             for (std::size_t k = 0; k < n; ++k)
-                entries[i].push_back(base + rng.nextBounded(4096));
+                entries[i].push_back(base + rng.nextBounded(span));
             work[i] = {static_cast<graph::LocalNodeId>(i), entries[i]};
         }
     }
@@ -293,7 +306,13 @@ TEST(ServeInPlacePinned, SsdReadBlocks)
     EXPECT_EQ(digestOf(v), 0x7eb901a679134d4aull) << std::hex << digestOf(v);
 }
 
-TEST(ServeInPlacePinned, IspRunGroup)
+namespace
+{
+
+/** @p stream through IspEngine::runGroup in random-size groups at
+ *  random arrivals: every completion tick, then the counters. */
+std::vector<std::uint64_t>
+ispRunGroupOutcomes(const WorkStream &stream, Rng &rng)
 {
     ssd::SsdConfig ssd_config;
     ssd_config.page_buffer_bytes = sim::MiB(2);
@@ -301,8 +320,6 @@ TEST(ServeInPlacePinned, IspRunGroup)
     graph::EdgeLayout layout;
     isp::IspEngine engine(isp::IspConfig{}, ssd, layout);
 
-    Rng rng(9);
-    WorkStream stream(3000, rng);
     isp::IspBatchResult result;
     Tick t = 0;
     std::size_t next = 0;
@@ -318,5 +335,87 @@ TEST(ServeInPlacePinned, IspRunGroup)
                        result.bytes_from_host, result.flash_pages,
                        ssd.pageBuffer().hits(), ssd.pageBuffer().misses()});
     EXPECT_GT(ssd.pageBuffer().hits(), 0u);
-    EXPECT_EQ(digestOf(v), 0x95d5692072ef4a21ull) << std::hex << digestOf(v);
+    return v;
+}
+
+/** @p stream through FpgaCsdEngine::runBatch, cut into batches of
+ *  random size at random arrivals: every batch's stage times and
+ *  bytes, then the device counters. */
+std::vector<std::uint64_t>
+fpgaRunBatchOutcomes(const WorkStream &stream, Rng &rng)
+{
+    ssd::SsdConfig ssd_config;
+    ssd_config.page_buffer_bytes = sim::MiB(2);
+    ssd::SsdDevice ssd(ssd_config);
+    graph::EdgeLayout layout;
+    isp::FpgaCsdEngine engine(isp::FpgaCsdConfig{}, ssd, layout);
+
+    Tick t = 0;
+    std::size_t next = 0;
+    std::vector<std::uint64_t> v;
+    isp::IspTraceVisitor trace;
+    while (next < stream.work.size()) {
+        std::size_t n = std::min<std::size_t>(1 + rng.nextBounded(400),
+                                               stream.work.size() - next);
+        trace.onBatchStart(n);
+        for (std::size_t i = next; i < next + n; ++i) {
+            trace.onOffsetRead(stream.work[i].node);
+            for (std::uint64_t e : stream.work[i].entries)
+                trace.onEdgeEntryRead(stream.work[i].node, e);
+        }
+        trace.onBatchEnd();
+        t += rng.nextBounded(us(2000));
+        isp::FpgaBatchResult r = engine.runBatch(trace, t);
+        v.insert(v.end(), {r.finish, r.ssd_to_fpga, r.sampling,
+                           r.fpga_to_cpu, r.p2p_bytes, r.out_bytes});
+        next += n;
+    }
+    v.insert(v.end(),
+             {ssd.pageBuffer().hits(), ssd.pageBuffer().misses()});
+    EXPECT_GT(ssd.pageBuffer().hits(), 0u);
+    return v;
+}
+
+} // namespace
+
+TEST(ServeInPlacePinned, IspRunGroup)
+{
+    Rng rng(9);
+    WorkStream stream(3000, rng);
+    std::uint64_t d = digestOf(ispRunGroupOutcomes(stream, rng));
+    EXPECT_EQ(d, 0x95d5692072ef4a21ull) << std::hex << d;
+
+    Rng clustered_rng(11);
+    WorkStream clustered(3000, clustered_rng, true);
+    // Both page-list shapes occur: one page, and several.
+    ssd::Ftl ftl{ssd::SsdConfig{}};
+    graph::EdgeLayout layout;
+    std::size_t one_page = 0, multi_page = 0;
+    for (const auto &list : clustered.entries) {
+        if (list.empty())
+            continue;
+        auto [lo, hi] = std::minmax_element(list.begin(), list.end());
+        (ftl.pageOf(layout.addrOf(*lo)) == ftl.pageOf(layout.addrOf(*hi))
+             ? one_page
+             : multi_page)++;
+    }
+    EXPECT_GT(one_page, 4 * multi_page);
+    EXPECT_GT(multi_page, 50u);
+    d = digestOf(ispRunGroupOutcomes(clustered, clustered_rng));
+    EXPECT_EQ(d, 0xdb4d08d342a4fcbaull) << std::hex << d;
+}
+
+// The FPGA engine maps each node's entries to pages the same way; its
+// digests were recorded before the page list had a one-page fast path.
+TEST(ServeInPlacePinned, FpgaRunBatch)
+{
+    Rng rng(9);
+    WorkStream stream(3000, rng);
+    std::uint64_t d = digestOf(fpgaRunBatchOutcomes(stream, rng));
+    EXPECT_EQ(d, 0xfdc83dfe147ce8b1ull) << std::hex << d;
+
+    Rng clustered_rng(11);
+    WorkStream clustered(3000, clustered_rng, true);
+    d = digestOf(fpgaRunBatchOutcomes(clustered, clustered_rng));
+    EXPECT_EQ(d, 0xfb1e89b3ff13082bull) << std::hex << d;
 }
