@@ -1,6 +1,5 @@
 #include "sampler.hh"
 
-#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 
@@ -22,11 +21,6 @@ namespace
 struct NoopVisitor
 {
     void onBatchStart(std::size_t) {}
-    void
-    onHopStart(const graph::CsrGraph &,
-               const std::vector<graph::LocalNodeId> &, std::uint64_t)
-    {
-    }
     void onOffsetRead(graph::LocalNodeId) {}
     void onEdgeEntryRead(graph::LocalNodeId, std::uint64_t) {}
     void onSampled(graph::LocalNodeId, graph::LocalNodeId) {}
@@ -41,25 +35,6 @@ struct TraceRecorder
     SampleTrace &trace;
 
     void onBatchStart(std::size_t n) { v.onBatchStart(n); }
-
-    /**
-     * Size the trace for the hop about to expand @p frontier, exactly:
-     * each node reads min(degree, @p per_node) entries. Grown this way
-     * a finished trace has no slack to trim, and no entry is copied by
-     * growth within a hop.
-     */
-    void
-    onHopStart(const graph::CsrGraph &graph,
-               const std::vector<graph::LocalNodeId> &frontier,
-               std::uint64_t per_node)
-    {
-        std::uint64_t entries = 0;
-        for (graph::LocalNodeId u : frontier)
-            entries += std::min(graph.degree(u), per_node);
-        trace.nodes.reserve(trace.nodes.size() + frontier.size());
-        trace.starts.reserve(trace.starts.size() + frontier.size());
-        trace.entries.reserve(trace.entries.size() + entries);
-    }
 
     void onOffsetRead(graph::LocalNodeId u) { trace.beginNode(u); }
     void
@@ -77,11 +52,6 @@ struct ForwardingVisitor
     SampleVisitor &v;
 
     void onBatchStart(std::size_t n) { v.onBatchStart(n); }
-    void
-    onHopStart(const graph::CsrGraph &,
-               const std::vector<graph::LocalNodeId> &, std::uint64_t)
-    {
-    }
     void onOffsetRead(graph::LocalNodeId u) { v.onOffsetRead(u); }
     void
     onEdgeEntryRead(graph::LocalNodeId u, std::uint64_t e)
@@ -223,7 +193,6 @@ sageSampleCore(const std::vector<unsigned> &fanouts,
 
         block.offsets.reserve(frontier.size() + 1);
         block.offsets.push_back(0);
-        vis.onHopStart(graph, frontier, fanout);
 
         for (std::size_t i = 0; i < frontier.size(); ++i) {
             prefetchAhead(graph, frontier, i);
@@ -299,7 +268,6 @@ saintSampleCore(unsigned walk_length, const graph::CsrGraph &graph,
 
         block.offsets.reserve(frontier.size() + 1);
         block.offsets.push_back(0);
-        vis.onHopStart(graph, frontier, 1);
 
         for (graph::LocalNodeId u : frontier) {
             vis.onOffsetRead(u);

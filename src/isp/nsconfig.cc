@@ -5,17 +5,6 @@
 namespace smartsage::isp
 {
 
-NodeWork::NodeWork(graph::LocalNodeId n,
-                   std::span<const std::uint64_t> e)
-    : node(n), entries(e)
-{
-    if (entries.empty())
-        return;
-    const auto [lo, hi] = std::minmax_element(entries.begin(), entries.end());
-    min_entry = *lo;
-    max_entry = *hi;
-}
-
 void
 nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
           const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages)
@@ -23,8 +12,10 @@ nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
     pages.clear();
     if (work.entries.empty())
         return;
-    const std::uint64_t first = ftl.pageOf(layout.addrOf(work.min_entry));
-    if (first == ftl.pageOf(layout.addrOf(work.max_entry))) {
+    const auto [lo, hi] =
+        std::minmax_element(work.entries.begin(), work.entries.end());
+    const std::uint64_t first = ftl.pageOf(layout.addrOf(*lo));
+    if (first == ftl.pageOf(layout.addrOf(*hi))) {
         pages.push_back(first);
         return;
     }
@@ -59,7 +50,7 @@ IspTraceVisitor::onBatchEnd()
         const std::size_t begin = trace_.starts[i];
         const std::size_t end =
             i + 1 < count ? trace_.starts[i + 1] : entries.size();
-        work_[i] = NodeWork(trace_.nodes[i], all.subspan(begin, end - begin));
+        work_[i] = NodeWork{trace_.nodes[i], all.subspan(begin, end - begin)};
     }
     trace_.nodes = {}; // only needed to make the views
     trace_.starts = {};

@@ -26,19 +26,11 @@ namespace smartsage::isp
 /** The sampling work recorded for one frontier node. */
 struct NodeWork
 {
-    NodeWork() = default;
-
-    /** Work of @p node over @p entries; finds their least and greatest
-     *  entry here, so that a replay need not scan them again. */
-    NodeWork(graph::LocalNodeId node, std::span<const std::uint64_t> entries);
-
     graph::LocalNodeId node = 0;
     /** Absolute edge-array entry indices that were sampled: a view
      *  into the flat entry array of the IspTraceVisitor that recorded
      *  them, valid while that visitor lives. */
     std::span<const std::uint64_t> entries;
-    std::uint64_t min_entry = 0; //!< least of entries; 0 if none
-    std::uint64_t max_entry = 0; //!< greatest of entries; 0 if none
 };
 
 /** Sizing parameters of the serialized NSconfig blob. */
@@ -60,8 +52,9 @@ struct NsConfigFormat
  * @p pages (cleared first). Entries are laid out by @p layout and
  * mapped by @p ftl, both monotone in the entry index, so when the least
  * and the greatest entry share a page every entry is on it, and that
- * page is the whole answer without reading the entries. A list that
- * spans pages is mapped entry by entry, sorted and deduplicated.
+ * page is the whole answer: one scan for the extremes, no per-entry
+ * mapping or sort. A list that spans pages is mapped entry by entry,
+ * sorted and deduplicated.
  */
 void nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
                const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages);
