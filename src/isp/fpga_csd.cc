@@ -41,7 +41,7 @@ FpgaCsdEngine::runBatch(const IspTraceVisitor &trace, sim::Tick arrival)
     std::size_t in_window = 0;
     sim::Tick window_done = t;
     for (const NodeWork &w : trace.work()) {
-        if (w.entries.empty())
+        if (w.entries().empty())
             continue;
 
         nodePages(w, layout_, ssd_.ftl(), pages);
@@ -62,7 +62,7 @@ FpgaCsdEngine::runBatch(const IspTraceVisitor &trace, sim::Tick arrival)
         }
 
         // Step 2: the hardwired gather unit samples the entries.
-        sim::Tick gather = config_.fpga_per_edge * w.entries.size();
+        sim::Tick gather = config_.fpga_per_edge * w.entries().size();
         auto sampled = fpga_.request(in_fpga, gather);
         result.sampling += gather;
         window_done = std::max(window_done, sampled.finish);

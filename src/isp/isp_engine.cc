@@ -49,9 +49,9 @@ IspEngine::runGroup(const NodeWork *work, std::size_t count,
     std::uint64_t subgraph_entries = 0;
     for (std::size_t i = 0; i < count; ++i) {
         const NodeWork &w = work[i];
-        if (w.entries.empty())
+        if (w.entries().empty())
             continue;
-        subgraph_entries += w.entries.size();
+        subgraph_entries += w.entries().size();
 
         nodePages(w, layout_, ssd_.ftl(), pages);
         result.flash_pages += pages.size();
@@ -60,7 +60,7 @@ IspEngine::runGroup(const NodeWork *work, std::size_t count,
         for (std::uint64_t lpn : pages)
             buffered = std::max(buffered, ssd_.fetchPage(parsed, lpn));
         pending.push_back(
-            {buffered, ssd_cfg.isp_per_edge * w.entries.size()});
+            {buffered, ssd_cfg.isp_per_edge * w.entries().size()});
     }
 
     // Phase 2 (completion loop): gather each node's samples out of the

@@ -5,21 +5,30 @@
 namespace smartsage::isp
 {
 
+NodeWork::NodeWork(graph::LocalNodeId node,
+                   std::span<const std::uint64_t> entries)
+    : node_(node), entries_(entries)
+{
+    if (entries.empty())
+        return;
+    const auto [lo, hi] = std::minmax_element(entries.begin(), entries.end());
+    min_entry_ = *lo;
+    max_entry_ = *hi;
+}
+
 void
 nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
           const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages)
 {
     pages.clear();
-    if (work.entries.empty())
+    if (work.entries().empty())
         return;
-    const auto [lo, hi] =
-        std::minmax_element(work.entries.begin(), work.entries.end());
-    const std::uint64_t first = ftl.pageOf(layout.addrOf(*lo));
-    if (first == ftl.pageOf(layout.addrOf(*hi))) {
+    const std::uint64_t first = ftl.pageOf(layout.addrOf(work.minEntry()));
+    if (first == ftl.pageOf(layout.addrOf(work.maxEntry()))) {
         pages.push_back(first);
         return;
     }
-    for (std::uint64_t e : work.entries)
+    for (std::uint64_t e : work.entries())
         pages.push_back(ftl.pageOf(layout.addrOf(e)));
     std::sort(pages.begin(), pages.end());
     pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
@@ -43,15 +52,16 @@ IspTraceVisitor::onBatchEnd()
     auto &entries = trace_.entries;
     entries.shrink_to_fit();
     const std::size_t count = trace_.nodes.size();
-    work_.resize(count);
-    work_.shrink_to_fit();
+    work_.clear();
+    work_.reserve(count);
     const std::span<const std::uint64_t> all(entries);
     for (std::size_t i = 0; i < count; ++i) {
         const std::size_t begin = trace_.starts[i];
         const std::size_t end =
             i + 1 < count ? trace_.starts[i + 1] : entries.size();
-        work_[i] = NodeWork{trace_.nodes[i], all.subspan(begin, end - begin)};
+        work_.emplace_back(trace_.nodes[i], all.subspan(begin, end - begin));
     }
+    work_.shrink_to_fit();
     trace_.nodes = {}; // only needed to make the views
     trace_.starts = {};
 }

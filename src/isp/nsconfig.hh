@@ -23,14 +23,33 @@
 namespace smartsage::isp
 {
 
-/** The sampling work recorded for one frontier node. */
-struct NodeWork
+/**
+ * The sampling work recorded for one frontier node. Its least and
+ * greatest entry are found once, by the constructor, on the thread that
+ * recorded the entries (a pool worker, while they are still in its
+ * cache), so a replay on another thread need not scan them again. The
+ * fields are private so that the extremes always match the entries.
+ */
+class NodeWork
 {
-    graph::LocalNodeId node = 0;
+  public:
+    NodeWork(graph::LocalNodeId node, std::span<const std::uint64_t> entries);
+
+    graph::LocalNodeId node() const { return node_; }
+
     /** Absolute edge-array entry indices that were sampled: a view
      *  into the flat entry array of the IspTraceVisitor that recorded
      *  them, valid while that visitor lives. */
-    std::span<const std::uint64_t> entries;
+    std::span<const std::uint64_t> entries() const { return entries_; }
+
+    std::uint64_t minEntry() const { return min_entry_; } //!< 0 if none
+    std::uint64_t maxEntry() const { return max_entry_; } //!< 0 if none
+
+  private:
+    graph::LocalNodeId node_;
+    std::span<const std::uint64_t> entries_;
+    std::uint64_t min_entry_ = 0;
+    std::uint64_t max_entry_ = 0;
 };
 
 /** Sizing parameters of the serialized NSconfig blob. */
@@ -52,9 +71,8 @@ struct NsConfigFormat
  * @p pages (cleared first). Entries are laid out by @p layout and
  * mapped by @p ftl, both monotone in the entry index, so when the least
  * and the greatest entry share a page every entry is on it, and that
- * page is the whole answer: one scan for the extremes, no per-entry
- * mapping or sort. A list that spans pages is mapped entry by entry,
- * sorted and deduplicated.
+ * page is the whole answer without reading the entries. A list that
+ * spans pages is mapped entry by entry, sorted and deduplicated.
  */
 void nodePages(const NodeWork &work, const graph::EdgeLayout &layout,
                const ssd::Ftl &ftl, std::vector<std::uint64_t> &pages);

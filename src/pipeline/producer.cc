@@ -118,7 +118,7 @@ class CpuBatchJob : public BatchJob
         if (next_ == 0 && cache_ && cache_->prefetchEnabled()) {
             std::vector<std::uint64_t> batch_addrs;
             for (const isp::NodeWork &nw : work())
-                for (std::uint64_t e : nw.entries)
+                for (std::uint64_t e : nw.entries())
                     batch_addrs.push_back(layout_.addrOf(e));
             cache_->announceBlocking(now, batch_addrs,
                                      layout_.entry_bytes);
@@ -127,14 +127,14 @@ class CpuBatchJob : public BatchJob
 
         // Degree/offset lookup out of host DRAM.
         sim::Tick t =
-            now + llc_.access(offset_region + std::uint64_t(w.node) * 8,
+            now + llc_.access(offset_region + std::uint64_t(w.node()) * 8,
                               16);
-        if (!w.entries.empty()) {
+        if (!w.entries().empty()) {
             addrs_.clear();
-            for (std::uint64_t e : w.entries)
+            for (std::uint64_t e : w.entries())
                 addrs_.push_back(layout_.addrOf(e));
             t = store_.readGather(t, addrs_, layout_.entry_bytes);
-            t += config_.cpu_per_edge * w.entries.size();
+            t += config_.cpu_per_edge * w.entries().size();
         }
         return t;
     }

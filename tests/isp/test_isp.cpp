@@ -161,9 +161,9 @@ expectSameWork(const IspTraceVisitor &trace, const PerNodeVisitor &lists)
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < lists.nodes.size(); ++i) {
         const NodeWork &w = trace.work()[i];
-        EXPECT_EQ(w.node, lists.nodes[i]) << i;
-        EXPECT_EQ(std::vector<std::uint64_t>(w.entries.begin(),
-                                             w.entries.end()),
+        EXPECT_EQ(w.node(), lists.nodes[i]) << i;
+        EXPECT_EQ(std::vector<std::uint64_t>(w.entries().begin(),
+                                             w.entries().end()),
                   lists.entries[i])
             << i;
         total += lists.entries[i].size();
@@ -286,9 +286,9 @@ TEST(NsConfig, TraceCapturesAllWork)
     EXPECT_FALSE(trace.work().empty());
     // Entries are attributed to the node that read them.
     for (const auto &w : trace.work()) {
-        for (std::uint64_t e : w.entries) {
-            EXPECT_GE(e, g.edgeOffset(w.node));
-            EXPECT_LT(e, g.edgeOffset(w.node) + g.degree(w.node));
+        for (std::uint64_t e : w.entries()) {
+            EXPECT_GE(e, g.edgeOffset(w.node()));
+            EXPECT_LT(e, g.edgeOffset(w.node()) + g.degree(w.node()));
         }
     }
 }
@@ -299,7 +299,7 @@ TEST(NsConfig, TotalEntriesMatchesSum)
     IspTraceVisitor trace = traceBatch(g, 32);
     std::uint64_t sum = 0;
     for (const auto &w : trace.work())
-        sum += w.entries.size();
+        sum += w.entries().size();
     EXPECT_EQ(trace.totalEntries(), sum);
 }
 
@@ -397,7 +397,7 @@ TEST(IspEngine, SubgraphBytesMuchSmallerThanBlockTransfers)
     // sampled entries.
     std::uint64_t items = 0;
     for (const auto &w : trace.work())
-        items += !w.entries.empty();
+        items += !w.entries().empty();
     std::uint64_t baseline_bytes = items * 4096;
     EXPECT_GT(baseline_bytes, 10 * r.bytes_to_host);
 }

@@ -109,7 +109,7 @@ struct WorkStream
     WorkStream(std::size_t nodes, Rng &rng, bool clustered = false)
     {
         entries.resize(nodes);
-        work.resize(nodes);
+        work.reserve(nodes);
         for (std::size_t i = 0; i < nodes; ++i) {
             std::size_t n = rng.nextBounded(12);
             std::uint64_t base = rng.nextBounded(1u << 24);
@@ -119,7 +119,7 @@ struct WorkStream
                                                                    : 400);
             for (std::size_t k = 0; k < n; ++k)
                 entries[i].push_back(base + rng.nextBounded(span));
-            work[i] = {static_cast<graph::LocalNodeId>(i), entries[i]};
+            work.emplace_back(static_cast<graph::LocalNodeId>(i), entries[i]);
         }
     }
 };
@@ -359,9 +359,9 @@ fpgaRunBatchOutcomes(const WorkStream &stream, Rng &rng)
                                                stream.work.size() - next);
         trace.onBatchStart(n);
         for (std::size_t i = next; i < next + n; ++i) {
-            trace.onOffsetRead(stream.work[i].node);
-            for (std::uint64_t e : stream.work[i].entries)
-                trace.onEdgeEntryRead(stream.work[i].node, e);
+            trace.onOffsetRead(stream.work[i].node());
+            for (std::uint64_t e : stream.work[i].entries())
+                trace.onEdgeEntryRead(stream.work[i].node(), e);
         }
         trace.onBatchEnd();
         t += rng.nextBounded(us(2000));
