@@ -162,8 +162,8 @@ expectSameWork(const IspTraceVisitor &trace, const PerNodeVisitor &lists)
     for (std::size_t i = 0; i < lists.nodes.size(); ++i) {
         const NodeWork &w = trace.work()[i];
         EXPECT_EQ(w.node(), lists.nodes[i]) << i;
-        EXPECT_EQ(std::vector<std::uint64_t>(w.entries().begin(),
-                                             w.entries().end()),
+        const auto entries = w.entries();
+        EXPECT_EQ(std::vector<std::uint64_t>(entries.begin(), entries.end()),
                   lists.entries[i])
             << i;
         total += lists.entries[i].size();
