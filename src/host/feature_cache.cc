@@ -396,7 +396,7 @@ degreePinnedLines(const graph::CsrGraph &graph,
 
 FeatureCacheStore::FeatureCacheStore(std::unique_ptr<EdgeStore> inner,
                                      FeatureCacheParams params)
-    : EdgeStore(1), inner_(std::move(inner)),
+    : EdgeStore(HostConfig{}), inner_(std::move(inner)),
       params_(std::move(params)),
       policy_(makeCacheReplacementPolicy(params_))
 {

@@ -7,17 +7,15 @@
 namespace smartsage::host
 {
 
-EdgeStore::EdgeStore(unsigned queue_depth, const sim::FaultPlan &fault,
-                     const sim::RetryPolicy &retry,
-                     const sim::SchedConfig &sched,
-                     const sim::AdmissionControl &admit)
-    : channel_("host-io", queue_depth)
+EdgeStore::EdgeStore(const HostConfig &config)
+    : channel_("host-io", config.io_queue_depth)
 {
-    channel_.setRetryPolicy(retry);
-    channel_.setDispatchPolicy(sched.policy);
-    channel_.setAdmission(admit);
-    if (fault.injectsHostFaults())
-        injector_ = std::make_unique<sim::FaultInjector>(fault, "host-io");
+    channel_.setRetryPolicy(config.retry);
+    channel_.setDispatchPolicy(config.sched.policy);
+    channel_.setAdmission(config.admit);
+    if (config.fault.injectsHostFaults())
+        injector_ =
+            std::make_unique<sim::FaultInjector>(config.fault, "host-io");
 }
 
 sim::IoOutcome
@@ -117,8 +115,7 @@ EdgeStore::reset()
 }
 
 DramEdgeStore::DramEdgeStore(const HostConfig &config)
-    : EdgeStore(config.io_queue_depth, config.fault, config.retry,
-                config.sched, config.admit),
+    : EdgeStore(config),
       llc_(config)
 {
 }
@@ -138,8 +135,7 @@ DramEdgeStore::resetStore()
 
 MmapEdgeStore::MmapEdgeStore(const HostConfig &config,
                              ssd::SsdDevice &ssd)
-    : EdgeStore(config.io_queue_depth, config.fault, config.retry,
-                config.sched, config.admit),
+    : EdgeStore(config),
       config_(config), ssd_(ssd),
       cache_(config.page_cache_bytes, config.os_page_bytes,
              config.page_cache_ways)
@@ -180,102 +176,183 @@ MmapEdgeStore::resetStore()
     faults_ = 0;
 }
 
-DirectIoEdgeStore::DirectIoEdgeStore(const HostConfig &config,
-                                     ssd::SsdDevice &ssd)
-    : EdgeStore(config.io_queue_depth, config.fault, config.retry,
-                config.sched, config.admit),
-      config_(config), ssd_(ssd),
+BlockDeviceStore::BlockDeviceStore(const HostConfig &config)
+    : EdgeStore(config), config_(config),
       cache_(config.scratchpad_bytes, config.os_page_bytes,
              config.scratchpad_ways)
 {
 }
 
-sim::Tick
-DirectIoEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                               std::uint64_t bytes)
+void
+BlockDeviceStore::addDevice(ssd::SsdDevice &device)
 {
-    SS_ASSERT(bytes > 0, "zero-length direct read");
-    std::uint64_t first = cache_.lineOf(addr);
-    std::uint64_t last = cache_.lineOf(addr + bytes - 1);
-    sim::Tick done = start;
-    for (std::uint64_t block = first; block <= last; ++block) {
-        if (cache_.access(block)) {
-            done = std::max(done, start + config_.scratchpad_hit);
-        } else {
-            ++submits_;
-            sim::Tick submitted = start + config_.direct_io_submit;
-            sim::Tick landed = ssd_.readBlocks(
-                submitted, block * config_.os_page_bytes,
-                config_.os_page_bytes);
-            done = std::max(done, landed);
-        }
-    }
-    return done;
-}
-
-sim::Tick
-DirectIoEdgeStore::serviceGather(sim::Tick start,
-                                 const std::vector<std::uint64_t> &addrs,
-                                 unsigned entry_bytes)
-{
-    if (addrs.empty())
-        return start;
-
-    // Classify the touched blocks through the scratchpad.
-    std::vector<std::uint64_t> missing;
-    bool any_hit = false;
-    for (std::uint64_t a : addrs) {
-        std::uint64_t first = cache_.lineOf(a);
-        std::uint64_t last = cache_.lineOf(a + entry_bytes - 1);
-        for (std::uint64_t b = first; b <= last; ++b) {
-            if (cache_.access(b))
-                any_hit = true;
-            else
-                missing.push_back(b);
-        }
-    }
-
-    sim::Tick done = start;
-    if (any_hit)
-        done = std::max(done, start + config_.scratchpad_hit);
-    if (!missing.empty()) {
-        // The runtime knows every offset up front, so the whole gather
-        // rides one submission: contiguous runs of missing blocks
-        // become commands the SSD services in parallel, for a single
-        // syscall's worth of latency instead of one fault per page.
-        ++submits_;
-        std::sort(missing.begin(), missing.end());
-        missing.erase(std::unique(missing.begin(), missing.end()),
-                      missing.end());
-        std::uint64_t bs = config_.os_page_bytes;
-        sim::Tick submitted = start + config_.direct_io_submit;
-        std::size_t i = 0;
-        while (i < missing.size()) {
-            std::size_t j = i + 1;
-            while (j < missing.size() &&
-                   missing[j] == missing[j - 1] + 1) {
-                ++j;
-            }
-            sim::Tick landed = ssd_.readBlocks(
-                submitted, missing[i] * bs, (j - i) * bs);
-            done = std::max(done, landed);
-            i = j;
-        }
-    }
-    return done;
+    SS_ASSERT(devices_.size() < (1u << (64 - kDeviceShift)),
+              "too many devices behind one block store");
+    devices_.push_back(&device);
 }
 
 void
-DirectIoEdgeStore::resetStore()
+BlockDeviceStore::addDevice(std::unique_ptr<ssd::SsdDevice> device)
 {
-    ssd_.reset();
+    addDevice(*device);
+    owned_.push_back(std::move(device));
+}
+
+sim::Tick
+BlockDeviceStore::serveRuns(sim::Tick submitted,
+                            const std::vector<BlockRun> &runs)
+{
+    const std::uint64_t bs = config_.os_page_bytes;
+    sim::Tick done = submitted;
+    for (const BlockRun &run : runs) {
+        sim::Tick landed = devices_[run.device]->readBlocks(
+            submitted, run.first * bs, run.blocks * bs);
+        done = std::max(done, landed);
+    }
+    return done;
+}
+
+inline bool
+BlockDeviceStore::classify(std::uint64_t addr, std::uint64_t bytes)
+{
+    bool any_hit = false;
+    std::uint64_t first = cache_.lineOf(addr);
+    std::uint64_t last = cache_.lineOf(addr + bytes - 1);
+    for (std::uint64_t b = first; b <= last; ++b) {
+        if (cache_.access(b))
+            any_hit = true;
+        else
+            missing_.push_back(b);
+    }
+    return any_hit;
+}
+
+sim::Tick
+BlockDeviceStore::submitMissing(sim::Tick start, bool any_hit)
+{
+    sim::Tick done = start;
+    if (any_hit)
+        done = start + config_.scratchpad_hit;
+    if (missing_.empty())
+        return done;
+
+    // The runtime knows every offset up front, so the whole request
+    // rides one submission: contiguous runs of missing blocks become
+    // commands the devices service in parallel, for a single
+    // syscall's worth of latency instead of one fault per page.
+    // Placement is one-to-one, so deduplicating keys deduplicates
+    // blocks.
+    ++submits_;
+    placeBlocks(missing_);
+    std::sort(missing_.begin(), missing_.end());
+    missing_.erase(std::unique(missing_.begin(), missing_.end()),
+                   missing_.end());
+    constexpr std::uint64_t local_mask =
+        (std::uint64_t{1} << kDeviceShift) - 1;
+    runs_.clear();
+    std::size_t i = 0;
+    while (i < missing_.size()) {
+        std::size_t j = i + 1;
+        while (j < missing_.size() && missing_[j] == missing_[j - 1] + 1)
+            ++j;
+        const std::uint64_t key = missing_[i];
+        runs_.push_back({static_cast<unsigned>(key >> kDeviceShift),
+                         key & local_mask, j - i});
+        i = j;
+    }
+    return std::max(done,
+                    serveRuns(start + config_.direct_io_submit, runs_));
+}
+
+sim::Tick
+BlockDeviceStore::serviceRead(sim::Tick start, std::uint64_t addr,
+                              std::uint64_t bytes)
+{
+    SS_ASSERT(bytes > 0, "zero-length ", name(), " read");
+    missing_.clear();
+    return submitMissing(start, classify(addr, bytes));
+}
+
+sim::Tick
+BlockDeviceStore::serviceGather(sim::Tick start,
+                                const std::vector<std::uint64_t> &addrs,
+                                unsigned entry_bytes)
+{
+    missing_.clear();
+    bool any_hit = false;
+    for (std::uint64_t a : addrs)
+        any_hit = classify(a, entry_bytes) || any_hit;
+    return submitMissing(start, any_hit);
+}
+
+void
+BlockDeviceStore::resetStore()
+{
     cache_.reset();
     submits_ = 0;
+    for (ssd::SsdDevice *device : devices_)
+        device->reset();
+}
+
+double
+BlockDeviceStore::bufferHitRate() const
+{
+    std::uint64_t hits = 0, total = 0;
+    for (ssd::SsdDevice *device : devices_) {
+        const auto &buffer = device->pageBuffer();
+        hits += buffer.hits();
+        total += buffer.hits() + buffer.misses();
+    }
+    return total ? static_cast<double>(hits) /
+                       static_cast<double>(total)
+                 : 0.0;
+}
+
+std::uint64_t
+BlockDeviceStore::flashPagesRead() const
+{
+    std::uint64_t pages = 0;
+    for (ssd::SsdDevice *device : devices_)
+        pages += device->flashArray().pagesRead();
+    return pages;
+}
+
+std::uint64_t
+BlockDeviceStore::hostReads() const
+{
+    std::uint64_t reads = 0;
+    for (ssd::SsdDevice *device : devices_)
+        reads += device->hostReads();
+    return reads;
+}
+
+std::uint64_t
+BlockDeviceStore::bytesToHost() const
+{
+    std::uint64_t bytes = 0;
+    for (ssd::SsdDevice *device : devices_)
+        bytes += device->bytesToHost();
+    return bytes;
+}
+
+std::uint64_t
+BlockDeviceStore::eccRetries() const
+{
+    std::uint64_t retries = 0;
+    for (ssd::SsdDevice *device : devices_)
+        retries += device->eccRetries();
+    return retries;
+}
+
+DirectIoEdgeStore::DirectIoEdgeStore(const HostConfig &config,
+                                     ssd::SsdDevice &ssd)
+    : BlockDeviceStore(config)
+{
+    addDevice(ssd);
 }
 
 PmemEdgeStore::PmemEdgeStore(const HostConfig &config)
-    : EdgeStore(config.io_queue_depth, config.fault, config.retry,
-                config.sched, config.admit),
+    : EdgeStore(config),
       config_(config)
 {
 }

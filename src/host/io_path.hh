@@ -45,22 +45,12 @@ class EdgeStore
 {
   public:
     /**
-     * @param queue_depth host I/O path queue bound (NVMe SQ slots the
-     *        runtime exposes to the application;
-     *        HostConfig::io_queue_depth)
-     * @param fault host-I/O fault schedule; an all-zero plan builds no
-     *        injector, leaving the request path untouched
-     * @param retry retry/timeout policy installed on the channel
-     * @param sched dispatch-policy knob block; the Fifo default keeps
-     *        the historical arrival-order channel
-     * @param admit admission control; the all-off default never
-     *        evaluates the admission check
+     * @param config host parameters; the channel takes its queue bound
+     *        (io_queue_depth), fault schedule (an all-zero plan builds
+     *        no injector), retry policy, dispatch policy (sched) and
+     *        admission control (admit) from it
      */
-    explicit EdgeStore(unsigned queue_depth,
-                       const sim::FaultPlan &fault = {},
-                       const sim::RetryPolicy &retry = {},
-                       const sim::SchedConfig &sched = {},
-                       const sim::AdmissionControl &admit = {});
+    explicit EdgeStore(const HostConfig &config);
     virtual ~EdgeStore() = default;
 
     // ------------------------- async port -------------------------
@@ -141,9 +131,10 @@ class EdgeStore
      *
      * The default walks the entries one serviceRead at a time —
      * correct for byte-addressable stores and for mmap, whose kernel
-     * faults are inherently per-page-blocking. The direct-I/O store
-     * overrides this to coalesce one command per node, which is
-     * precisely its latency edge (Section IV-C).
+     * faults are inherently per-page-blocking. The scratchpad block
+     * stores (BlockDeviceStore) override this to send a gather's
+     * missing blocks as one submission, which is precisely their
+     * latency edge (Section IV-C).
      */
     virtual sim::Tick serviceGather(sim::Tick start,
                                     const std::vector<std::uint64_t> &addrs,
@@ -214,36 +205,124 @@ class MmapEdgeStore : public EdgeStore
 };
 
 /**
- * SmartSAGE(SW): Linux direct I/O (O_DIRECT) into a user-space
- * scratchpad buffer, bypassing the page cache (Section IV-C).
+ * SmartSAGE(SW)'s host policy (Section IV-C) over one or more block
+ * devices: Linux direct I/O (O_DIRECT) into a user-space scratchpad,
+ * bypassing the page cache. A request's blocks are classified through
+ * the scratchpad; any hit costs one scratchpad access, and the missing
+ * blocks ride one submission, deduplicated and cut into contiguous
+ * per-device runs. A range read is the one-entry gather over its
+ * bytes. Subclasses differ only in placement: which device holds a
+ * block at which device-local number (placeBlocks), and how the runs
+ * of one submission are served (serveRuns).
  */
-class DirectIoEdgeStore : public EdgeStore
+class BlockDeviceStore : public EdgeStore
+{
+  public:
+    double scratchpadHitRate() const { return cache_.hitRate(); }
+    std::uint64_t submits() const { return submits_; }
+
+    unsigned numDevices() const
+    {
+        return static_cast<unsigned>(devices_.size());
+    }
+    ssd::SsdDevice &device(unsigned i) { return *devices_[i]; }
+    const ssd::SsdDevice &device(unsigned i) const { return *devices_[i]; }
+
+    /** Page-buffer hit rate aggregated over every device. */
+    double bufferHitRate() const;
+    /** NAND pages sensed, summed over every device. */
+    std::uint64_t flashPagesRead() const;
+    /** Host block reads served, summed over every device. */
+    std::uint64_t hostReads() const;
+    /** Bytes shipped over every device's PCIe link. */
+    std::uint64_t bytesToHost() const;
+    /** Injected ECC re-reads, summed over every device. */
+    std::uint64_t eccRetries() const;
+
+  protected:
+    /** Contiguous missing blocks of one submission on one device. */
+    struct BlockRun
+    {
+        unsigned device;
+        std::uint64_t first;  //!< device-local block number
+        std::uint64_t blocks; //!< run length
+    };
+
+    explicit BlockDeviceStore(const HostConfig &config);
+
+    /** Serve through @p device, which the caller keeps alive. */
+    void addDevice(ssd::SsdDevice &device);
+    /** Serve through @p device, owned by the store. */
+    void addDevice(std::unique_ptr<ssd::SsdDevice> device);
+
+    /**
+     * Placement key of block @p local on device @p device: the device
+     * in the top byte above the local block number, so keys sort by
+     * device, then by local block, and two blocks form one run exactly
+     * when their keys differ by 1.
+     */
+    static std::uint64_t
+    blockKey(unsigned device, std::uint64_t local)
+    {
+        return std::uint64_t{device} << kDeviceShift | local;
+    }
+
+    /**
+     * Rewrite each global block number in @p blocks into its
+     * blockKey; called once per submission, duplicates included. The
+     * default places every block on device 0 under its own number.
+     */
+    virtual void placeBlocks(std::vector<std::uint64_t> &) const {}
+
+    /**
+     * Serve one submission's @p runs, ordered by device and then by
+     * local block, whose commands reach the host at @p submitted.
+     * The default issues each run as one command on its device.
+     * @return tick the last run's data is usable, >= submitted
+     */
+    virtual sim::Tick serveRuns(sim::Tick submitted,
+                                const std::vector<BlockRun> &runs);
+
+    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
+                          std::uint64_t bytes) final;
+    sim::Tick serviceGather(sim::Tick start,
+                            const std::vector<std::uint64_t> &addrs,
+                            unsigned entry_bytes) final;
+
+    /** Scratchpad, submission count and every device; a subclass
+     *  that keeps counters of its own extends this. */
+    void resetStore() override;
+
+    HostConfig config_; //!< block size, I/O charges, fault plan
+
+  private:
+    static constexpr unsigned kDeviceShift = 56;
+
+    /** Touch the blocks of [addr, addr + bytes) in the scratchpad,
+     *  appending the missing ones. @return true on any hit */
+    bool classify(std::uint64_t addr, std::uint64_t bytes);
+    /** Charge the scratchpad access (@p any_hit) and submit the
+     *  missing blocks of a request that began service at @p start. */
+    sim::Tick submitMissing(sim::Tick start, bool any_hit);
+
+    sim::SetAssocLru cache_; //!< user scratchpad, block-granular
+    std::vector<ssd::SsdDevice *> devices_;
+    std::vector<std::unique_ptr<ssd::SsdDevice>> owned_;
+    std::uint64_t submits_ = 0;
+    std::vector<std::uint64_t> missing_; //!< blocks, then keys
+    std::vector<BlockRun> runs_;
+};
+
+/** SmartSAGE(SW) on one SSD. */
+class DirectIoEdgeStore : public BlockDeviceStore
 {
   public:
     DirectIoEdgeStore(const HostConfig &config, ssd::SsdDevice &ssd);
 
     const std::string &name() const override { return name_; }
 
-    double scratchpadHitRate() const { return cache_.hitRate(); }
-    std::uint64_t submits() const { return submits_; }
-
-  protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
-
-    /** Coalesce one O_DIRECT command covering all missing blocks. */
-    sim::Tick serviceGather(sim::Tick start,
-                            const std::vector<std::uint64_t> &addrs,
-                            unsigned entry_bytes) override;
-
-    void resetStore() override;
-
   private:
     std::string name_ = "SmartSAGE (SW)";
-    HostConfig config_;
-    ssd::SsdDevice &ssd_;
-    sim::SetAssocLru cache_; //!< user scratchpad, block-granular
-    std::uint64_t submits_ = 0;
 };
 
 /** Optane DC PMEM on the memory bus: byte-granular, ~300 ns loads. */

@@ -31,16 +31,13 @@ PartitionedEdgeStore::PartitionedEdgeStore(
     const HostConfig &config, const ssd::SsdConfig &ssd_config,
     const sim::NetConfig &net_config, const PartitionedParams &params,
     const graph::CsrGraph &graph, const graph::EdgeLayout &layout)
-    : host::EdgeStore(config.io_queue_depth, config.fault, config.retry),
-      config_(config), params_(params), layout_(layout), graph_(graph),
-      cache_(config.scratchpad_bytes, config.os_page_bytes,
-             config.scratchpad_ways)
+    : host::BlockDeviceStore(config), params_(params), layout_(layout),
+      graph_(graph)
 {
     SS_ASSERT(params_.nodes >= 1, "partitioned store needs >= 1 node");
-    ssds_.reserve(params_.nodes);
     links_.resize(params_.nodes);
     for (unsigned i = 0; i < params_.nodes; ++i) {
-        ssds_.push_back(std::make_unique<ssd::SsdDevice>(ssd_config));
+        addDevice(std::make_unique<ssd::SsdDevice>(ssd_config));
         if (i > 0)
             links_[i] =
                 std::make_unique<sim::NetworkChannel>(net_config);
@@ -109,116 +106,45 @@ PartitionedEdgeStore::partitionOfBlock(std::uint64_t block) const
     return node_part_.empty() ? 0 : node_part_[node];
 }
 
-sim::Tick
-PartitionedEdgeStore::issueMissing(sim::Tick submitted)
+void
+PartitionedEdgeStore::placeBlocks(std::vector<std::uint64_t> &blocks) const
 {
-    // Per-partition contiguous block runs become one command each;
-    // nodes service their runs on independent SSD timelines, and a
-    // remote partition's results ride its link back as one payload.
-    std::sort(missing_.begin(), missing_.end());
-    missing_.erase(std::unique(missing_.begin(), missing_.end()),
-                   missing_.end());
-    std::sort(missing_.begin(), missing_.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                  return std::make_pair(partitionOfBlock(a), a) <
-                         std::make_pair(partitionOfBlock(b), b);
-              });
+    for (std::uint64_t &block : blocks)
+        block = blockKey(partitionOfBlock(block), block);
+}
 
+sim::Tick
+PartitionedEdgeStore::serveRuns(sim::Tick submitted,
+                                const std::vector<BlockRun> &runs)
+{
+    // Nodes service their runs on independent SSD timelines, and a
+    // remote partition's results ride its link back as one payload.
     const std::uint64_t bs = config_.os_page_bytes;
     sim::Tick done = submitted;
     std::size_t i = 0;
-    while (i < missing_.size()) {
-        const unsigned part = partitionOfBlock(missing_[i]);
+    while (i < runs.size()) {
+        const unsigned part = runs[i].device;
         // The request message to a remote node pays one link latency
         // before its SSD sees the commands; node 0 is the caller.
         const sim::Tick cmd_at =
             part == 0 ? submitted
                       : submitted + links_[part]->messageLatency();
         sim::Tick dev_done = cmd_at;
-        std::uint64_t part_bytes = 0;
-        while (i < missing_.size() &&
-               partitionOfBlock(missing_[i]) == part) {
-            std::size_t j = i + 1;
-            while (j < missing_.size() &&
-                   missing_[j] == missing_[i] + (j - i) &&
-                   partitionOfBlock(missing_[j]) == part)
-                ++j;
-            const std::uint64_t run_bytes = (j - i) * bs;
-            dev_done = std::max(
-                dev_done, ssds_[part]->readBlocks(
-                              cmd_at, missing_[i] * bs, run_bytes));
-            part_bytes += run_bytes;
-            if (part == 0)
-                local_blocks_ += j - i;
-            else
-                remote_blocks_ += j - i;
-            i = j;
+        std::uint64_t part_blocks = 0;
+        for (; i < runs.size() && runs[i].device == part; ++i) {
+            const sim::Tick landed = device(part).readBlocks(
+                cmd_at, runs[i].first * bs, runs[i].blocks * bs);
+            dev_done = std::max(dev_done, landed);
+            part_blocks += runs[i].blocks;
         }
-        const sim::Tick landed =
-            part == 0
-                ? dev_done
-                : links_[part]->serviceTransfer(dev_done, part_bytes);
-        done = std::max(done, landed);
-    }
-    return done;
-}
-
-sim::Tick
-PartitionedEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                                  std::uint64_t bytes)
-{
-    SS_ASSERT(bytes > 0, "zero-length partitioned read");
-    std::uint64_t first = cache_.lineOf(addr);
-    std::uint64_t last = cache_.lineOf(addr + bytes - 1);
-    bool any_hit = false;
-    missing_.clear();
-    for (std::uint64_t block = first; block <= last; ++block) {
-        if (cache_.access(block))
-            any_hit = true;
-        else
-            missing_.push_back(block);
-    }
-    sim::Tick done = start;
-    if (any_hit)
-        done = std::max(done, start + config_.scratchpad_hit);
-    if (!missing_.empty()) {
-        ++submits_;
-        done = std::max(done,
-                        issueMissing(start + config_.direct_io_submit));
-    }
-    return done;
-}
-
-sim::Tick
-PartitionedEdgeStore::serviceGather(sim::Tick start,
-                                    const std::vector<std::uint64_t> &addrs,
-                                    unsigned entry_bytes)
-{
-    if (addrs.empty())
-        return start;
-
-    // Classify the touched blocks through the training-host
-    // scratchpad, exactly like the single-device direct-I/O store.
-    missing_.clear();
-    bool any_hit = false;
-    for (std::uint64_t a : addrs) {
-        std::uint64_t first = cache_.lineOf(a);
-        std::uint64_t last = cache_.lineOf(a + entry_bytes - 1);
-        for (std::uint64_t b = first; b <= last; ++b) {
-            if (cache_.access(b))
-                any_hit = true;
-            else
-                missing_.push_back(b);
+        if (part == 0) {
+            local_blocks_ += part_blocks;
+            done = std::max(done, dev_done);
+        } else {
+            remote_blocks_ += part_blocks;
+            done = std::max(done, links_[part]->serviceTransfer(
+                                      dev_done, part_blocks * bs));
         }
-    }
-
-    sim::Tick done = start;
-    if (any_hit)
-        done = std::max(done, start + config_.scratchpad_hit);
-    if (!missing_.empty()) {
-        ++submits_;
-        done = std::max(done,
-                        issueMissing(start + config_.direct_io_submit));
     }
     return done;
 }
@@ -226,12 +152,9 @@ PartitionedEdgeStore::serviceGather(sim::Tick start,
 void
 PartitionedEdgeStore::resetStore()
 {
-    cache_.reset();
-    submits_ = 0;
+    host::BlockDeviceStore::resetStore();
     remote_blocks_ = 0;
     local_blocks_ = 0;
-    for (auto &ssd : ssds_)
-        ssd->reset();
     for (auto &link : links_)
         if (link)
             link->reset();
@@ -255,29 +178,6 @@ PartitionedEdgeStore::netTransfers() const
         if (link)
             transfers += link->transfers();
     return transfers;
-}
-
-double
-PartitionedEdgeStore::bufferHitRate() const
-{
-    std::uint64_t hits = 0, total = 0;
-    for (const auto &ssd : ssds_) {
-        const auto &buffer = ssd->pageBuffer();
-        hits += buffer.hits();
-        total += buffer.hits() + buffer.misses();
-    }
-    return total ? static_cast<double>(hits) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-std::uint64_t
-PartitionedEdgeStore::flashPagesRead() const
-{
-    std::uint64_t pages = 0;
-    for (const auto &ssd : ssds_)
-        pages += ssd->flashArray().pagesRead();
-    return pages;
 }
 
 // ------------------------------------------------ backend registration
@@ -366,7 +266,7 @@ class PartitionedInstance : public core::BackendInstance
             static_cast<double>(partitioned_->remoteBlocks());
         const double total =
             remote + static_cast<double>(partitioned_->localBlocks());
-        return "nodes " + std::to_string(partitioned_->numNodes()) +
+        return "nodes " + std::to_string(partitioned_->numDevices()) +
                ", " +
                (partitioned_->strategy() == PartitionStrategy::Hash
                     ? "hash"
@@ -379,7 +279,7 @@ class PartitionedInstance : public core::BackendInstance
     addStats(const core::StatSink &add) const override
     {
         add("part.nodes",
-            static_cast<double>(partitioned_->numNodes()),
+            static_cast<double>(partitioned_->numDevices()),
             "simulated host+SSD nodes");
         add("part.remote_blocks",
             static_cast<double>(partitioned_->remoteBlocks()),

@@ -4,12 +4,13 @@
  * edge-cut across N simulated host+SSD nodes, and cross-partition
  * gathers traverse a per-remote-node sim::NetworkChannel.
  *
- * Node 0 is the training host. A gather classifies its blocks through
- * the host scratchpad (exactly like the direct-I/O store), then fans
- * the missing blocks out by owning partition: node-0 runs are serviced
- * by the local SSD directly, while a remote partition pays a one-way
- * request message, its own SSD's service time, and the response
- * payload transfer back over the link. Every node is a complete
+ * Node 0 is the training host. Its host path is the scratchpad block
+ * store (host::BlockDeviceStore: user scratchpad, one coalesced
+ * O_DIRECT submission a request); this store only places each missing
+ * block on its owning partition's SSD and serves the runs: node-0 runs
+ * are serviced by the local SSD directly, while a remote partition
+ * pays a one-way request message, its own SSD's service time, and one
+ * response payload transfer back over the link. Every node is a complete
  * machine — its own SsdDevice with full controller buffer — so
  * aggregate storage bandwidth (and cache) grows with `part.nodes`,
  * which is precisely the scaling story the "scaling" sweep family
@@ -38,7 +39,6 @@
 #include "host/config.hh"
 #include "host/io_path.hh"
 #include "sim/net.hh"
-#include "sim/set_assoc.hh"
 #include "ssd/ssd_device.hh"
 
 namespace smartsage::host
@@ -55,7 +55,7 @@ struct PartitionedParams
 };
 
 /** Direct-I/O edge store spread over N host+SSD nodes. */
-class PartitionedEdgeStore : public host::EdgeStore
+class PartitionedEdgeStore : public host::BlockDeviceStore
 {
   public:
     /**
@@ -76,14 +76,7 @@ class PartitionedEdgeStore : public host::EdgeStore
 
     const std::string &name() const override { return name_; }
 
-    unsigned numNodes() const
-    {
-        return static_cast<unsigned>(ssds_.size());
-    }
     PartitionStrategy strategy() const { return params_.strategy; }
-
-    double scratchpadHitRate() const { return cache_.hitRate(); }
-    std::uint64_t submits() const { return submits_; }
 
     /** Missing blocks owned by a remote partition (network round
      *  trips), vs local_blocks_ on the training host. */
@@ -94,47 +87,34 @@ class PartitionedEdgeStore : public host::EdgeStore
     /** Response transfers over all inter-node links. */
     std::uint64_t netTransfers() const;
 
-    /** Page-buffer hit rate aggregated over every node's SSD. */
-    double bufferHitRate() const;
-    /** NAND pages sensed, summed over every node. */
-    std::uint64_t flashPagesRead() const;
-
     /** Partition owning graph node @p node (exposed for tests). */
     unsigned partitionOfNode(sim::NodeId node) const;
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
+    /** Key (owning partition, block): a node's SSD holds the blocks
+     *  it owns under their global numbers. */
+    void placeBlocks(std::vector<std::uint64_t> &blocks) const override;
 
-    /** One coalesced submission; missing runs fan out per partition,
-     *  remote partitions through their network link. */
-    sim::Tick serviceGather(sim::Tick start,
-                            const std::vector<std::uint64_t> &addrs,
-                            unsigned entry_bytes) override;
+    /** Per partition: the request message, one command per run on
+     *  that node's SSD, and for a remote node one payload transfer. */
+    sim::Tick serveRuns(sim::Tick submitted,
+                        const std::vector<BlockRun> &runs) override;
 
     void resetStore() override;
 
   private:
     std::string name_ = "Partitioned";
-    HostConfig config_;
     PartitionedParams params_;
     graph::EdgeLayout layout_;
     const graph::CsrGraph &graph_;
-    std::vector<std::unique_ptr<ssd::SsdDevice>> ssds_; //!< per node
     /** Links to nodes 1..N-1; index 0 (the local node) is null. */
     std::vector<std::unique_ptr<sim::NetworkChannel>> links_;
-    sim::SetAssocLru cache_; //!< training-host scratchpad
     std::vector<std::uint8_t> node_part_; //!< graph node -> partition
-    std::uint64_t submits_ = 0;
     std::uint64_t remote_blocks_ = 0;
     std::uint64_t local_blocks_ = 0;
-    std::vector<std::uint64_t> missing_; //!< gather scratch
 
     /** Partition owning scratchpad block @p block (by first edge). */
     unsigned partitionOfBlock(std::uint64_t block) const;
-
-    /** Issue the deduped missing-block list at @p submitted. */
-    sim::Tick issueMissing(sim::Tick submitted);
 
     /** Fill node_part_ per the configured strategy. */
     void buildPartitionMap();

@@ -43,7 +43,7 @@ coldConfig(const HostConfig &config)
 TieredEdgeStore::TieredEdgeStore(const HostConfig &config,
                                  ssd::SsdDevice &ssd,
                                  const TieredStoreParams &params)
-    : EdgeStore(config.io_queue_depth, config.fault, config.retry),
+    : EdgeStore(config),
       params_(params),
       hot_(hotCapacity(config, params), params.hot_line_bytes,
            config.page_cache_ways),

@@ -31,81 +31,53 @@ shardConfig(const SsdConfig &base, unsigned shards)
 ShardedEdgeStore::ShardedEdgeStore(const host::HostConfig &config,
                                    const SsdConfig &ssd_config,
                                    const ShardedSsdParams &params)
-    : host::EdgeStore(config.io_queue_depth, config.fault, config.retry),
-      config_(config), params_(params),
-      stripe_blocks_(params.stripe_bytes / config.os_page_bytes),
-      cache_(config.scratchpad_bytes, config.os_page_bytes,
-             config.scratchpad_ways)
+    : host::BlockDeviceStore(config),
+      stripe_blocks_(params.stripe_bytes / config.os_page_bytes)
 {
-    SS_ASSERT(params_.shards >= 1, "sharded store needs >= 1 shard");
+    SS_ASSERT(params.shards >= 1, "sharded store needs >= 1 shard");
     SS_ASSERT(stripe_blocks_ >= 1,
               "stripe must cover at least one scratchpad block");
-    SsdConfig per_shard = shardConfig(ssd_config, params_.shards);
-    shards_.reserve(params_.shards);
-    for (unsigned i = 0; i < params_.shards; ++i)
-        shards_.push_back(std::make_unique<SsdDevice>(per_shard));
+    SsdConfig per_shard = shardConfig(ssd_config, params.shards);
+    for (unsigned i = 0; i < params.shards; ++i)
+        addDevice(std::make_unique<SsdDevice>(per_shard));
     if (config.fault.injectsOutages())
         outage_ = std::make_unique<sim::OutageSchedule>(config.fault,
-                                                        params_.shards);
+                                                        params.shards);
 }
 
-unsigned
-ShardedEdgeStore::shardOf(std::uint64_t block) const
-{
-    return static_cast<unsigned>((block / stripe_blocks_) %
-                                 shards_.size());
-}
-
-std::uint64_t
-ShardedEdgeStore::localBlockOf(std::uint64_t block) const
+void
+ShardedEdgeStore::placeBlocks(std::vector<std::uint64_t> &blocks) const
 {
     // Stripes land round-robin; a shard sees its stripes densely
     // packed, preserving sequential locality inside the device.
-    std::uint64_t stripe = block / stripe_blocks_;
-    std::uint64_t local_stripe = stripe / shards_.size();
-    return local_stripe * stripe_blocks_ + block % stripe_blocks_;
+    const std::uint64_t shards = numDevices();
+    for (std::uint64_t &block : blocks) {
+        std::uint64_t stripe = block / stripe_blocks_;
+        block = blockKey(static_cast<unsigned>(stripe % shards),
+                         stripe / shards * stripe_blocks_ +
+                             block % stripe_blocks_);
+    }
 }
 
 sim::Tick
-ShardedEdgeStore::issueMissing(sim::Tick submitted)
+ShardedEdgeStore::serveRuns(sim::Tick submitted,
+                            const std::vector<BlockRun> &runs)
 {
-    // Contiguous *shard-local* runs become one command each; shards
-    // service their runs on independent timelines. Order by
-    // (shard, local block) — global block order would break a shard's
-    // locally contiguous run whenever other shards' blocks interleave.
-    std::sort(missing_.begin(), missing_.end());
-    missing_.erase(std::unique(missing_.begin(), missing_.end()),
-                   missing_.end());
-    std::sort(missing_.begin(), missing_.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                  return std::make_pair(shardOf(a), localBlockOf(a)) <
-                         std::make_pair(shardOf(b), localBlockOf(b));
-              });
-
-    std::uint64_t bs = config_.os_page_bytes;
+    const std::uint64_t bs = config_.os_page_bytes;
+    const unsigned shards = numDevices();
     sim::Tick done = submitted;
-    std::size_t i = 0;
-    while (i < missing_.size()) {
-        unsigned shard = shardOf(missing_[i]);
-        std::uint64_t local = localBlockOf(missing_[i]);
-        std::size_t j = i + 1;
-        while (j < missing_.size() && shardOf(missing_[j]) == shard &&
-               localBlockOf(missing_[j]) ==
-                   local + (j - i)) {
-            ++j;
-        }
+    for (const BlockRun &run : runs) {
         // Degraded mode: a run aimed at a shard inside an outage
         // window reroutes to the next healthy shard (reconstruction
         // from redundancy) at a latency penalty, instead of failing
         // the gather. With every shard down there is nothing to
         // reconstruct from; the run services normally rather than
         // deadlocking.
-        unsigned serve = shard;
+        unsigned serve = run.device;
         bool degraded = false;
-        if (outage_ && outage_->down(shard, submitted)) {
-            for (unsigned k = 1; k < shards_.size(); ++k) {
-                unsigned cand = static_cast<unsigned>(
-                    (shard + k) % shards_.size());
+        if (outage_ && outage_->down(run.device, submitted)) {
+            for (unsigned k = 1; k < shards; ++k) {
+                unsigned cand = (run.device + k) % shards;
                 if (!outage_->down(cand, submitted)) {
                     serve = cand;
                     degraded = true;
@@ -113,8 +85,8 @@ ShardedEdgeStore::issueMissing(sim::Tick submitted)
                 }
             }
         }
-        sim::Tick landed = shards_[serve]->readBlocks(
-            submitted, local * bs, (j - i) * bs);
+        sim::Tick landed = device(serve).readBlocks(
+            submitted, run.first * bs, run.blocks * bs);
         if (degraded) {
             ++degraded_reads_;
             landed = submitted +
@@ -123,69 +95,6 @@ ShardedEdgeStore::issueMissing(sim::Tick submitted)
                          config_.fault.degraded_penalty);
         }
         done = std::max(done, landed);
-        i = j;
-    }
-    return done;
-}
-
-sim::Tick
-ShardedEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                              std::uint64_t bytes)
-{
-    SS_ASSERT(bytes > 0, "zero-length sharded read");
-    std::uint64_t first = cache_.lineOf(addr);
-    std::uint64_t last = cache_.lineOf(addr + bytes - 1);
-    bool any_hit = false;
-    missing_.clear();
-    for (std::uint64_t block = first; block <= last; ++block) {
-        if (cache_.access(block))
-            any_hit = true;
-        else
-            missing_.push_back(block);
-    }
-    sim::Tick done = start;
-    if (any_hit)
-        done = std::max(done, start + config_.scratchpad_hit);
-    if (!missing_.empty()) {
-        ++submits_;
-        done = std::max(done,
-                        issueMissing(start + config_.direct_io_submit));
-    }
-    return done;
-}
-
-sim::Tick
-ShardedEdgeStore::serviceGather(sim::Tick start,
-                                const std::vector<std::uint64_t> &addrs,
-                                unsigned entry_bytes)
-{
-    if (addrs.empty())
-        return start;
-
-    // Classify the touched blocks through the scratchpad, exactly like
-    // the single-device direct-I/O store.
-    missing_.clear();
-    bool any_hit = false;
-    for (std::uint64_t a : addrs) {
-        std::uint64_t first = cache_.lineOf(a);
-        std::uint64_t last = cache_.lineOf(a + entry_bytes - 1);
-        for (std::uint64_t b = first; b <= last; ++b) {
-            if (cache_.access(b))
-                any_hit = true;
-            else
-                missing_.push_back(b);
-        }
-    }
-
-    sim::Tick done = start;
-    if (any_hit)
-        done = std::max(done, start + config_.scratchpad_hit);
-    if (!missing_.empty()) {
-        // One submission covers the whole gather; the runs fan out
-        // across the stripe set and complete in parallel.
-        ++submits_;
-        done = std::max(done,
-                        issueMissing(start + config_.direct_io_submit));
     }
     return done;
 }
@@ -193,61 +102,8 @@ ShardedEdgeStore::serviceGather(sim::Tick start,
 void
 ShardedEdgeStore::resetStore()
 {
-    cache_.reset();
-    submits_ = 0;
+    host::BlockDeviceStore::resetStore();
     degraded_reads_ = 0;
-    for (auto &shard : shards_)
-        shard->reset();
-}
-
-double
-ShardedEdgeStore::bufferHitRate() const
-{
-    std::uint64_t hits = 0, total = 0;
-    for (const auto &shard : shards_) {
-        const auto &buffer = shard->pageBuffer();
-        hits += buffer.hits();
-        total += buffer.hits() + buffer.misses();
-    }
-    return total ? static_cast<double>(hits) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-std::uint64_t
-ShardedEdgeStore::flashPagesRead() const
-{
-    std::uint64_t pages = 0;
-    for (const auto &shard : shards_)
-        pages += shard->flashArray().pagesRead();
-    return pages;
-}
-
-std::uint64_t
-ShardedEdgeStore::hostReads() const
-{
-    std::uint64_t reads = 0;
-    for (const auto &shard : shards_)
-        reads += shard->hostReads();
-    return reads;
-}
-
-std::uint64_t
-ShardedEdgeStore::bytesToHost() const
-{
-    std::uint64_t bytes = 0;
-    for (const auto &shard : shards_)
-        bytes += shard->bytesToHost();
-    return bytes;
-}
-
-std::uint64_t
-ShardedEdgeStore::eccRetries() const
-{
-    std::uint64_t retries = 0;
-    for (const auto &shard : shards_)
-        retries += shard->eccRetries();
-    return retries;
 }
 
 // ------------------------------------------------ backend registration
@@ -307,7 +163,7 @@ class MultiSsdInstance : public core::BackendInstance
     std::string
     notes() const override
     {
-        return "shards " + std::to_string(sharded_->numShards()) +
+        return "shards " + std::to_string(sharded_->numDevices()) +
                ", scratchpad " +
                core::fmtPct(sharded_->scratchpadHitRate()) + ", submits " +
                std::to_string(sharded_->submits());
@@ -316,7 +172,7 @@ class MultiSsdInstance : public core::BackendInstance
     void
     addStats(const core::StatSink &add) const override
     {
-        add("ssd.shards", static_cast<double>(sharded_->numShards()),
+        add("ssd.shards", static_cast<double>(sharded_->numDevices()),
             "devices in the striped array");
         add("ssd.host_reads", static_cast<double>(sharded_->hostReads()),
             "block read commands served, all shards");
@@ -340,7 +196,7 @@ class MultiSsdInstance : public core::BackendInstance
                 static_cast<double>(sharded_->degradedReads()),
                 "runs rerouted around a down shard");
         }
-        if (sharded_->shard(0).config().flash.fault.injectsEcc()) {
+        if (sharded_->device(0).config().flash.fault.injectsEcc()) {
             add("ssd.flash.ecc_retries",
                 static_cast<double>(sharded_->eccRetries()),
                 "injected ECC re-reads, all shards");

@@ -3,13 +3,15 @@
  * RAID-0-style sharded SSD edge store: page striping across N
  * independent SsdDevice timelines.
  *
- * The host path is the direct-I/O runtime (user scratchpad, coalesced
- * O_DIRECT gathers), but missing blocks fan out across the stripe set:
- * block b belongs to stripe b/stripe_blocks, stripes are assigned
- * round-robin to shards, and each shard is a complete SsdDevice with
- * its own firmware cores, page buffer, flash channels, and PCIe link —
- * so per-channel (per-device) contention and the striping speedup both
- * emerge from the independent busy-until timelines.
+ * The host path is the scratchpad block store (host::BlockDeviceStore:
+ * user scratchpad, one coalesced O_DIRECT submission a request); this
+ * store only places blocks on the stripe set: block b belongs to
+ * stripe b/stripe_blocks, stripes are assigned round-robin to shards,
+ * and each shard is a complete SsdDevice with its own firmware cores,
+ * page buffer, flash channels, and PCIe link — so per-channel
+ * (per-device) contention and the striping speedup both emerge from
+ * the independent busy-until timelines. A run aimed at a shard inside
+ * an outage window reroutes to a healthy shard at a latency penalty.
  *
  * This file also registers the "multi-ssd" storage backend
  * (core::BackendRegistry) — the whole design point lives here, with
@@ -26,7 +28,6 @@
 #include "host/config.hh"
 #include "host/io_path.hh"
 #include "sim/fault.hh"
-#include "sim/set_assoc.hh"
 #include "ssd/ssd_device.hh"
 
 namespace smartsage::ssd
@@ -40,7 +41,7 @@ struct ShardedSsdParams
 };
 
 /** Direct-I/O edge store striped over N independent SSDs. */
-class ShardedEdgeStore : public host::EdgeStore
+class ShardedEdgeStore : public host::BlockDeviceStore
 {
   public:
     /**
@@ -55,62 +56,28 @@ class ShardedEdgeStore : public host::EdgeStore
 
     const std::string &name() const override { return name_; }
 
-    unsigned numShards() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
-    SsdDevice &shard(unsigned i) { return *shards_[i]; }
-    const SsdDevice &shard(unsigned i) const { return *shards_[i]; }
-
-    double scratchpadHitRate() const { return cache_.hitRate(); }
-    std::uint64_t submits() const { return submits_; }
-
-    /** Page-buffer hit rate aggregated over every shard. */
-    double bufferHitRate() const;
-    /** NAND pages sensed, summed over every shard. */
-    std::uint64_t flashPagesRead() const;
-    /** Host block reads served, summed over every shard. */
-    std::uint64_t hostReads() const;
-    /** Bytes shipped over all PCIe links. */
-    std::uint64_t bytesToHost() const;
-    /** Injected ECC re-reads, summed over every shard. */
-    std::uint64_t eccRetries() const;
-
     /** Shard outage windows active in this configuration. */
     bool outagesEnabled() const { return outage_ != nullptr; }
     /** Runs rerouted around a down shard (degraded-mode reads). */
     std::uint64_t degradedReads() const { return degraded_reads_; }
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
+    /** Key (shard, shard-local block): a shard's locally contiguous
+     *  blocks form one run even where other shards' stripes
+     *  interleave in global block order. */
+    void placeBlocks(std::vector<std::uint64_t> &blocks) const override;
 
-    /** One coalesced submission; missing runs fan out per shard. */
-    sim::Tick serviceGather(sim::Tick start,
-                            const std::vector<std::uint64_t> &addrs,
-                            unsigned entry_bytes) override;
+    /** One command per run; a run aimed at a down shard reroutes. */
+    sim::Tick serveRuns(sim::Tick submitted,
+                        const std::vector<BlockRun> &runs) override;
 
     void resetStore() override;
 
   private:
     std::string name_ = "Multi-SSD";
-    host::HostConfig config_;
-    ShardedSsdParams params_;
     std::uint64_t stripe_blocks_; //!< scratchpad blocks per stripe
-    std::vector<std::unique_ptr<SsdDevice>> shards_;
-    sim::SetAssocLru cache_; //!< user scratchpad, block-granular
-    std::uint64_t submits_ = 0;
-    std::vector<std::uint64_t> missing_; //!< gather scratch
     std::unique_ptr<sim::OutageSchedule> outage_; //!< null when inert
     std::uint64_t degraded_reads_ = 0;
-
-    /** Shard owning global block @p block. */
-    unsigned shardOf(std::uint64_t block) const;
-    /** Shard-local block index of global block @p block. */
-    std::uint64_t localBlockOf(std::uint64_t block) const;
-
-    /** Issue the sorted, deduped missing-block list at @p submitted. */
-    sim::Tick issueMissing(sim::Tick submitted);
 };
 
 } // namespace smartsage::ssd

@@ -79,6 +79,26 @@ TEST(BackendSmoke, InstanceSurfaceMatchesCapabilityFlags)
     }
 }
 
+TEST(BackendSmoke, EveryEdgeStoreChannelCarriesSchedAndAdmit)
+{
+    // The sched.* and admit.* knobs reach the host-I/O channel of
+    // every backend that has one, plugin backends included.
+    for (const StorageBackend *b : BackendRegistry::instance().all()) {
+        if (b->caps().edge_store == EdgeStoreKind::None)
+            continue;
+        SystemConfig sc = smallConfig(b->id());
+        sc.sched.policy = sim::DispatchPolicy::Deadline;
+        sc.admit.max_queue = 64;
+        sc.admit.slo_aware = true;
+        GnnSystem system(sc, smallWorkload());
+        const sim::StorageChannel &ch = system.edgeStore()->ioChannel();
+        EXPECT_EQ(ch.dispatchPolicy(), sim::DispatchPolicy::Deadline)
+            << b->id();
+        EXPECT_EQ(ch.admission().max_queue, 64u) << b->id();
+        EXPECT_TRUE(ch.admission().slo_aware) << b->id();
+    }
+}
+
 TEST(BackendSmoke, StatsJsonCarriesTheBenchSchema)
 {
     GnnSystem system(smallConfig("tiered-hybrid"), smallWorkload());
@@ -154,7 +174,7 @@ TEST(MultiSsd, ShardedStoreStripesBlocksRoundRobin)
     params.shards = 4;
     params.stripe_bytes = host.os_page_bytes; // one block per stripe
     ssd::ShardedEdgeStore store(host, ssd_config, params);
-    ASSERT_EQ(store.numShards(), 4u);
+    ASSERT_EQ(store.numDevices(), 4u);
 
     // Cold gather touching 8 consecutive blocks: two per shard.
     std::vector<std::uint64_t> addrs;
@@ -162,7 +182,7 @@ TEST(MultiSsd, ShardedStoreStripesBlocksRoundRobin)
         addrs.push_back(b * host.os_page_bytes);
     store.readGather(0, addrs, 8);
     for (unsigned i = 0; i < 4; ++i)
-        EXPECT_GT(store.shard(i).hostReads(), 0u) << "shard " << i;
+        EXPECT_GT(store.device(i).hostReads(), 0u) << "shard " << i;
     EXPECT_EQ(store.submits(), 1u); // one coalesced submission
 }
 
