@@ -190,6 +190,8 @@ class MmapEdgeStore : public EdgeStore
 
     double pageCacheHitRate() const { return cache_.hitRate(); }
     std::uint64_t pageFaults() const { return faults_; }
+    /** The OS page-cache directory (hit and miss counts). */
+    const sim::SetAssocLru &pageCache() const { return cache_; }
 
   protected:
     sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,

@@ -11,6 +11,8 @@
 #include "host/io_path.hh"
 #include "sim/event_queue.hh"
 #include "sim/io.hh"
+#include "sim/random.hh"
+#include "sim/serialize.hh"
 
 using namespace smartsage;
 using namespace smartsage::sim;
@@ -259,6 +261,51 @@ TEST(RetryChannel, JitterReplaysAfterReset)
     for (const Tick f : first)
         all_equal = all_equal && f == first[0];
     EXPECT_FALSE(all_equal);
+}
+
+// Recorded while submit forked each request's jitter stream at
+// submission: every request's completion tick and status through the
+// event path, with jittered retries on a queueing channel, so any
+// change in which stream a request draws its backoff from shows.
+TEST(RetryChannel, JitteredCompletionTicksPinned)
+{
+    StorageChannel ch("ch", 3);
+    RetryPolicy p = exactPolicy(4);
+    p.jitter = 0.5;
+    ch.setRetryPolicy(p);
+    EventQueue eq;
+    const std::size_t n = 400;
+    std::vector<std::uint64_t> outcomes(2 * n, ~std::uint64_t{0});
+    Rng arrivals(17);
+    Tick t = 0;
+    for (std::size_t id = 0; id < n; ++id) {
+        t += arrivals.nextBounded(us(40));
+        eq.schedule(t, [&, id] {
+            ch.submit(
+                eq,
+                [id](Tick start, unsigned attempt) {
+                    // Fails on about a third of the attempts.
+                    Rng r = Rng(0xfa11).fork(id * 16 + attempt);
+                    Tick took = us(5) + r.nextBounded(us(30));
+                    return IoOutcome{start + took,
+                                     r.nextBounded(3) == 0
+                                         ? IoStatus::TransientError
+                                         : IoStatus::Ok};
+                },
+                [&, id](Tick f, IoStatus s) {
+                    outcomes[2 * id] = f;
+                    outcomes[2 * id + 1] = static_cast<std::uint64_t>(s);
+                });
+        });
+    }
+    eq.run();
+    EXPECT_EQ(ch.completed(), n);
+    EXPECT_GT(ch.retries(), 100u);
+    EXPECT_GT(ch.abandoned(), 0u);
+    EXPECT_GT(ch.queuedCount(), 0u);
+    const std::uint64_t d =
+        fnv1a64(outcomes.data(), outcomes.size() * sizeof(outcomes[0]));
+    EXPECT_EQ(d, 0x60100e058de86306ull) << std::hex << d;
 }
 
 TEST(BlockingAdapter, DiesOnAFailedRequest)

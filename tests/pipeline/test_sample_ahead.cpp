@@ -375,9 +375,11 @@ TEST(SampleAhead, UniformSizesStartExactlyOneJobPerBatch)
         const CountedRun ahead = countedRun(4, sc, num_batches);
         EXPECT_EQ(serial.starts, num_batches);
         EXPECT_EQ(ahead.starts, num_batches);
-        // One job per worker with no pool; more with lookahead.
+        // One job per worker with no pool; more with lookahead, but
+        // never more than a current and a next batch per worker.
         EXPECT_LE(serial.max_live, sc.pipeline.workers);
         EXPECT_GT(ahead.max_live, sc.pipeline.workers);
+        EXPECT_LE(ahead.max_live, 2 * sc.pipeline.workers);
         expectSameBatches(serial.batches, ahead.batches);
     }
 }
@@ -393,6 +395,7 @@ TEST(SampleAhead, BatchMixRejectsWrongSizedLookaheads)
     const CountedRun ahead = countedRun(4, sc, num_batches);
     EXPECT_EQ(serial.starts, num_batches);
     EXPECT_GT(ahead.starts, num_batches); // some lookaheads rejected
+    EXPECT_LE(ahead.max_live, 2 * sc.pipeline.workers);
 
     ScheduleConfig sched;
     sched.batch_mix = sc.pipeline.batch_mix;

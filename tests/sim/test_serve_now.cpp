@@ -419,3 +419,91 @@ TEST(ServeInPlacePinned, FpgaRunBatch)
     d = digestOf(fpgaRunBatchOutcomes(clustered, clustered_rng));
     EXPECT_EQ(d, 0xfb1e89b3ff13082bull) << std::hex << d;
 }
+
+namespace
+{
+
+/**
+ * A seeded stream of blocking mmap gathers under a host fault plan
+ * with read errors and jittered retries, on OS pages of @p page_bytes:
+ * every completion tick, then the store, page-cache, SSD and channel
+ * counters. Each gather walks a few entries of one home page in a
+ * row, now and then visits another page and comes back to it, and
+ * now and then reads the last bytes of a page, which a 12-byte entry
+ * straddles into the next.
+ */
+std::vector<std::uint64_t>
+mmapGatherOutcomes(std::uint64_t page_bytes, std::uint64_t seed)
+{
+    host::HostConfig config;
+    config.os_page_bytes = page_bytes;
+    config.page_cache_bytes = sim::KiB(768);
+    config.fault.read_error_rate = 0.2;
+    config.fault.slow_rate = 0.1;
+    config.retry.max_attempts = 8;
+    config.retry.jitter = 0.5;
+    config.retry.timeout = ms(50);
+    ssd::SsdConfig ssd_config;
+    ssd_config.page_buffer_bytes = sim::MiB(1);
+    ssd::SsdDevice ssd(ssd_config);
+    host::MmapEdgeStore store(config, ssd);
+
+    Rng rng(seed);
+    const std::uint64_t pages = 2048; // > the cache's 192-256 pages
+    std::vector<std::uint64_t> recent(16, 0);
+    std::vector<std::uint64_t> addrs;
+    std::vector<std::uint64_t> v;
+    Tick t = 0;
+    for (int i = 0; i < 3000; ++i) {
+        // Half the gathers revisit a recently used page.
+        std::uint64_t home = rng.nextBounded(2) == 0
+                                 ? recent[rng.nextBounded(recent.size())]
+                                 : rng.nextBounded(pages);
+        recent[i % recent.size()] = home;
+        const unsigned entry_bytes = rng.nextBounded(3) == 0 ? 12 : 8;
+        addrs.clear();
+        const std::size_t n = rng.nextBounded(25); // empty gathers too
+        for (std::size_t k = 0; k < n; ++k) {
+            std::uint64_t page = home;
+            std::uint64_t offset = rng.nextBounded(page_bytes - 16);
+            switch (rng.nextBounded(8)) {
+              case 0: // elsewhere; the next entry returns home
+                page = rng.nextBounded(pages);
+                break;
+              case 1: // the page's tail: a 12-byte entry straddles
+                offset = page_bytes - 4 * (1 + rng.nextBounded(2));
+                break;
+              default:
+                break;
+            }
+            addrs.push_back(page * page_bytes + offset);
+        }
+        t += rng.nextBounded(us(60));
+        v.push_back(store.readGather(t, addrs, entry_bytes));
+        t = std::max(t, v.back());
+    }
+    const sim::StorageChannel &ch = store.ioChannel();
+    v.insert(v.end(),
+             {store.pageFaults(), store.pageCache().hits(),
+              store.pageCache().misses(), ssd.hostReads(), ssd.bytesToHost(),
+              ssd.pageBuffer().hits(), ch.retries(), ch.timeouts()});
+    EXPECT_GT(ch.retries(), 100u);
+    EXPECT_GT(store.pageCache().hits(), store.pageFaults());
+    EXPECT_GT(store.pageFaults(), 1000u);
+    EXPECT_GT(ssd.pageBuffer().hits(), 0u);
+    return v;
+}
+
+} // namespace
+
+// Recorded while MmapEdgeStore walked a gather one serviceRead at a
+// time and StorageChannel forked each request's jitter stream at
+// submission. A 3000-byte page covers the cache's non-power-of-two
+// line size.
+TEST(ServeInPlacePinned, MmapGather)
+{
+    std::uint64_t d = digestOf(mmapGatherOutcomes(sim::KiB(4), 23));
+    EXPECT_EQ(d, 0xda185347cffa0d44ull) << std::hex << d;
+    d = digestOf(mmapGatherOutcomes(3000, 29));
+    EXPECT_EQ(d, 0x93c8af6265ade01aull) << std::hex << d;
+}

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "reference/reference.hh"
 #include "sim/set_assoc.hh"
@@ -27,6 +28,23 @@ TEST(SetAssoc, LineOfUsesLineBytes)
     EXPECT_EQ(c.lineOf(63), 0u);
     EXPECT_EQ(c.lineOf(64), 1u);
     EXPECT_EQ(c.lineOf(6400), 100u);
+}
+
+TEST(SetAssoc, LineOfAgreesWithDivisionAtEveryLineSize)
+{
+    // Powers of two take a shift, other sizes a division: both must
+    // map every address to addr / line.
+    Rng rng(3);
+    for (std::uint64_t line : {64ull, 4096ull, 16384ull, 3000ull, 96ull}) {
+        SCOPED_TRACE("line " + std::to_string(line));
+        SetAssocLru c(line * 64, line, 4);
+        std::vector<std::uint64_t> addrs = {0, line - 1, line,
+                                            ~std::uint64_t{0}};
+        for (int i = 0; i < 2000; ++i)
+            addrs.push_back(i % 2 ? rng.next() : rng.nextBounded(1u << 30));
+        for (std::uint64_t a : addrs)
+            ASSERT_EQ(c.lineOf(a), a / line) << a;
+    }
 }
 
 TEST(SetAssoc, LruEvictsOldest)
