@@ -25,6 +25,17 @@ Subgraph::blockShapes() const
 }
 
 void
+Subgraph::shrinkToFit()
+{
+    for (auto &f : frontiers)
+        f.shrink_to_fit();
+    for (auto &b : blocks) {
+        b.offsets.shrink_to_fit();
+        b.src_index.shrink_to_fit();
+    }
+}
+
+void
 Subgraph::checkInvariants() const
 {
     SS_ASSERT(frontiers.size() == blocks.size() + 1,

@@ -74,6 +74,10 @@ struct Subgraph
         return (totalSampledEdges() + targets().size()) * entry_bytes;
     }
 
+    /** Release every array's growth slack, for a subgraph that is
+     *  held on to rather than sampled into again. */
+    void shrinkToFit();
+
     /** Structural sanity (index ranges, frontier prefix property). */
     void checkInvariants() const;
 };

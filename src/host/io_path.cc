@@ -142,14 +142,12 @@ MmapEdgeStore::MmapEdgeStore(const HostConfig &config,
 {
 }
 
-sim::Tick
-MmapEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                           std::uint64_t bytes)
+inline sim::Tick
+MmapEdgeStore::touchPages(sim::Tick start, std::uint64_t addr,
+                          std::uint64_t bytes)
 {
-    SS_ASSERT(bytes > 0, "zero-length mmap read");
-    // Touch every OS page the range spans. Each missing page is a
-    // separate fault: the kernel traverses the driver stack and brings
-    // in exactly one page-sized block.
+    // Each missing page is a separate fault: the kernel traverses the
+    // driver stack and brings in exactly one page-sized block.
     std::uint64_t first = cache_.lineOf(addr);
     std::uint64_t last = cache_.lineOf(addr + bytes - 1);
     sim::Tick done = start;
@@ -166,6 +164,28 @@ MmapEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
         }
     }
     return done;
+}
+
+sim::Tick
+MmapEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
+                           std::uint64_t bytes)
+{
+    SS_ASSERT(bytes > 0, "zero-length mmap read");
+    return touchPages(start, addr, bytes);
+}
+
+sim::Tick
+MmapEdgeStore::serviceGather(sim::Tick start,
+                             const std::vector<std::uint64_t> &addrs,
+                             unsigned entry_bytes)
+{
+    SS_ASSERT(entry_bytes > 0, "zero-length mmap gather entry");
+    // Faults block one at a time, so each entry starts when the one
+    // before it is usable.
+    sim::Tick t = start;
+    for (std::uint64_t a : addrs)
+        t = touchPages(t, a, entry_bytes);
+    return t;
 }
 
 void

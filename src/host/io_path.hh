@@ -131,10 +131,11 @@ class EdgeStore
      *
      * The default walks the entries one serviceRead at a time —
      * correct for byte-addressable stores and for mmap, whose kernel
-     * faults are inherently per-page-blocking. The scratchpad block
-     * stores (BlockDeviceStore) override this to send a gather's
-     * missing blocks as one submission, which is precisely their
-     * latency edge (Section IV-C).
+     * faults are inherently per-page-blocking (MmapEdgeStore walks
+     * the same way with its page touch inlined). The scratchpad
+     * block stores (BlockDeviceStore) override this to send a
+     * gather's missing blocks as one submission, which is precisely
+     * their latency edge (Section IV-C).
      */
     virtual sim::Tick serviceGather(sim::Tick start,
                                     const std::vector<std::uint64_t> &addrs,
@@ -196,9 +197,19 @@ class MmapEdgeStore : public EdgeStore
   protected:
     sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
                           std::uint64_t bytes) override;
+    /** The per-entry walk of EdgeStore::serviceGather, without a
+     *  virtual call or a length check per entry. */
+    sim::Tick serviceGather(sim::Tick start,
+                            const std::vector<std::uint64_t> &addrs,
+                            unsigned entry_bytes) override;
     void resetStore() override;
 
   private:
+    /** Touch every page of [addr, addr + bytes), @p bytes > 0,
+     *  from @p start. @return tick the last page is usable */
+    sim::Tick touchPages(sim::Tick start, std::uint64_t addr,
+                         std::uint64_t bytes);
+
     std::string name_ = "SSD (mmap)";
     HostConfig config_;
     ssd::SsdDevice &ssd_;

@@ -1,14 +1,22 @@
 #include "nsconfig.hh"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "sim/logging.hh"
 
 namespace smartsage::isp
 {
 
+static_assert(sizeof(NodeWork) == 32, "NodeWork grew past 32 bytes");
+
 NodeWork::NodeWork(graph::LocalNodeId node,
                    std::span<const std::uint64_t> entries)
-    : node_(node), entries_(entries)
+    : first_(entries.data()),
+      count_(static_cast<std::uint32_t>(entries.size())), node_(node)
 {
+    SS_ASSERT(entries.size() <= UINT32_MAX, "node ", node, " sampled ",
+              entries.size(), " entries");
     if (entries.empty())
         return;
     const auto [lo, hi] = std::minmax_element(entries.begin(), entries.end());

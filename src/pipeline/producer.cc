@@ -277,6 +277,9 @@ class SampleAheadJob final : public BatchJob
           task_(std::in_place, gnn::kernelPool(), [s = sample_.get()] {
               s->subgraph =
                   s->sampler.sample(s->graph, s->targets, s->rng, &s->trace);
+              // Held until its replay ends, with up to two per
+              // worker alive: trim it here, off the replay thread.
+              s->subgraph.shrinkToFit();
           })
     {
     }

@@ -41,11 +41,11 @@ runWorkers(SubgraphProducer &producer, const graph::CsrGraph &graph,
     std::vector<Worker> workers(config.workers);
     std::size_t next_batch = 0;
 
-    // Lookaheads in flight: at most two per pool thread (each holds a
-    // whole sampled batch) and never more than the batches left to
-    // assign. No pool means no lookahead: a fully serial run.
-    sim::ThreadPool *pool = gnn::kernelPool();
-    const std::size_t max_ahead = pool ? 2 * pool->size() : 0;
+    // Lookaheads in flight: at most one per worker, so a run holds at
+    // most a current and a next batch per worker, and never more than
+    // the batches left to assign. No pool means no lookahead: a fully
+    // serial run.
+    const bool sample_ahead = gnn::kernelPool() != nullptr;
     std::size_t outstanding = 0;
 
     auto assign = [&](Worker &w) {
@@ -81,11 +81,13 @@ runWorkers(SubgraphProducer &producer, const graph::CsrGraph &graph,
         ++outstanding;
     };
 
-    // Hand free lookahead slots to resolved workers, oldest batch
-    // first: the likeliest to finish, and so to need its next sample.
+    // Start the next sample of every resolved worker that has none.
+    // Only the last batches can run short; they go to the oldest
+    // batch first: the likeliest to finish, and so to need it.
     auto fillLookaheads = [&] {
-        while (outstanding <
-               std::min(max_ahead, config.num_batches - next_batch)) {
+        if (!sample_ahead)
+            return;
+        while (outstanding < config.num_batches - next_batch) {
             Worker *pick = nullptr;
             for (auto &cand : workers) {
                 if (cand.resolved && !cand.ahead &&

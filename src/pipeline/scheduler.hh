@@ -7,7 +7,8 @@
  * thread and only replays timing: each worker's functional sample runs
  * ahead on the kernel pool (producer.hh), and once a worker's current
  * job has resolved its next batch is selected and started too, on a
- * second RNG slot. Lookaheads are capped at two per pool thread and at
+ * second RNG slot. Each worker holds at most one lookahead, so a run
+ * keeps at most two batches per worker, and lookaheads never outnumber
  * the batches left to assign; one whose size differs from the batch
  * it is handed (a batch_mix) is dropped and that batch sampled afresh,
  * so outputs equal a serial run's bit for bit (DESIGN.md §2).

@@ -94,7 +94,7 @@ StorageChannel::setRetryPolicy(const RetryPolicy &policy)
 }
 
 Tick
-StorageChannel::backoffBefore(unsigned next_attempt, Rng &rng) const
+StorageChannel::backoffBefore(unsigned next_attempt, Jitter &jitter) const
 {
     // Attempt 2 waits backoff_base, each further attempt doubles it up
     // to the cap (shift saturates well past any sane attempt budget).
@@ -108,15 +108,18 @@ StorageChannel::backoffBefore(unsigned next_attempt, Rng &rng) const
     // Zero jitter makes no draw, so jitter-free goldens consume no
     // stream and stay exact.
     if (retry_.jitter > 0.0) {
+        if (!jitter.rng)
+            jitter.rng = jitter_master_.fork(jitter.request_id);
         backoff += static_cast<Tick>(static_cast<double>(backoff) *
-                                     retry_.jitter * rng.nextDouble());
+                                     retry_.jitter *
+                                     jitter.rng->nextDouble());
     }
     return backoff;
 }
 
 StorageChannel::AttemptVerdict
 StorageChannel::judgeAttempt(const IoOutcome &out, unsigned attempt,
-                             Tick deadline, Rng &rng)
+                             Tick deadline, Jitter &jitter)
 {
     if (out.status == IoStatus::Ok) {
         if (deadline != 0 && out.finish > deadline) {
@@ -134,7 +137,7 @@ StorageChannel::judgeAttempt(const IoOutcome &out, unsigned attempt,
     // Budget remains: back off, then re-run the service. The check
     // above keeps exhausted requests from drawing jitter they will
     // never use.
-    Tick next = out.finish + backoffBefore(attempt + 1, rng);
+    Tick next = out.finish + backoffBefore(attempt + 1, jitter);
     if (deadline != 0 && next > deadline) {
         ++timeouts_;
         return {false, out.finish, IoStatus::Timeout};
@@ -149,7 +152,7 @@ StorageChannel::runAttempt(EventQueue &eq, Tick start, unsigned attempt,
                            IoCompletion complete)
 {
     AttemptVerdict verdict = runAttemptAt(start, attempt, state->deadline,
-                                          state->rng, state->service);
+                                          state->jitter, state->service);
     if (verdict.retry) {
         Tick next = verdict.at;
         eq.schedule(next, [this, &eq, next, attempt, state,
@@ -204,13 +207,14 @@ void
 StorageChannel::submit(EventQueue &eq, Service service, IoCompletion done,
                        const DispatchTag &tag)
 {
-    // Fork the jitter stream by submission index *before* counting the
-    // submission; forking never advances the master, so the stream a
+    // Key the jitter stream by submission index *before* counting the
+    // submission. backoffBefore forks it off the master at the first
+    // draw; forking never advances the master, so the stream a
     // request sees depends only on its arrival order.
     auto state = std::make_shared<RetryState>(RetryState{
         std::move(service),
         retry_.wantsDeadline() ? eq.now() + retry_.timeout : 0,
-        jitter_master_.fork(submitted_)});
+        Jitter{submitted_}});
     ++submitted_;
     // Admission control runs only with every slot busy and a rule
     // enabled, so the default (admission-off) submit path is untouched.

@@ -35,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -240,7 +241,7 @@ class StorageChannel
      * Serve one blocking request in place: @p service (an attempt
      * callable, `IoOutcome(Tick start, unsigned attempt)`) arrives at
      * @p arrival on this idle channel. Bit-identical to
-     * drainOne(submit) — counters, jitter fork, deadline and
+     * drainOne(submit) — counters, jitter stream, deadline and
      * retry/backoff/abandon/timeout outcomes — without an event queue.
      * A blocking caller has nowhere to report a failed request, so a
      * non-Ok final status is fatal; @p component names the offender.
@@ -254,8 +255,7 @@ class StorageChannel
     {
         SS_ASSERT(idle(), "channel '", name_,
                   "' serves in place only when idle");
-        const std::uint64_t request_id = submitted_;
-        Rng rng = jitter_master_.fork(submitted_);
+        Jitter jitter(submitted_);
         const Tick deadline =
             retry_.wantsDeadline() ? arrival + retry_.timeout : 0;
         ++submitted_;
@@ -263,7 +263,8 @@ class StorageChannel
         Tick start = arrival;
         AttemptVerdict verdict;
         for (unsigned attempt = 1;; ++attempt) {
-            verdict = runAttemptAt(start, attempt, deadline, rng, service);
+            verdict =
+                runAttemptAt(start, attempt, deadline, jitter, service);
             if (!verdict.retry)
                 break;
             start = verdict.at;
@@ -271,7 +272,8 @@ class StorageChannel
         ++completed_;
         total_service_ += verdict.at - arrival;
         if (verdict.status != IoStatus::Ok)
-            failBlockingRequest(component, verdict.status, request_id);
+            failBlockingRequest(component, verdict.status,
+                                jitter.request_id);
         return verdict.at;
     }
 
@@ -323,12 +325,27 @@ class StorageChannel
     void reset();
 
   private:
+    /**
+     * A request's jitter stream: jitter_master_ forked by the
+     * request's submission index, the first time a backoff draws.
+     * Forking never advances the master, so the stream does not
+     * depend on when the fork happens, and a request that never
+     * retries never pays for it.
+     */
+    struct Jitter
+    {
+        explicit Jitter(std::uint64_t id) : request_id(id) {}
+
+        std::uint64_t request_id; //!< submission index
+        std::optional<Rng> rng;   //!< forked on the first draw
+    };
+
     /** Mutable per-request retry bookkeeping. */
     struct RetryState
     {
         Service service;
         Tick deadline; //!< absolute tick; 0 means none
-        Rng rng;       //!< per-request jitter stream
+        Jitter jitter;
     };
 
     struct Pending
@@ -365,13 +382,13 @@ class StorageChannel
      * The retry rules, shared by the event path and serveNow: run
      * attempt @p attempt of @p service at @p start (unless the
      * deadline already passed) and decide — deliver now, time out,
-     * abandon, or retry at a backoff tick drawn from @p rng. Bumps the
-     * recovery counters.
+     * abandon, or retry at a backoff tick drawn from @p jitter. Bumps
+     * the recovery counters.
      */
     template <typename Attempt>
     AttemptVerdict
-    runAttemptAt(Tick start, unsigned attempt, Tick deadline, Rng &rng,
-                 Attempt &service)
+    runAttemptAt(Tick start, unsigned attempt, Tick deadline,
+                 Jitter &jitter, Attempt &service)
     {
         // The deadline can pass while the request waits for a slot or
         // sits in backoff; time it out without burning an attempt.
@@ -383,20 +400,21 @@ class StorageChannel
         SS_ASSERT(out.finish >= start, "attempt ", attempt,
                   " on channel '", name_, "' finished at ", out.finish,
                   " before it started at ", start);
-        return judgeAttempt(out, attempt, deadline, rng);
+        return judgeAttempt(out, attempt, deadline, jitter);
     }
 
     /** The decision half of runAttemptAt, for a finished attempt. */
     AttemptVerdict judgeAttempt(const IoOutcome &out, unsigned attempt,
-                                Tick deadline, Rng &rng);
+                                Tick deadline, Jitter &jitter);
 
     /** Event-path attempt @p attempt of a request. */
     void runAttempt(EventQueue &eq, Tick start, unsigned attempt,
                     const std::shared_ptr<RetryState> &state,
                     IoCompletion complete);
 
-    /** Backoff before attempt @p next_attempt (exponential, capped). */
-    Tick backoffBefore(unsigned next_attempt, Rng &rng) const;
+    /** Backoff before attempt @p next_attempt (exponential, capped),
+     *  forking @p jitter's stream if this is its first draw. */
+    Tick backoffBefore(unsigned next_attempt, Jitter &jitter) const;
 
     std::string name_;
     unsigned depth_;
@@ -405,7 +423,8 @@ class StorageChannel
     RetryPolicy retry_;
     DispatchPolicy policy_ = DispatchPolicy::Fifo;
     AdmissionControl admit_;
-    Rng jitter_master_{0x7e77151eedULL}; //!< forked per request
+    /** Forked per request, at its first jittered backoff. */
+    Rng jitter_master_{0x7e77151eedULL};
 
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;

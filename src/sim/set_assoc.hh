@@ -11,6 +11,7 @@
 #ifndef SMARTSAGE_SIM_SET_ASSOC_HH
 #define SMARTSAGE_SIM_SET_ASSOC_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,6 +36,8 @@ class SetAssocLru
         : line_bytes_(line_bytes), ways_(ways)
     {
         SS_ASSERT(line_bytes > 0 && ways > 0, "bad cache shape");
+        if (std::has_single_bit(line_bytes))
+            line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
         std::uint64_t lines = capacity_bytes / line_bytes;
         SS_ASSERT(lines >= ways, "cache smaller than one set");
         std::uint64_t want = lines / ways;
@@ -46,7 +49,14 @@ class SetAssocLru
     }
 
     /** Line number covering byte address @p addr. */
-    std::uint64_t lineOf(std::uint64_t addr) const { return addr / line_bytes_; }
+    std::uint64_t
+    lineOf(std::uint64_t addr) const
+    {
+        // A shift for the usual power-of-two lines; the branch always
+        // goes the same way for one cache.
+        return line_shift_ != kNoShift ? addr >> line_shift_
+                                       : addr / line_bytes_;
+    }
 
     /** Touch line @p line; install on miss. @return true on hit. */
     bool
@@ -133,7 +143,12 @@ class SetAssocLru
      *  lookup of this line number still misses an empty way. */
     static constexpr std::uint64_t kEmpty = ~std::uint64_t(0);
 
+    /** line_shift_ of a line size that is not a power of two. */
+    static constexpr unsigned kNoShift = ~0u;
+
     std::uint64_t line_bytes_;
+    /** log2(line_bytes_), or kNoShift: lineOf divides then. */
+    unsigned line_shift_ = kNoShift;
     unsigned ways_;
     std::uint64_t sets_ = 1;
     // Tags and stamps live in separate arrays so a set's tags share
