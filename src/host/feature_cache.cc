@@ -396,7 +396,7 @@ degreePinnedLines(const graph::CsrGraph &graph,
 
 FeatureCacheStore::FeatureCacheStore(std::unique_ptr<EdgeStore> inner,
                                      FeatureCacheParams params)
-    : EdgeStore(HostConfig{}), inner_(std::move(inner)),
+    : inner_(std::move(inner)),
       params_(std::move(params)),
       policy_(makeCacheReplacementPolicy(params_))
 {
@@ -451,14 +451,15 @@ FeatureCacheStore::completeHit(sim::EventQueue &eq, sim::IoCompletion done)
 }
 
 void
-FeatureCacheStore::forwardRead(sim::EventQueue &eq, std::uint64_t addr,
-                               std::uint64_t bytes,
-                               std::vector<std::uint64_t> missing,
-                               sim::IoCompletion done,
-                               const sim::DispatchTag &tag)
+FeatureCacheStore::forwardGather(sim::EventQueue &eq,
+                                 const std::vector<std::uint64_t> &addrs,
+                                 unsigned entry_bytes,
+                                 std::vector<std::uint64_t> missing,
+                                 sim::IoCompletion done,
+                                 const sim::DispatchTag &tag)
 {
-    inner_->submitRead(
-        eq, addr, bytes,
+    inner_->submitGather(
+        eq, addrs, entry_bytes,
         [this, missing = std::move(missing),
          done = std::move(done)](sim::Tick finish, sim::IoStatus status) {
             // A failed read delivered no data: caching its lines would
@@ -471,48 +472,6 @@ FeatureCacheStore::forwardRead(sim::EventQueue &eq, std::uint64_t addr,
                 done(finish, status);
         },
         tag);
-}
-
-void
-FeatureCacheStore::forwardGather(sim::EventQueue &eq,
-                                 const std::vector<std::uint64_t> &addrs,
-                                 unsigned entry_bytes,
-                                 std::vector<std::uint64_t> missing,
-                                 sim::IoCompletion done,
-                                 const sim::DispatchTag &tag)
-{
-    inner_->submitGather(
-        eq, addrs, entry_bytes,
-        [this, missing = std::move(missing),
-         done = std::move(done)](sim::Tick finish, sim::IoStatus status) {
-            if (status == sim::IoStatus::Ok)
-                fillLines(missing);
-            else
-                stats_.failed_fills += missing.size();
-            if (done)
-                done(finish, status);
-        },
-        tag);
-}
-
-void
-FeatureCacheStore::submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                              std::uint64_t bytes, sim::IoCompletion done,
-                              const sim::DispatchTag &tag)
-{
-    std::vector<std::uint64_t> missing;
-    classifyRange(addr, bytes, missing);
-    if (missing.empty()) {
-        completeHit(eq, std::move(done));
-        return;
-    }
-    // A contiguous range touches each line once, so `missing` is
-    // already unique and in ascending order.
-    if (mshrActive())
-        processMisses(eq, std::move(missing), std::move(done), tag);
-    else
-        forwardRead(eq, addr, bytes, std::move(missing), std::move(done),
-                    tag);
 }
 
 void
@@ -547,18 +506,6 @@ FeatureCacheStore::submitGather(sim::EventQueue &eq,
         forwardGather(eq, addrs, entry_bytes, std::move(missing),
                       std::move(done), tag);
     }
-}
-
-sim::Tick
-FeatureCacheStore::read(sim::Tick arrival, std::uint64_t addr,
-                        std::uint64_t bytes)
-{
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitRead(eq, addr, bytes, std::move(done));
-        },
-        name(), ioChannel().submitted());
 }
 
 sim::Tick
@@ -817,19 +764,8 @@ FeatureCacheStore::warmFill(const std::vector<std::uint64_t> &lines)
     }
 }
 
-sim::Tick
-FeatureCacheStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                               std::uint64_t bytes)
-{
-    (void)start;
-    (void)addr;
-    (void)bytes;
-    SS_FATAL("FeatureCacheStore has no service timing of its own; "
-             "requests route through the decorated store");
-}
-
 void
-FeatureCacheStore::resetStore()
+FeatureCacheStore::reset()
 {
     SS_ASSERT(mshr_.empty() && parked_.empty(),
               "feature-cache reset with fills in flight");

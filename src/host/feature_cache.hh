@@ -6,15 +6,16 @@
  * the paper's central tension; a host-DRAM feature/page cache in front
  * of *any* edge store is the missing axis between the DRAM oracle and
  * the device paths. `FeatureCacheStore` is a decorator over an owned
- * inner `EdgeStore`: requests whose touched cache lines are all
+ * inner `EdgeStore`: gathers whose touched cache lines are all
  * resident complete at a flat DRAM-tier latency *without entering the
  * host I/O channel*; anything else flows through to the inner store
- * unchanged and fills the missed lines when the completion fires.
- * Because the decorator speaks the async submit/complete port
- * (io_path.hh) and its blocking calls drain through that same port,
- * every registered storage backend — DRAM, mmap, direct-io, PMEM,
- * sharded, tiered — gains the cache for free, in both the throughput
- * sweeps and the open-loop serving harness.
+ * and fills the missed lines when the completion fires. The decorator
+ * implements the EdgeStore port (io_path.hh) directly and owns no
+ * channel: its blocking readGather drains its own async port, and
+ * ioChannel() is the inner store's. So every registered storage
+ * backend — DRAM, mmap, direct-io, PMEM, sharded, tiered — gains the
+ * cache for free, in both the throughput sweeps and the open-loop
+ * serving harness.
  *
  * The miss path is concurrency-aware. Per-line miss-status holding
  * registers (MSHRs) track lines whose fill is in flight: a secondary
@@ -243,30 +244,28 @@ class FeatureCacheStore : public EdgeStore
 
     const std::string &name() const override { return name_; }
 
-    /** All-lines-resident reads complete at `hit` ticks, bypassing the
-     *  host I/O channel. With MSHRs enabled (the default) the unique
-     *  missing lines are issued to the inner store as one line-granular
-     *  gather, lines already in flight attach as waiters, and the
-     *  completion fires when the last obligated fill lands; with
-     *  `cache.mshr.enabled = 0` (or a zero-capacity cache) any miss
-     *  forwards the request (and its dispatch tag) unchanged. */
-    void submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                    std::uint64_t bytes, sim::IoCompletion done,
-                    const sim::DispatchTag &tag = {}) override;
+    /** Gathers whose touched lines are all resident complete at `hit`
+     *  ticks, bypassing the host I/O channel. With MSHRs enabled (the
+     *  default) the unique missing lines are issued to the inner store
+     *  as one line-granular gather, lines already in flight attach as
+     *  waiters, and the completion fires when the last obligated fill
+     *  lands; with `cache.mshr.enabled = 0` (or a zero-capacity cache)
+     *  any miss forwards the gather (and its dispatch tag) unchanged. */
     void submitGather(sim::EventQueue &eq,
                       const std::vector<std::uint64_t> &addrs,
                       unsigned entry_bytes, sim::IoCompletion done,
                       const sim::DispatchTag &tag = {}) override;
 
-    /** Blocking calls submit-and-drain the decorator's own async
-     *  port on a private queue: the MSHR engine reshapes the traffic
-     *  that reaches the inner store, so the base class's in-place
-     *  serve of one request does not apply. */
-    sim::Tick read(sim::Tick arrival, std::uint64_t addr,
-                   std::uint64_t bytes) override;
+    /** Submit-and-drain of the decorator's own async port on a private
+     *  queue: the MSHR engine reshapes the traffic that reaches the
+     *  inner store, so one request is not served in place. */
     sim::Tick readGather(sim::Tick arrival,
                          const std::vector<std::uint64_t> &addrs,
                          unsigned entry_bytes) override;
+
+    /** The inner store, the cache's residency and counters, and the
+     *  drain queue. @pre no fill in flight */
+    void reset() override;
 
     /** Misses are the only channel users: expose the inner channel so
      *  serving stats keep meaning "requests that hit storage". */
@@ -335,14 +334,6 @@ class FeatureCacheStore : public EdgeStore
      */
     void warmFill(const std::vector<std::uint64_t> &lines);
 
-  protected:
-    /** Never reached: the decorator overrides the whole async port and
-     *  owns no service timing of its own. */
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
-
-    void resetStore() override;
-
   private:
     /**
      * One demand request with outstanding miss obligations. Each of
@@ -391,12 +382,8 @@ class FeatureCacheStore : public EdgeStore
     /** Schedule @p done at eq.now() + hit (channel bypass). */
     void completeHit(sim::EventQueue &eq, sim::IoCompletion done);
 
-    /** Legacy miss path: forward the request unchanged, fill missing
+    /** Legacy miss path: forward the gather unchanged, fill missing
      *  lines when the completion fires (`cache.mshr.enabled = 0`). */
-    void forwardRead(sim::EventQueue &eq, std::uint64_t addr,
-                     std::uint64_t bytes,
-                     std::vector<std::uint64_t> missing,
-                     sim::IoCompletion done, const sim::DispatchTag &tag);
     void forwardGather(sim::EventQueue &eq,
                        const std::vector<std::uint64_t> &addrs,
                        unsigned entry_bytes,
@@ -411,9 +398,9 @@ class FeatureCacheStore : public EdgeStore
         return params_.mshr_enabled && params_.capacityLines() > 0;
     }
 
-    /** MSHR miss path shared by submitRead/submitGather: attach each
-     *  unique missing line to an in-flight fill, issue the rest as one
-     *  coalesced line gather, park what fits nowhere. */
+    /** MSHR miss path of submitGather: attach each unique missing line
+     *  to an in-flight fill, issue the rest as one coalesced line
+     *  gather, park what fits nowhere. */
     void processMisses(sim::EventQueue &eq,
                        std::vector<std::uint64_t> unique_missing,
                        sim::IoCompletion done,
@@ -458,7 +445,7 @@ class FeatureCacheStore : public EdgeStore
     std::unordered_set<std::uint64_t> hoarded_;
     /** Private drain queue of announceBlocking. */
     sim::EventQueue prefetch_eq_;
-    /** Private drain queue of the blocking read/readGather. */
+    /** Private drain queue of the blocking readGather. */
     sim::EventQueue drain_eq_;
 };
 

@@ -7,7 +7,7 @@
 namespace smartsage::host
 {
 
-EdgeStore::EdgeStore(const HostConfig &config)
+TimedEdgeStore::TimedEdgeStore(const HostConfig &config)
     : channel_("host-io", config.io_queue_depth)
 {
     channel_.setRetryPolicy(config.retry);
@@ -19,7 +19,7 @@ EdgeStore::EdgeStore(const HostConfig &config)
 }
 
 sim::IoOutcome
-EdgeStore::injectFaults(sim::Tick start, sim::Tick finish)
+TimedEdgeStore::injectFaults(sim::Tick start, sim::Tick finish)
 {
     if (!injector_)
         return {finish, sim::IoStatus::Ok};
@@ -30,32 +30,19 @@ EdgeStore::injectFaults(sim::Tick start, sim::Tick finish)
 }
 
 void
-EdgeStore::submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                      std::uint64_t bytes, sim::IoCompletion done,
-                      const sim::DispatchTag &tag)
-{
-    // A retried attempt re-runs the full service: cache state mutated
-    // by the failed attempt stays mutated, exactly as a real runtime
-    // re-issuing a command would find it.
-    channel_.submit(
-        eq,
-        [this, addr, bytes](sim::Tick start, unsigned) {
-            return injectFaults(start, serviceRead(start, addr, bytes));
-        },
-        std::move(done), tag);
-}
-
-void
-EdgeStore::submitGather(sim::EventQueue &eq,
-                        const std::vector<std::uint64_t> &addrs,
-                        unsigned entry_bytes, sim::IoCompletion done,
-                        const sim::DispatchTag &tag)
+TimedEdgeStore::submitGather(sim::EventQueue &eq,
+                             const std::vector<std::uint64_t> &addrs,
+                             unsigned entry_bytes, sim::IoCompletion done,
+                             const sim::DispatchTag &tag)
 {
     if (addrs.empty()) {
         if (done)
             done(eq.now(), sim::IoStatus::Ok);
         return;
     }
+    // A retried attempt re-runs the full service: cache state mutated
+    // by the failed attempt stays mutated, exactly as a real runtime
+    // re-issuing a command would find it.
     channel_.submit(
         eq,
         [this, &addrs, entry_bytes](sim::Tick start, unsigned) {
@@ -66,21 +53,9 @@ EdgeStore::submitGather(sim::EventQueue &eq,
 }
 
 sim::Tick
-EdgeStore::read(sim::Tick arrival, std::uint64_t addr,
-                std::uint64_t bytes)
-{
-    return channel_.serveNow(
-        arrival,
-        [this, addr, bytes](sim::Tick start, unsigned) {
-            return injectFaults(start, serviceRead(start, addr, bytes));
-        },
-        name());
-}
-
-sim::Tick
-EdgeStore::readGather(sim::Tick arrival,
-                      const std::vector<std::uint64_t> &addrs,
-                      unsigned entry_bytes)
+TimedEdgeStore::readGather(sim::Tick arrival,
+                           const std::vector<std::uint64_t> &addrs,
+                           unsigned entry_bytes)
 {
     // An empty gather never takes a slot, as on the async port.
     if (addrs.empty())
@@ -94,19 +69,8 @@ EdgeStore::readGather(sim::Tick arrival,
         name());
 }
 
-sim::Tick
-EdgeStore::serviceGather(sim::Tick start,
-                         const std::vector<std::uint64_t> &addrs,
-                         unsigned entry_bytes)
-{
-    sim::Tick t = start;
-    for (std::uint64_t a : addrs)
-        t = serviceRead(t, a, entry_bytes);
-    return t;
-}
-
 void
-EdgeStore::reset()
+TimedEdgeStore::reset()
 {
     channel_.reset();
     if (injector_)
@@ -115,16 +79,20 @@ EdgeStore::reset()
 }
 
 DramEdgeStore::DramEdgeStore(const HostConfig &config)
-    : EdgeStore(config),
+    : TimedEdgeStore(config),
       llc_(config)
 {
 }
 
 sim::Tick
-DramEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                           std::uint64_t bytes)
+DramEdgeStore::serviceGather(sim::Tick start,
+                             const std::vector<std::uint64_t> &addrs,
+                             unsigned entry_bytes)
 {
-    return start + llc_.access(addr, bytes);
+    sim::Tick t = start;
+    for (std::uint64_t a : addrs)
+        t += llc_.access(a, entry_bytes);
+    return t;
 }
 
 void
@@ -135,7 +103,7 @@ DramEdgeStore::resetStore()
 
 MmapEdgeStore::MmapEdgeStore(const HostConfig &config,
                              ssd::SsdDevice &ssd)
-    : EdgeStore(config),
+    : TimedEdgeStore(config),
       config_(config), ssd_(ssd),
       cache_(config.page_cache_bytes, config.os_page_bytes,
              config.page_cache_ways)
@@ -167,14 +135,6 @@ MmapEdgeStore::touchPages(sim::Tick start, std::uint64_t addr,
 }
 
 sim::Tick
-MmapEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                           std::uint64_t bytes)
-{
-    SS_ASSERT(bytes > 0, "zero-length mmap read");
-    return touchPages(start, addr, bytes);
-}
-
-sim::Tick
 MmapEdgeStore::serviceGather(sim::Tick start,
                              const std::vector<std::uint64_t> &addrs,
                              unsigned entry_bytes)
@@ -197,7 +157,7 @@ MmapEdgeStore::resetStore()
 }
 
 BlockDeviceStore::BlockDeviceStore(const HostConfig &config)
-    : EdgeStore(config), config_(config),
+    : TimedEdgeStore(config), config_(config),
       cache_(config.scratchpad_bytes, config.os_page_bytes,
              config.scratchpad_ways)
 {
@@ -285,19 +245,11 @@ BlockDeviceStore::submitMissing(sim::Tick start, bool any_hit)
 }
 
 sim::Tick
-BlockDeviceStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                              std::uint64_t bytes)
-{
-    SS_ASSERT(bytes > 0, "zero-length ", name(), " read");
-    missing_.clear();
-    return submitMissing(start, classify(addr, bytes));
-}
-
-sim::Tick
 BlockDeviceStore::serviceGather(sim::Tick start,
                                 const std::vector<std::uint64_t> &addrs,
                                 unsigned entry_bytes)
 {
+    SS_ASSERT(entry_bytes > 0, "zero-length ", name(), " gather entry");
     missing_.clear();
     bool any_hit = false;
     for (std::uint64_t a : addrs)
@@ -372,28 +324,23 @@ DirectIoEdgeStore::DirectIoEdgeStore(const HostConfig &config,
 }
 
 PmemEdgeStore::PmemEdgeStore(const HostConfig &config)
-    : EdgeStore(config),
+    : TimedEdgeStore(config),
       config_(config)
 {
 }
 
 sim::Tick
-PmemEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                           std::uint64_t bytes)
+PmemEdgeStore::serviceGather(sim::Tick start,
+                             const std::vector<std::uint64_t> &addrs,
+                             unsigned entry_bytes)
 {
     // Byte-addressable: one XPLine access per touched chunk.
-    std::uint64_t chunk = config_.pmem_access_bytes;
-    std::uint64_t first = addr / chunk;
-    std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / chunk;
-    std::uint64_t chunks = last - first + 1;
-    reads_ += chunks;
-    return start + config_.pmem_latency * chunks;
-}
-
-void
-PmemEdgeStore::resetStore()
-{
-    reads_ = 0;
+    const std::uint64_t chunk = config_.pmem_access_bytes;
+    const std::uint64_t tail = entry_bytes ? entry_bytes - 1 : 0;
+    sim::Tick t = start;
+    for (std::uint64_t a : addrs)
+        t += config_.pmem_latency * ((a + tail) / chunk - a / chunk + 1);
+    return t;
 }
 
 } // namespace smartsage::host

@@ -9,17 +9,21 @@
  * written against this interface; the ISP path (src/isp) deliberately
  * is not — offloading whole-subgraph generation is the paper's point.
  *
- * The access model is asynchronous submit/complete: requests enter a
- * bounded host-I/O StorageChannel (sim/io.hh) and dispatch when a queue
- * slot frees, so N requests can be in flight and queue-depth contention
- * emerges under open-loop load (the serving harness, core/serving.hh).
- * Each store implements the *service* timing (serviceRead /
- * serviceGather); the classic blocking calls (read / readGather) serve
- * one request in place on the idle channel (StorageChannel::serveNow)
- * over the same service timing and fault injection, so they reproduce
- * a submit-and-drain of the async port exactly without an event queue.
- * A decorator whose async port reshapes traffic (the feature cache)
- * overrides them to drain its port instead.
+ * The access model is asynchronous submit/complete, and a request has
+ * one shape: the gather of one node's sampled entries (a byte range is
+ * the one-entry gather). Requests enter a bounded host-I/O
+ * StorageChannel (sim/io.hh) and dispatch when a queue slot frees, so
+ * N requests can be in flight and queue-depth contention emerges under
+ * open-loop load (the serving harness, core/serving.hh). EdgeStore is
+ * the port; every store with service timing of its own derives from
+ * TimedEdgeStore, which owns the channel and the fault injector and
+ * leaves the store only its service timing (serviceGather). The
+ * blocking readGather serves one request in place on the idle channel
+ * (StorageChannel::serveNow) over the same service timing and fault
+ * injection, so it reproduces a submit-and-drain of the async port
+ * exactly without an event queue. A decorator whose async port
+ * reshapes traffic (the feature cache) implements the port directly
+ * over its inner store and owns no channel.
  */
 
 #ifndef SMARTSAGE_HOST_IO_PATH_HH
@@ -40,39 +44,20 @@
 namespace smartsage::host
 {
 
-/** One way of reading bytes out of the edge-list file. */
+/** One way of reading bytes out of the edge-list file: the port. */
 class EdgeStore
 {
   public:
-    /**
-     * @param config host parameters; the channel takes its queue bound
-     *        (io_queue_depth), fault schedule (an all-zero plan builds
-     *        no injector), retry policy, dispatch policy (sched) and
-     *        admission control (admit) from it
-     */
-    explicit EdgeStore(const HostConfig &config);
     virtual ~EdgeStore() = default;
-
-    // ------------------------- async port -------------------------
-
-    /**
-     * Submit a read of @p bytes at file offset @p addr at eq.now().
-     * @p done fires at the tick the data is usable by the CPU.
-     * Virtual so decorators (host/feature_cache.hh) can intercept the
-     * port; such a decorator also overrides the blocking calls below
-     * to drain its port, so it covers both access styles. @p tag
-     * carries the request's scheduling metadata (priority, deadline);
-     * the default tag reproduces the untagged channel exactly.
-     */
-    virtual void submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                            std::uint64_t bytes, sim::IoCompletion done,
-                            const sim::DispatchTag &tag = {});
 
     /**
      * Submit a gather of one node's sampled entries (@p addrs byte
-     * addresses, @p entry_bytes each) at eq.now(). @p addrs must stay
-     * alive until completion. An empty gather completes immediately
-     * without occupying a queue slot (and is never shed).
+     * addresses, @p entry_bytes each) at eq.now(). @p done fires at
+     * the tick the data is usable by the CPU. @p addrs must stay alive
+     * until completion. An empty gather completes immediately without
+     * occupying a queue slot (and is never shed). @p tag carries the
+     * request's scheduling metadata (priority, deadline); the default
+     * tag reproduces the untagged channel exactly.
      *
      * Decorators may reshape the traffic that reaches the inner store:
      * the feature cache's MSHR path issues the unique missing lines of
@@ -85,61 +70,73 @@ class EdgeStore
     virtual void submitGather(sim::EventQueue &eq,
                               const std::vector<std::uint64_t> &addrs,
                               unsigned entry_bytes, sim::IoCompletion done,
-                              const sim::DispatchTag &tag = {});
-
-    // ----------------------- blocking calls -----------------------
+                              const sim::DispatchTag &tag = {}) = 0;
 
     /**
-     * Read @p bytes at file offset @p addr, issued at @p arrival,
-     * served in place on the idle channel: the ticks, counters and
-     * fault draws of a submit-and-drain over submitRead, without the
-     * event queue. Virtual so a decorator that reshapes its async
-     * port can drain that instead. @return tick the data is usable
+     * Blocking gather issued at @p arrival: the ticks, counters and
+     * fault draws of a submit-and-drain over submitGather.
+     * @return tick the data is usable
      */
-    virtual sim::Tick read(sim::Tick arrival, std::uint64_t addr,
-                           std::uint64_t bytes);
-
-    /** Blocking gather, served in place; see submitGather and read. */
     virtual sim::Tick readGather(sim::Tick arrival,
                                  const std::vector<std::uint64_t> &addrs,
-                                 unsigned entry_bytes);
+                                 unsigned entry_bytes) = 0;
 
     /** Display name for reports. */
     virtual const std::string &name() const = 0;
 
     /** Fresh timelines, caches, and queue counters. */
-    void reset();
+    virtual void reset() = 0;
 
     /** The bounded host-I/O service queue (depth, wait stats).
      *  Decorators forward to the channel actually carrying requests. */
-    virtual sim::StorageChannel &ioChannel() { return channel_; }
-    virtual const sim::StorageChannel &ioChannel() const
+    virtual sim::StorageChannel &ioChannel() = 0;
+    virtual const sim::StorageChannel &ioChannel() const = 0;
+};
+
+/**
+ * A store with service timing of its own. It owns the host-I/O
+ * channel and the fault injector; the blocking readGather serves one
+ * request in place on the idle channel (StorageChannel::serveNow).
+ */
+class TimedEdgeStore : public EdgeStore
+{
+  public:
+    /**
+     * @param config host parameters; the channel takes its queue bound
+     *        (io_queue_depth), fault schedule (an all-zero plan builds
+     *        no injector), retry policy, dispatch policy (sched) and
+     *        admission control (admit) from it
+     */
+    explicit TimedEdgeStore(const HostConfig &config);
+
+    void submitGather(sim::EventQueue &eq,
+                      const std::vector<std::uint64_t> &addrs,
+                      unsigned entry_bytes, sim::IoCompletion done,
+                      const sim::DispatchTag &tag = {}) override;
+    sim::Tick readGather(sim::Tick arrival,
+                         const std::vector<std::uint64_t> &addrs,
+                         unsigned entry_bytes) override;
+    void reset() override;
+
+    sim::StorageChannel &ioChannel() override { return channel_; }
+    const sim::StorageChannel &ioChannel() const override
     {
         return channel_;
     }
 
   protected:
     /**
-     * Service timing of one read beginning at @p start (after any
-     * queueing delay). @return completion tick >= start
-     */
-    virtual sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                                  std::uint64_t bytes) = 0;
-
-    /**
-     * Service timing of one gather beginning at @p start.
-     *
-     * The default walks the entries one serviceRead at a time —
-     * correct for byte-addressable stores and for mmap, whose kernel
-     * faults are inherently per-page-blocking (MmapEdgeStore walks
-     * the same way with its page touch inlined). The scratchpad
-     * block stores (BlockDeviceStore) override this to send a
-     * gather's missing blocks as one submission, which is precisely
-     * their latency edge (Section IV-C).
+     * Service timing of one non-empty gather beginning at @p start
+     * (after any queueing delay). Byte-addressable stores and mmap,
+     * whose kernel faults are inherently per-page-blocking, walk the
+     * entries one after another; the scratchpad block stores
+     * (BlockDeviceStore) send a gather's missing blocks as one
+     * submission, which is precisely their latency edge (Section
+     * IV-C). @return completion tick >= start
      */
     virtual sim::Tick serviceGather(sim::Tick start,
                                     const std::vector<std::uint64_t> &addrs,
-                                    unsigned entry_bytes);
+                                    unsigned entry_bytes) = 0;
 
     /** Subclass caches/counters back to a fresh state. */
     virtual void resetStore() = 0;
@@ -157,7 +154,7 @@ class EdgeStore
 };
 
 /** Oracle: the whole edge list resides in host DRAM behind the LLC. */
-class DramEdgeStore : public EdgeStore
+class DramEdgeStore : public TimedEdgeStore
 {
   public:
     explicit DramEdgeStore(const HostConfig &config);
@@ -167,8 +164,10 @@ class DramEdgeStore : public EdgeStore
     LlcModel &llc() { return llc_; }
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
+    /** Each entry's LLC access in turn. */
+    sim::Tick serviceGather(sim::Tick start,
+                            const std::vector<std::uint64_t> &addrs,
+                            unsigned entry_bytes) override;
     void resetStore() override;
 
   private:
@@ -182,7 +181,7 @@ class DramEdgeStore : public EdgeStore
  * pay the page-fault + kernel-stack traversal cost and a block read
  * from the SSD.
  */
-class MmapEdgeStore : public EdgeStore
+class MmapEdgeStore : public TimedEdgeStore
 {
   public:
     MmapEdgeStore(const HostConfig &config, ssd::SsdDevice &ssd);
@@ -195,10 +194,7 @@ class MmapEdgeStore : public EdgeStore
     const sim::SetAssocLru &pageCache() const { return cache_; }
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
-    /** The per-entry walk of EdgeStore::serviceGather, without a
-     *  virtual call or a length check per entry. */
+    /** Each entry's page touches in turn, in one non-virtual loop. */
     sim::Tick serviceGather(sim::Tick start,
                             const std::vector<std::uint64_t> &addrs,
                             unsigned entry_bytes) override;
@@ -223,12 +219,11 @@ class MmapEdgeStore : public EdgeStore
  * bypassing the page cache. A request's blocks are classified through
  * the scratchpad; any hit costs one scratchpad access, and the missing
  * blocks ride one submission, deduplicated and cut into contiguous
- * per-device runs. A range read is the one-entry gather over its
- * bytes. Subclasses differ only in placement: which device holds a
- * block at which device-local number (placeBlocks), and how the runs
- * of one submission are served (serveRuns).
+ * per-device runs. Subclasses differ only in placement: which device
+ * holds a block at which device-local number (placeBlocks), and how
+ * the runs of one submission are served (serveRuns).
  */
-class BlockDeviceStore : public EdgeStore
+class BlockDeviceStore : public TimedEdgeStore
 {
   public:
     double scratchpadHitRate() const { return cache_.hitRate(); }
@@ -296,8 +291,6 @@ class BlockDeviceStore : public EdgeStore
     virtual sim::Tick serveRuns(sim::Tick submitted,
                                 const std::vector<BlockRun> &runs);
 
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) final;
     sim::Tick serviceGather(sim::Tick start,
                             const std::vector<std::uint64_t> &addrs,
                             unsigned entry_bytes) final;
@@ -339,7 +332,7 @@ class DirectIoEdgeStore : public BlockDeviceStore
 };
 
 /** Optane DC PMEM on the memory bus: byte-granular, ~300 ns loads. */
-class PmemEdgeStore : public EdgeStore
+class PmemEdgeStore : public TimedEdgeStore
 {
   public:
     explicit PmemEdgeStore(const HostConfig &config);
@@ -347,14 +340,15 @@ class PmemEdgeStore : public EdgeStore
     const std::string &name() const override { return name_; }
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
-    void resetStore() override;
+    /** Each entry's XPLine accesses in turn. */
+    sim::Tick serviceGather(sim::Tick start,
+                            const std::vector<std::uint64_t> &addrs,
+                            unsigned entry_bytes) override;
+    void resetStore() override {}
 
   private:
     std::string name_ = "PMEM";
     HostConfig config_;
-    std::uint64_t reads_ = 0;
 };
 
 } // namespace smartsage::host

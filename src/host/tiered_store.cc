@@ -43,7 +43,7 @@ coldConfig(const HostConfig &config)
 TieredEdgeStore::TieredEdgeStore(const HostConfig &config,
                                  ssd::SsdDevice &ssd,
                                  const TieredStoreParams &params)
-    : EdgeStore(config),
+    : TimedEdgeStore(config),
       params_(params),
       hot_(hotCapacity(config, params), params.hot_line_bytes,
            config.page_cache_ways),
@@ -52,32 +52,14 @@ TieredEdgeStore::TieredEdgeStore(const HostConfig &config,
 }
 
 sim::Tick
-TieredEdgeStore::serviceRead(sim::Tick start, std::uint64_t addr,
-                             std::uint64_t bytes)
-{
-    SS_ASSERT(bytes > 0, "zero-length tiered read");
-    // Install-on-miss: a miss is fetched through the cold path and
-    // then resides in the DRAM tier, so the hot set self-tunes to the
-    // sampler's reuse pattern.
-    std::uint64_t first = hot_.lineOf(addr);
-    std::uint64_t last = hot_.lineOf(addr + bytes - 1);
-    bool all_hot = true;
-    for (std::uint64_t line = first; line <= last; ++line)
-        all_hot = hot_.access(line) && all_hot;
-    if (all_hot)
-        return start + params_.hot_hit;
-    return std::max(start + params_.hot_hit,
-                    cold_.read(start, addr, bytes));
-}
-
-sim::Tick
 TieredEdgeStore::serviceGather(sim::Tick start,
                                const std::vector<std::uint64_t> &addrs,
                                unsigned entry_bytes)
 {
-    if (addrs.empty())
-        return start;
-
+    SS_ASSERT(entry_bytes > 0, "zero-length tiered gather entry");
+    // Install-on-miss: a miss is fetched through the cold path and
+    // then resides in the DRAM tier, so the hot set self-tunes to the
+    // sampler's reuse pattern.
     cold_addrs_.clear();
     bool any_hot = false;
     for (std::uint64_t a : addrs) {

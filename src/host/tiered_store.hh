@@ -34,7 +34,7 @@ struct TieredStoreParams
 };
 
 /** DRAM hot-cache over a DirectIoEdgeStore cold path. */
-class TieredEdgeStore : public EdgeStore
+class TieredEdgeStore : public TimedEdgeStore
 {
   public:
     TieredEdgeStore(const HostConfig &config, ssd::SsdDevice &ssd,
@@ -47,9 +47,6 @@ class TieredEdgeStore : public EdgeStore
     std::uint64_t submits() const { return cold_.submits(); }
 
   protected:
-    sim::Tick serviceRead(sim::Tick start, std::uint64_t addr,
-                          std::uint64_t bytes) override;
-
     /** Hot hits answer from DRAM; the cold remainder rides one
      *  coalesced O_DIRECT gather. */
     sim::Tick serviceGather(sim::Tick start,

@@ -16,7 +16,7 @@
  * attempt callable that may fail; the channel's RetryPolicy turns a
  * failed attempt into a backoff and retry, a timeout or an abandon.
  *
- * The edge stores' blocking reads (`EdgeStore::read`/`readGather`) are
+ * The edge stores' blocking gathers (`TimedEdgeStore::readGather`) are
  * served in place: `StorageChannel::serveNow` computes one request on
  * an idle channel directly — the same counter updates, jitter stream
  * and retry/timeout rules as the event path (one shared helper decides

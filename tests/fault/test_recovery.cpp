@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -16,8 +17,11 @@
 #include "core/serving.hh"
 #include "core/system.hh"
 #include "flash/flash_array.hh"
+#include "graph/layout.hh"
 #include "host/feature_cache.hh"
 #include "host/io_path.hh"
+#include "host/partitioned_store.hh"
+#include "host/tiered_store.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "ssd/sharded_ssd.hh"
@@ -44,6 +48,50 @@ faultyConfig(const std::string &backend)
     sc.fanouts = {6, 3};
     sc.pipeline.batch_size = 64;
     return sc;
+}
+
+/** An edge store with the SSD it reads through, when it takes one. */
+struct OwnedStore
+{
+    std::unique_ptr<ssd::SsdDevice> ssd;
+    std::unique_ptr<host::EdgeStore> store;
+};
+
+/** One of every concrete timing store over @p config: DRAM, PMEM,
+ *  mmap, direct I/O, tiered-hybrid, multi-SSD and partitioned. */
+std::vector<OwnedStore>
+everyTimedStore(const host::HostConfig &config)
+{
+    const ssd::SsdConfig ssd_config;
+    std::vector<OwnedStore> stores;
+    auto add = [&](std::unique_ptr<ssd::SsdDevice> ssd,
+                   std::unique_ptr<host::EdgeStore> store) {
+        stores.push_back({std::move(ssd), std::move(store)});
+    };
+    auto newSsd = [&] {
+        return std::make_unique<ssd::SsdDevice>(ssd_config);
+    };
+
+    add(nullptr, std::make_unique<host::DramEdgeStore>(config));
+    add(nullptr, std::make_unique<host::PmemEdgeStore>(config));
+    auto device = newSsd();
+    auto mmap = std::make_unique<host::MmapEdgeStore>(config, *device);
+    add(std::move(device), std::move(mmap));
+    device = newSsd();
+    auto dio = std::make_unique<host::DirectIoEdgeStore>(config, *device);
+    add(std::move(device), std::move(dio));
+    device = newSsd();
+    auto tiered = std::make_unique<host::TieredEdgeStore>(
+        config, *device, host::TieredStoreParams{});
+    add(std::move(device), std::move(tiered));
+    auto sharded = std::make_unique<ssd::ShardedEdgeStore>(
+        config, ssd_config, ssd::ShardedSsdParams{});
+    add(nullptr, std::move(sharded));
+    auto partitioned = std::make_unique<host::PartitionedEdgeStore>(
+        config, ssd_config, sim::NetConfig{}, host::PartitionedParams{},
+        smallWorkload().graph, graph::EdgeLayout{});
+    add(nullptr, std::move(partitioned));
+    return stores;
 }
 
 } // namespace
@@ -107,12 +155,12 @@ TEST(DegradedSharded, ReadsRerouteAroundADownShard)
     // completes (rerouted) but pays the degraded penalty relative to
     // the same cold read served by the home shard.
     ssd::ShardedEdgeStore store(config, ssd_config, params);
-    sim::Tick degraded_done = store.read(degraded_at, 0, 64);
+    sim::Tick degraded_done = store.readGather(degraded_at, {0}, 64);
     EXPECT_EQ(store.degradedReads(), 1u);
     EXPECT_GT(degraded_done, degraded_at);
 
     ssd::ShardedEdgeStore fresh(config, ssd_config, params);
-    sim::Tick healthy_done = fresh.read(healthy_at, 0, 64);
+    sim::Tick healthy_done = fresh.readGather(healthy_at, {0}, 64);
     EXPECT_EQ(fresh.degradedReads(), 0u);
     EXPECT_GT(degraded_done - degraded_at, healthy_done - healthy_at);
 
@@ -121,7 +169,7 @@ TEST(DegradedSharded, ReadsRerouteAroundADownShard)
     inert.fault = sim::FaultPlan{};
     ssd::ShardedEdgeStore plain(inert, ssd_config, params);
     EXPECT_FALSE(plain.outagesEnabled());
-    EXPECT_EQ(plain.read(degraded_at, 0, 64) - degraded_at,
+    EXPECT_EQ(plain.readGather(degraded_at, {0}, 64) - degraded_at,
               healthy_done - healthy_at);
 }
 
@@ -155,39 +203,46 @@ TEST(CacheRecovery, FailedFillsNeverInstallLines)
 TEST(AsyncBlocking, AgreeTickForTickUnderFaults)
 {
     // Same fault plan, same retry policy (with jitter), two identical
-    // stores: one driven through the blocking adapters, one through
-    // single-in-flight async submissions. Injector draws and jitter
-    // forks depend only on submission order, so the completion ticks
-    // must agree exactly even while requests fail, slow down, and
-    // retry.
+    // stores of each kind: one driven through the blocking gather, one
+    // through single-in-flight async submissions. Injector draws and
+    // jitter forks depend only on submission order, so the completion
+    // ticks must agree exactly even while requests fail, slow down,
+    // and retry.
     host::HostConfig config;
     config.fault.read_error_rate = 0.3;
     config.fault.slow_rate = 0.2;
     config.retry.max_attempts = 10;
-    host::DramEdgeStore blocking(config), async(config);
+    std::vector<OwnedStore> blocking_stores = everyTimedStore(config);
+    std::vector<OwnedStore> async_stores = everyTimedStore(config);
 
-    sim::Rng rng(0x5eed);
-    sim::EventQueue eq;
-    sim::Tick t_blocking = 0, t_async = 0;
-    for (int i = 0; i < 64; ++i) {
-        std::uint64_t addr = rng.nextBounded(sim::MiB(4));
-        t_blocking = blocking.read(t_blocking, addr, 64);
+    for (std::size_t k = 0; k < blocking_stores.size(); ++k) {
+        host::EdgeStore &blocking = *blocking_stores[k].store;
+        host::EdgeStore &async = *async_stores[k].store;
+        SCOPED_TRACE(blocking.name());
+        sim::Rng rng(0x5eed);
+        sim::EventQueue eq;
+        sim::Tick t_blocking = 0, t_async = 0;
+        std::vector<std::uint64_t> addrs(1);
+        for (int i = 0; i < 64; ++i) {
+            addrs[0] = rng.nextBounded(sim::MiB(4));
+            t_blocking = blocking.readGather(t_blocking, addrs, 64);
 
-        sim::Tick finish = 0;
-        eq.schedule(t_async, [&] {
-            async.submitRead(eq, addr, 64,
-                             [&](sim::Tick f, sim::IoStatus s) {
-                                 EXPECT_EQ(s, sim::IoStatus::Ok);
-                                 finish = f;
-                             });
-        });
-        eq.run();
-        t_async = finish;
-        ASSERT_EQ(t_blocking, t_async) << "read " << i;
+            sim::Tick finish = 0;
+            eq.schedule(t_async, [&] {
+                async.submitGather(eq, addrs, 64,
+                                   [&](sim::Tick f, sim::IoStatus s) {
+                                       EXPECT_EQ(s, sim::IoStatus::Ok);
+                                       finish = f;
+                                   });
+            });
+            eq.run();
+            t_async = finish;
+            ASSERT_EQ(t_blocking, t_async) << "gather " << i;
+        }
+        EXPECT_GT(blocking.ioChannel().retries(), 0u);
+        EXPECT_EQ(blocking.ioChannel().retries(),
+                  async.ioChannel().retries());
     }
-    EXPECT_GT(blocking.ioChannel().retries(), 0u);
-    EXPECT_EQ(blocking.ioChannel().retries(),
-              async.ioChannel().retries());
 }
 
 TEST(SystemKnobs, FaultAndRetryNamespacesDispatch)

@@ -338,7 +338,7 @@ TEST(BlockingAdapter, EdgeStoreBlockingReadsNameTheComponent)
     config.fault.read_error_rate = 1.0;
     config.retry.max_attempts = 1;
     host::DramEdgeStore store(config);
-    EXPECT_DEATH(store.read(0, 0, 8), "DRAM");
+    EXPECT_DEATH(store.readGather(0, {0}, 8), "DRAM");
     const std::vector<std::uint64_t> addrs{0, 64, 128};
     EXPECT_DEATH(store.readGather(0, addrs, 8), "DRAM");
 }

@@ -235,25 +235,21 @@ TEST(ServeNow, EdgeStoreReadsMatchDrainedSubmitsUnderAHostFaultPlan)
     Tick t = 0;
     for (int i = 0; i < 600; ++i) {
         t += rng.nextBounded(us(50));
-        Tick a = 0;
-        Tick b = 0;
+        unsigned bytes = 8;
         if (rng.nextBounded(2) == 0) {
-            std::uint64_t addr = rng.nextBounded(sim::MiB(64));
-            std::uint64_t bytes = 1 + rng.nextBounded(sim::KiB(16));
-            a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
-                drained.submitRead(q, addr, bytes, std::move(done));
-            });
-            b = served.read(t, addr, bytes);
+            // A byte range: one entry of up to 16 KiB.
+            addrs.assign(1, rng.nextBounded(sim::MiB(64)));
+            bytes = static_cast<unsigned>(1 + rng.nextBounded(sim::KiB(16)));
         } else {
             addrs.clear();
             std::size_t n = rng.nextBounded(6); // empty gathers too
             for (std::size_t k = 0; k < n; ++k)
                 addrs.push_back(rng.nextBounded(sim::MiB(64)));
-            a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
-                drained.submitGather(q, addrs, 8, std::move(done));
-            });
-            b = served.readGather(t, addrs, 8);
         }
+        Tick a = drainOne(eq, t, [&](EventQueue &q, IoCompletion done) {
+            drained.submitGather(q, addrs, bytes, std::move(done));
+        });
+        Tick b = served.readGather(t, addrs, bytes);
         ASSERT_EQ(a, b) << "request " << i;
         t = std::max(t, b);
     }
@@ -496,10 +492,10 @@ mmapGatherOutcomes(std::uint64_t page_bytes, std::uint64_t seed)
 
 } // namespace
 
-// Recorded while MmapEdgeStore walked a gather one serviceRead at a
-// time and StorageChannel forked each request's jitter stream at
-// submission. A 3000-byte page covers the cache's non-power-of-two
-// line size.
+// Recorded while MmapEdgeStore walked a gather one virtual per-entry
+// read at a time and StorageChannel forked each request's jitter
+// stream at submission. A 3000-byte page covers the cache's
+// non-power-of-two line size.
 TEST(ServeInPlacePinned, MmapGather)
 {
     std::uint64_t d = digestOf(mmapGatherOutcomes(sim::KiB(4), 23));

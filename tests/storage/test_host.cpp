@@ -4,6 +4,7 @@
 
 #include "host/io_path.hh"
 #include "host/llc.hh"
+#include "host/tiered_store.hh"
 #include "sim/random.hh"
 
 using namespace smartsage::host;
@@ -84,9 +85,9 @@ TEST(DramStore, ReadAdvancesByAccessLatency)
 {
     HostConfig c = testHost();
     DramEdgeStore store(c);
-    sim::Tick t = store.read(100, 0, 8);
+    sim::Tick t = store.readGather(100, {0}, 8);
     EXPECT_EQ(t, 100 + c.dram_latency); // cold miss
-    t = store.read(t, 0, 8);
+    t = store.readGather(t, {0}, 8);
     EXPECT_EQ(t, 100 + c.dram_latency + c.llc_hit);
 }
 
@@ -96,11 +97,11 @@ TEST(MmapStore, FaultThenResidentHit)
     smartsage::ssd::SsdDevice ssd(testSsd());
     MmapEdgeStore store(c, ssd);
 
-    sim::Tick miss_done = store.read(0, 0, 8);
+    sim::Tick miss_done = store.readGather(0, {0}, 8);
     EXPECT_GT(miss_done, c.page_fault_cost); // went to the device
     EXPECT_EQ(store.pageFaults(), 1u);
 
-    sim::Tick hit_done = store.read(miss_done, 4, 8) - miss_done;
+    sim::Tick hit_done = store.readGather(miss_done, {4}, 8) - miss_done;
     EXPECT_EQ(hit_done, c.page_cache_hit);
     EXPECT_EQ(store.pageFaults(), 1u);
 }
@@ -110,7 +111,7 @@ TEST(MmapStore, CrossPageReadFaultsTwice)
     HostConfig c = testHost();
     smartsage::ssd::SsdDevice ssd(testSsd());
     MmapEdgeStore store(c, ssd);
-    store.read(0, c.os_page_bytes - 4, 8); // straddles two pages
+    store.readGather(0, {c.os_page_bytes - 4}, 8); // straddles two pages
     EXPECT_EQ(store.pageFaults(), 2u);
 }
 
@@ -160,9 +161,9 @@ TEST(PmemStore, PerChunkLatency)
     HostConfig c = testHost();
     PmemEdgeStore store(c);
     // Within one 256 B chunk.
-    EXPECT_EQ(store.read(0, 0, 8), c.pmem_latency);
+    EXPECT_EQ(store.readGather(0, {0}, 8), c.pmem_latency);
     // Straddling two chunks.
-    EXPECT_EQ(store.read(0, c.pmem_access_bytes - 4, 8),
+    EXPECT_EQ(store.readGather(0, {c.pmem_access_bytes - 4}, 8),
               2 * c.pmem_latency);
 }
 
@@ -170,12 +171,12 @@ TEST(PmemStore, NoCachingEffect)
 {
     HostConfig c = testHost();
     PmemEdgeStore store(c);
-    sim::Tick first = store.read(0, 0, 8);
-    sim::Tick second = store.read(first, 0, 8) - first;
+    sim::Tick first = store.readGather(0, {0}, 8);
+    sim::Tick second = store.readGather(first, {0}, 8) - first;
     EXPECT_EQ(second, c.pmem_latency); // same cost every time
 }
 
-TEST(Stores, DefaultGatherMatchesSerialReads)
+TEST(Stores, PmemGatherMatchesSerialEntries)
 {
     HostConfig c = testHost();
     PmemEdgeStore a(c), b(c);
@@ -183,7 +184,7 @@ TEST(Stores, DefaultGatherMatchesSerialReads)
     sim::Tick gathered = a.readGather(0, addrs, 8);
     sim::Tick serial = 0;
     for (auto addr : addrs)
-        serial = b.read(serial, addr, 8);
+        serial = b.readGather(serial, {addr}, 8);
     EXPECT_EQ(gathered, serial);
 }
 
@@ -198,6 +199,24 @@ TEST(DirectIoStore, GatherWithEmptyAddressListIsFree)
     EXPECT_EQ(ssd.hostReads(), 0u);
     // The empty gather never occupied a host-I/O queue slot.
     EXPECT_EQ(store.ioChannel().submitted(), 0u);
+}
+
+TEST(DirectIoStore, ZeroLengthGatherEntryIsFatal)
+{
+    // Unchecked, an empty entry at address 0 spans blocks 0 through
+    // lineOf(UINT64_MAX), and one at a block boundary spans none.
+    HostConfig c = testHost();
+    smartsage::ssd::SsdDevice ssd(testSsd());
+    DirectIoEdgeStore dio(c, ssd);
+    EXPECT_DEATH(dio.readGather(0, {0}, 0),
+                 "zero-length SmartSAGE \\(SW\\) gather entry");
+    EXPECT_DEATH(dio.readGather(0, {c.os_page_bytes}, 0),
+                 "zero-length SmartSAGE \\(SW\\) gather entry");
+    TieredEdgeStore tiered(c, ssd, TieredStoreParams{});
+    EXPECT_DEATH(tiered.readGather(0, {0}, 0),
+                 "zero-length tiered gather entry");
+    EXPECT_DEATH(tiered.readGather(0, {c.os_page_bytes}, 0),
+                 "zero-length tiered gather entry");
 }
 
 TEST(DirectIoStore, GatherDeduplicatesRepeatedAddresses)
@@ -338,9 +357,9 @@ TEST(Stores, LatencyOrderingAcrossTiers)
     MmapEdgeStore mm(c, ssd_m);
     DirectIoEdgeStore dio(c, ssd_d);
 
-    sim::Tick t_dram = dram.read(0, 0, 8);
-    sim::Tick t_pmem = pmem.read(0, 0, 8);
-    sim::Tick t_mm = mm.read(0, 0, 8);
+    sim::Tick t_dram = dram.readGather(0, {0}, 8);
+    sim::Tick t_pmem = pmem.readGather(0, {0}, 8);
+    sim::Tick t_mm = mm.readGather(0, {0}, 8);
     std::vector<std::uint64_t> one = {0};
     sim::Tick t_dio = dio.readGather(0, one, 8);
 
