@@ -45,44 +45,6 @@ SageMeanLayer::SageMeanLayer(unsigned in_dim, unsigned out_dim, bool relu,
     bias_ = Tensor2D(1, out_dim);
 }
 
-void
-SageMeanLayer::aggregateRows(const Tensor2D &h_src,
-                             const SampledBlock &block, Tensor2D &agg,
-                             std::size_t u0, std::size_t u1) const
-{
-    // Every row is written exactly once per contributing edge — the
-    // first edge assigns (no zero-fill pass over the tensor), middles
-    // accumulate, and the mean scale is fused into the final edge while
-    // the row is still register/L1 hot. Only isolated rows need
-    // explicit zeroing.
-    const std::size_t dim = in_dim_;
-    const float *src = h_src.data().data();
-    float *out = agg.data().data();
-    for (std::size_t u = u0; u < u1; ++u) {
-        const std::uint32_t lo = block.offsets[u];
-        const std::uint32_t hi = block.offsets[u + 1];
-        float *arow = out + u * dim;
-        if (lo == hi) {
-            for (std::size_t j = 0; j < dim; ++j)
-                arow[j] = 0.0f;
-            continue;
-        }
-        const float *first = src + block.src_index[lo] * dim;
-        if (hi - lo == 1) {
-            for (std::size_t j = 0; j < dim; ++j)
-                arow[j] = first[j];
-            continue;
-        }
-        for (std::size_t j = 0; j < dim; ++j)
-            arow[j] = first[j];
-        for (std::uint32_t e = lo + 1; e < hi - 1; ++e)
-            rowAccumulate(arow, src + block.src_index[e] * dim, dim);
-        const float inv = 1.0f / static_cast<float>(hi - lo);
-        rowAccumulateScale(arow, src + block.src_index[hi - 1] * dim,
-                           inv, dim);
-    }
-}
-
 Tensor2D
 SageMeanLayer::forward(const Tensor2D &h_src, const SampledBlock &block,
                        SageContext &ctx) const
@@ -104,15 +66,21 @@ SageMeanLayer::forwardInto(const Tensor2D &h_src,
 
     // Self term: dsts are the prefix of the src frontier, so the self
     // rows are one contiguous copy. Each task copies its row block in
-    // the same pass that aggregates it.
+    // the same pass that mean-aggregates it, every h_agg row written
+    // once (rowMean).
     const std::size_t dim = in_dim_;
     const float *src = h_src.data().data();
     ctx.h_self.resizeTo(n_dst, dim);
     ctx.h_agg.resizeTo(n_dst, dim);
     float *self = ctx.h_self.data().data();
+    float *agg = ctx.h_agg.data().data();
     parallelRows(n_dst, [&](std::size_t u0, std::size_t u1) {
         std::copy(src + u0 * dim, src + u1 * dim, self + u0 * dim);
-        aggregateRows(h_src, block, ctx.h_agg, u0, u1);
+        for (std::size_t u = u0; u < u1; ++u) {
+            const std::uint32_t lo = block.offsets[u];
+            rowMean(agg + u * dim, src, block.src_index.data() + lo,
+                    block.offsets[u + 1] - lo, dim);
+        }
     });
 
     matmulInto(ctx.h_self, w_self_, out);
@@ -157,9 +125,9 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
                    grads.bias.data().data(), n_dst, out_dim_);
     const Tensor2D &dz = d_out;
 
-    // Weight gradients.
-    matmulTNInto(ctx.h_self, dz, grads.w_self);
-    matmulTNInto(ctx.h_agg, dz, grads.w_neigh);
+    // Weight gradients, both in one pass over dz.
+    matmulTNPairInto(ctx.h_self, ctx.h_agg, dz, grads.w_self,
+                     grads.w_neigh);
     if (!input_grad_)
         return;
 

@@ -138,12 +138,6 @@ class SageMeanLayer
     Tensor2D w_self_;  //!< in_dim x out_dim
     Tensor2D w_neigh_; //!< in_dim x out_dim
     Tensor2D bias_;    //!< 1 x out_dim
-
-    /** Mean aggregate of dst rows [u0, u1) into @p agg, already
-     *  shaped numDsts x in_dim; writes only those rows. */
-    void aggregateRows(const Tensor2D &h_src, const SampledBlock &block,
-                       Tensor2D &agg, std::size_t u0,
-                       std::size_t u1) const;
 };
 
 } // namespace smartsage::gnn

@@ -110,8 +110,8 @@ SagePoolLayer::backward(const Tensor2D &d_out,
     if (relu_)
         reluBackward(dz, ctx.relu_mask);
 
-    grads.w_self = matmulTN(ctx.h_self, dz);
-    grads.w_neigh = matmulTN(ctx.pooled, dz);
+    matmulTNPairInto(ctx.h_self, ctx.pooled, dz, grads.w_self,
+                     grads.w_neigh);
     grads.bias = Tensor2D(1, out_dim_);
     for (std::size_t u = 0; u < n_dst; ++u) {
         auto zrow = dz.row(u);

@@ -250,6 +250,9 @@ matmulScalarRows(const float *adata, const float *bdata, float *cdata,
     }
 }
 
+constexpr std::size_t kMR = 6;  //!< AVX2 tile rows
+constexpr std::size_t kRB = 64; //!< TN reduction panel (multiple of 4)
+
 #if SMARTSAGE_X86_KERNELS
 
 // Register-blocked AVX2+FMA GEMM. One tile is kMR rows x 16 columns of
@@ -259,9 +262,6 @@ matmulScalarRows(const float *adata, const float *bdata, float *cdata,
 // shape and the row range a call covers never change an output bit.
 // The kernels read A through two strides — A(i, k) = a[i * rs + k * ks]
 // — so NN (rs = lda, ks = 1) and TN (rs = 1, ks = lda) share the tiles.
-
-constexpr std::size_t kMR = 6;  //!< tile rows
-constexpr std::size_t kRB = 64; //!< TN reduction panel (multiple of 4)
 
 /** C[MR x 8*NV] += A[MR x kb] . B[kb x 8*NV], C kept in registers. */
 template <std::size_t MR, std::size_t NV>
@@ -504,6 +504,72 @@ matmulTNAvx2Block(const float *adata, const float *bdata, float *cdata,
 
 #endif // SMARTSAGE_X86_KERNELS
 
+/** One TN block kernel: matmulTNScalarBlock or matmulTNAvx2Block. */
+using TNBlockFn = void (*)(const float *, const float *, float *,
+                           std::size_t, std::size_t, std::size_t,
+                           std::size_t, std::size_t, std::size_t,
+                           std::size_t);
+
+/** The TN block kernel of the resolved dispatch flavor. */
+TNBlockFn
+tnBlockKernel()
+{
+#if SMARTSAGE_X86_KERNELS
+    if (resolvedKernelDispatch() == KernelDispatch::Avx2)
+        return matmulTNAvx2Block;
+#endif
+    return matmulTNScalarBlock;
+}
+
+/** One product C = A^T * B of a matmulTNRows() call: A has m
+ *  columns, and C, zeroed, m rows. */
+struct TNProduct
+{
+    const float *a;
+    float *c;
+    std::size_t m;
+};
+
+/**
+ * Each of the @p count products, reducing over the rdim rows of the
+ * rdim x n matrix @p b. C's rows are cut into one block of whole
+ * kMR-row strips per kernel thread, but into no more blocks than
+ * parallelRows() would make of the widest C, so b streams once per
+ * block for all the products, never more often than a kRowBlock-row
+ * split of each. A block runs every product on one kRB-row panel of b
+ * before the next panel. Each element stays one in-order chain over
+ * r, so neither the count-dependent cut nor the panels (kRB is a
+ * multiple of 4, so the scalar kernel's 4-row groups fall where they
+ * would unpaneled) move a bit.
+ */
+void
+matmulTNRows(TNBlockFn kernel, const TNProduct *prods, std::size_t count,
+             const float *b, std::size_t rdim, std::size_t n)
+{
+    std::size_t m_max = 0;
+    for (std::size_t p = 0; p < count; ++p)
+        m_max = std::max(m_max, prods[p].m);
+    const std::size_t blocks = std::min<std::size_t>(
+        gemmThreads(), (m_max + kRowBlock - 1) / kRowBlock);
+    sim::ThreadPool *pool = blocks > 1 ? kernelPool() : nullptr;
+    sim::parallelFor(pool, blocks, [&](std::size_t blk) {
+        for (std::size_t r0 = 0; r0 < rdim; r0 += kRB) {
+            const std::size_t rb = std::min(kRB, rdim - r0);
+            for (std::size_t p = 0; p < count; ++p) {
+                const TNProduct &q = prods[p];
+                const std::size_t strips = (q.m + kMR - 1) / kMR;
+                const std::size_t rows =
+                    (strips + blocks - 1) / blocks * kMR;
+                const std::size_t i0 = std::min(blk * rows, q.m);
+                const std::size_t i1 = std::min(i0 + rows, q.m);
+                if (i0 < i1)
+                    kernel(q.a + r0 * q.m, b + r0 * n, q.c, i0, i1, 0, n,
+                           rb, q.m, n);
+            }
+        }
+    });
+}
+
 void
 matmulNTTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
@@ -635,13 +701,7 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
     SS_ASSERT(a.rows() == b.rows(), "matmulTN shape mismatch");
     c.resizeToZero(a.cols(), b.cols());
-    auto kernel = matmulTNScalarBlock;
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2)
-        kernel = matmulTNAvx2Block;
-#endif
-    // Every element keeps its one in-order reduction chain over r, so
-    // neither split below changes a bit.
+    const TNBlockFn kernel = tnBlockKernel();
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
@@ -649,7 +709,9 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     // A C of at most one row block would run on one thread: split it
     // over 16-column strips instead. Strips start on multiples of 8, so
     // the AVX2 tiles cover the same columns, and the tail columns past
-    // the last multiple of 8 stay with the last strip.
+    // the last multiple of 8 stay with the last strip. Every element
+    // keeps its one in-order reduction chain over r, so this split
+    // changes no bit either.
     const std::size_t strips = std::max<std::size_t>(1, (n / 8 + 1) / 2);
     sim::ThreadPool *pool =
         m <= kRowBlock && strips > 1 ? kernelPool() : nullptr;
@@ -661,9 +723,29 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
         });
         return;
     }
-    parallelRows(m, [&](std::size_t i0, std::size_t i1) {
-        kernel(adata, bdata, cdata, i0, i1, 0, n, rdim, m, n);
-    });
+    const TNProduct prod{adata, cdata, m};
+    matmulTNRows(kernel, &prod, 1, bdata, rdim, n);
+}
+
+void
+matmulTNPairInto(const Tensor2D &a1, const Tensor2D &a2,
+                 const Tensor2D &b, Tensor2D &c1, Tensor2D &c2)
+{
+    SS_ASSERT(a1.rows() == b.rows() && a2.rows() == b.rows(),
+              "matmulTNPair shape mismatch");
+    if (std::max(a1.cols(), a2.cols()) <= kRowBlock) {
+        // The narrow column split gains nothing from a shared pass.
+        matmulTNInto(a1, b, c1);
+        matmulTNInto(a2, b, c2);
+        return;
+    }
+    const std::size_t n = b.cols();
+    c1.resizeToZero(a1.cols(), n);
+    c2.resizeToZero(a2.cols(), n);
+    const TNProduct prods[] = {
+        {a1.data().data(), c1.data().data(), a1.cols()},
+        {a2.data().data(), c2.data().data(), a2.cols()}};
+    matmulTNRows(tnBlockKernel(), prods, 2, b.data().data(), b.rows(), n);
 }
 
 void
@@ -684,6 +766,33 @@ matmulNTInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 namespace
 {
 
+/** Columns per chunk of rowMeanScalar, as many as the AVX2 flavor
+ *  keeps in registers. */
+constexpr std::size_t kMeanChunk = 64;
+
+/** rowMean for deg >= 2 over columns [j0, n), one stack chunk of
+ *  running sums at a time. */
+void
+rowMeanScalar(float *dst, const float *rows, const std::uint32_t *index,
+              std::size_t deg, float inv, std::size_t j0, std::size_t n)
+{
+    for (; j0 < n; j0 += kMeanChunk) {
+        const std::size_t w = std::min(kMeanChunk, n - j0);
+        float acc[kMeanChunk];
+        const float *first = rows + index[0] * n + j0;
+        for (std::size_t j = 0; j < w; ++j)
+            acc[j] = first[j];
+        for (std::size_t e = 1; e + 1 < deg; ++e) {
+            const float *s = rows + index[e] * n + j0;
+            for (std::size_t j = 0; j < w; ++j)
+                acc[j] += s[j];
+        }
+        const float *last = rows + index[deg - 1] * n + j0;
+        for (std::size_t j = 0; j < w; ++j)
+            dst[j0 + j] = (acc[j] + last[j]) * inv;
+    }
+}
+
 #if SMARTSAGE_X86_KERNELS
 
 // AVX2 row microkernels use plain add/mul (no FMA, no reassociation),
@@ -701,20 +810,48 @@ rowAccumulateAvx2(float *dst, const float *src, std::size_t n)
         dst[j] += src[j];
 }
 
-__attribute__((target("avx2"))) void
-rowAccumulateScaleAvx2(float *dst, const float *src, float scale,
-                       std::size_t n)
+/**
+ * rowMean over one chunk of 8 * NV columns, the running sums held in
+ * NV registers while each row streams through once.
+ */
+template <std::size_t NV>
+__attribute__((target("avx2"))) inline void
+meanChunkAvx2(float *dst, const float *rows, const std::uint32_t *index,
+              std::size_t deg, __m256 scale, std::size_t n)
 {
-    const __m256 s = _mm256_set1_ps(scale);
+    __m256 acc[NV];
+    const float *first = rows + index[0] * n;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < NV; ++v)
+        acc[v] = _mm256_loadu_ps(first + 8 * v);
+    for (std::size_t e = 1; e + 1 < deg; ++e) {
+        const float *s = rows + index[e] * n;
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[v] = _mm256_add_ps(acc[v], _mm256_loadu_ps(s + 8 * v));
+    }
+    const float *last = rows + index[deg - 1] * n;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < NV; ++v) {
+        const __m256 sum =
+            _mm256_add_ps(acc[v], _mm256_loadu_ps(last + 8 * v));
+        _mm256_storeu_ps(dst + 8 * v, _mm256_mul_ps(sum, scale));
+    }
+}
+
+/** rowMean for deg >= 2: 64-column chunks, 8-column chunks, then the
+ *  scalar tail. */
+__attribute__((target("avx2"))) void
+rowMeanAvx2(float *dst, const float *rows, const std::uint32_t *index,
+            std::size_t deg, float inv, std::size_t n)
+{
+    const __m256 scale = _mm256_set1_ps(inv);
     std::size_t j = 0;
+    for (; j + 64 <= n; j += 64)
+        meanChunkAvx2<8>(dst + j, rows + j, index, deg, scale, n);
     for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(
-            dst + j,
-            _mm256_mul_ps(_mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                        _mm256_loadu_ps(src + j)),
-                          s));
-    for (; j < n; ++j)
-        dst[j] = (dst[j] + src[j]) * scale;
+        meanChunkAvx2<1>(dst + j, rows + j, index, deg, scale, n);
+    rowMeanScalar(dst, rows, index, deg, inv, j, n);
 }
 
 #endif // SMARTSAGE_X86_KERNELS
@@ -735,17 +872,25 @@ rowAccumulate(float *dst, const float *src, std::size_t n)
 }
 
 void
-rowAccumulateScale(float *dst, const float *src, float scale,
-                   std::size_t n)
+rowMean(float *dst, const float *rows, const std::uint32_t *index,
+        std::size_t deg, std::size_t n)
 {
+    if (deg == 0) {
+        std::fill_n(dst, n, 0.0f);
+        return;
+    }
+    if (deg == 1) {
+        std::copy_n(rows + index[0] * n, n, dst);
+        return;
+    }
+    const float inv = 1.0f / static_cast<float>(deg);
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        rowAccumulateScaleAvx2(dst, src, scale, n);
+        rowMeanAvx2(dst, rows, index, deg, inv, n);
         return;
     }
 #endif
-    for (std::size_t j = 0; j < n; ++j)
-        dst[j] = (dst[j] + src[j]) * scale;
+    rowMeanScalar(dst, rows, index, deg, inv, 0, n);
 }
 
 namespace

@@ -12,6 +12,7 @@
 #define SMARTSAGE_GNN_TENSOR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <new>
@@ -152,8 +153,8 @@ class Tensor2D
  *
  * Numerics: the AVX2 GEMMs fuse multiply-add and reorder the k
  * reduction, so outputs match Scalar to tolerance, not bitwise. The
- * row microkernels (rowAccumulate/rowAccumulateScale) are elementwise
- * and bit-identical across flavors.
+ * row microkernels (rowAccumulate, rowMean) are elementwise and
+ * bit-identical across flavors.
  */
 enum class KernelDispatch { Auto, Scalar, Avx2 };
 
@@ -177,8 +178,11 @@ const char *kernelDispatchName(KernelDispatch dispatch);
  * to the machine's hardware threads (at least 1). parallelRows() cuts
  * work into fixed kRowBlock-row blocks whatever the count, and each
  * block writes a disjoint row slice, so results are bit-identical at
- * any thread count — including 1 — for a given dispatch flavor. Tests
- * and benches pin a count through ScopedGemmThreads.
+ * any thread count — including 1 — for a given dispatch flavor.
+ * The wide TN GEMMs (matmulTNInto, matmulTNPairInto) cut C's rows
+ * by the count instead, which moves no bit either: each of their
+ * elements is one in-order chain over the reduction, whichever block
+ * holds it. Tests and benches pin a count through ScopedGemmThreads.
  */
 void setGemmThreads(unsigned threads);
 unsigned gemmThreads();
@@ -252,9 +256,16 @@ class ScopedGemmThreads
 /** dst[j] += src[j] for j in [0, n). */
 void rowAccumulate(float *dst, const float *src, std::size_t n);
 
-/** dst[j] = (dst[j] + src[j]) * scale for j in [0, n). */
-void rowAccumulateScale(float *dst, const float *src, float scale,
-                        std::size_t n);
+/**
+ * Mean of @p deg rows into @p dst: for j in [0, n), with s_e the row
+ * rows + index[e] * n, dst[j] = s_0[j] when deg == 1, 0 when deg == 0,
+ * and otherwise the first row plus each middle row in edge order, then
+ * (acc + s_last[j]) * (1 / deg). Rows may repeat. The AVX2 flavor sums
+ * each 64-column chunk in registers while the rows stream through, so
+ * @p dst is written once; both flavors round every element alike.
+ */
+void rowMean(float *dst, const float *rows, const std::uint32_t *index,
+             std::size_t deg, std::size_t n);
 
 /** C = A * B. @pre A.cols == B.rows */
 Tensor2D matmul(const Tensor2D &a, const Tensor2D &b);
@@ -274,8 +285,23 @@ void matmulInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c);
 /** c += A * B. @pre c is a.rows x b.cols */
 void matmulAccumulate(const Tensor2D &a, const Tensor2D &b, Tensor2D &c);
 
-/** c = A^T * B (c reshaped). */
+/**
+ * c = A^T * B (c reshaped). A C of more than kRowBlock rows is cut into
+ * one block of whole 6-row strips per kernel thread (at most one per
+ * kRowBlock rows), each streaming B once in 64-row panels; a narrower
+ * C is split over 16-column strips instead.
+ */
 void matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c);
+
+/**
+ * c1 = A1^T * B and c2 = A2^T * B (both reshaped) in one pass over B,
+ * bit-identical to two matmulTNInto calls. When either C has more than
+ * kRowBlock rows, each row block of matmulTNInto's cut runs A1's then
+ * A2's tiles on every panel of B, so B streams once per block for both
+ * products. @pre A1.rows == A2.rows == B.rows
+ */
+void matmulTNPairInto(const Tensor2D &a1, const Tensor2D &a2,
+                      const Tensor2D &b, Tensor2D &c1, Tensor2D &c2);
 
 /** c = A * B^T (c reshaped). */
 void matmulNTInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c);

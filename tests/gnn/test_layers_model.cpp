@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "gnn/feature_table.hh"
 #include "gnn/layers.hh"
@@ -437,8 +439,9 @@ TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
     // 130 layer-0 dsts and 6,001 inputs cross the 64-row block edge in
     // the gather, the self copy, the aggregate, the NN GEMMs and the
     // bias+ReLU epilogue. An in_dim of 65 gives the layer-0 TN GEMMs a
-    // 65-row C, one full block plus one row; an in_dim of 32 (Amazon's
-    // width) gives them a one-block C, split over column strips.
+    // 65-row C, which the pair splits by thread count (3 threads cut
+    // it into 24, 24 and 17 rows); an in_dim of 32 (Amazon's width)
+    // gives them a one-block C, split over column strips.
     for (unsigned in_dim : {65u, 32u}) {
         ModelConfig mc;
         mc.in_dim = in_dim;
@@ -455,7 +458,7 @@ TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
             ScopedKernelDispatch dispatch(flavor);
             std::uint64_t ref_hash = 0;
             std::vector<std::uint64_t> ref_losses;
-            for (unsigned threads : {1u, 2u, 4u}) {
+            for (unsigned threads : {1u, 2u, 3u, 4u}) {
                 ScopedGemmThreads scope(threads);
                 SageModel model(mc);
                 std::vector<std::uint64_t> losses;
@@ -473,6 +476,257 @@ TEST(SageModel, TrainStepBitIdenticalAtAnyKernelThreadCount)
                 EXPECT_EQ(losses, ref_losses)
                     << kernelDispatchName(flavor) << " in_dim=" << in_dim
                     << " threads=" << threads;
+            }
+        }
+    }
+}
+
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    defined(__OPTIMIZE__) && defined(__FMA__)
+namespace
+{
+
+/** Whether this build fuses a scalar a * b + c into one FMA. The
+ *  library and the tests share one set of compile flags, so this tells
+ *  whether its scalar loops contract as in the build that recorded the
+ *  hashes below (GCC's default -ffp-contract=fast). */
+bool
+contractsScalarMulAdd()
+{
+    // (1 + 2^-12)^2 - (1 + 2^-11) is 2^-24 exactly, and 0 once the
+    // product is rounded to float.
+    volatile float v = 1.0f + 0x1p-12f, w = -(1.0f + 0x1p-11f);
+    const float a = v, c = w;
+    return a * a + c != 0.0f;
+}
+
+} // namespace
+#endif
+
+TEST(SageModelPinned, WideInputStepHash)
+{
+    // An in_dim of 141 runs the aggregate's two 64-column register
+    // chunks, one 8-column chunk and a 5-column scalar tail. Its 141-row
+    // weight gradients take the split pair TN GEMM, and the 70 targets
+    // and 130 layer-0 dsts cross the 64-row blocks. The hashes were
+    // recorded before the register-chunk aggregate and the pair GEMM
+    // existed, so a kernel change that moves one bit of training fails
+    // here. They hold for the build that recorded them: optimizing GCC
+    // 12, FMA in the target (-march=native on an AVX2 host) and the
+    // default contraction of scalar a * b + c into FMAs. Other compilers,
+    // versions or contraction settings round the scalar code
+    // differently, so they skip.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12 && \
+    defined(__OPTIMIZE__) && defined(__FMA__)
+    if (!contractsScalarMulAdd())
+        GTEST_SKIP() << "hashes pinned for builds that contract a * b + c";
+    const std::pair<KernelDispatch, std::uint64_t> pinned[] = {
+        {KernelDispatch::Scalar, 0x3cc3d63532d4c72bULL},
+        {KernelDispatch::Avx2, 0x76bb7ee9f6d2b27aULL}};
+    ModelConfig mc;
+    mc.in_dim = 141;
+    mc.hidden_dim = 64;
+    mc.num_classes = 16;
+    mc.depth = 2;
+    const std::uint64_t num_nodes = 20000;
+    FeatureTable ft(num_nodes, mc.in_dim, mc.num_classes);
+    const Subgraph batches[] = {
+        handBuiltSubgraph(70, 130, 2001, num_nodes, 5),
+        handBuiltSubgraph(40, 97, 1501, num_nodes, 6)};
+    ScopedGemmThreads four(4);
+    for (const auto &[flavor, hash] : pinned) {
+        if (flavor == KernelDispatch::Avx2 && !cpuSupportsAvx2())
+            GTEST_SKIP() << "host CPU has no AVX2+FMA";
+        ScopedKernelDispatch dispatch(flavor);
+        SageModel model(mc);
+        for (int step = 0; step < 2; ++step)
+            for (const Subgraph &sg : batches)
+                model.trainStep(sg, ft);
+        EXPECT_EQ(smartsage::sim::hashHex(model.stateHash()),
+                  smartsage::sim::hashHex(hash))
+            << kernelDispatchName(flavor);
+    }
+#else
+    GTEST_SKIP() << "hashes pinned for optimizing GCC 12 builds with FMA";
+#endif
+}
+
+namespace
+{
+
+/**
+ * A SAGE layer's math in double, on double copies of its parameters
+ * and input (row-major as in Tensor2D), with the objective
+ * 0.5 * sum(out^2) the central differences are taken of.
+ */
+struct DoubleLayer
+{
+    std::vector<double> w_self, w_neigh, bias, h;
+    const SampledBlock *block;
+    std::size_t in_dim, out_dim;
+    bool relu;
+    std::vector<double> agg; //!< mean of each dst's source rows of h
+
+    DoubleLayer(const SageMeanLayer &layer, const Tensor2D &input,
+                const SampledBlock &b)
+        : w_self(layer.wSelf().data().begin(), layer.wSelf().data().end()),
+          w_neigh(layer.wNeigh().data().begin(),
+                  layer.wNeigh().data().end()),
+          bias(layer.biasRow().data().begin(), layer.biasRow().data().end()),
+          h(input.data().begin(), input.data().end()), block(&b),
+          in_dim(layer.inDim()), out_dim(layer.outDim()),
+          relu(layer.hasRelu())
+    {
+        aggregate();
+    }
+
+    /** Recompute agg from h. */
+    void
+    aggregate()
+    {
+        agg.assign(block->numDsts() * in_dim, 0.0);
+        for (std::size_t u = 0; u < block->numDsts(); ++u) {
+            const std::uint32_t lo = block->offsets[u];
+            const std::uint32_t hi = block->offsets[u + 1];
+            double *row = agg.data() + u * in_dim;
+            for (std::uint32_t e = lo; e < hi; ++e)
+                for (std::size_t i = 0; i < in_dim; ++i)
+                    row[i] += h[block->src_index[e] * in_dim + i];
+            for (std::size_t i = 0; i < in_dim && hi > lo; ++i)
+                row[i] /= double(hi - lo);
+        }
+    }
+
+    /** The objective's terms from output column @p j; a weight or bias
+     *  entry of column j moves no other term. */
+    double
+    columnLoss(std::size_t j) const
+    {
+        double loss = 0.0;
+        for (std::size_t u = 0; u < block->numDsts(); ++u) {
+            double z = bias[j];
+            for (std::size_t i = 0; i < in_dim; ++i)
+                z += h[u * in_dim + i] * w_self[i * out_dim + j] +
+                     agg[u * in_dim + i] * w_neigh[i * out_dim + j];
+            if (relu && z < 0.0)
+                z = 0.0;
+            loss += 0.5 * z * z;
+        }
+        return loss;
+    }
+
+    /** The whole objective, with agg rebuilt from h. */
+    double
+    loss()
+    {
+        aggregate();
+        double sum = 0.0;
+        for (std::size_t j = 0; j < out_dim; ++j)
+            sum += columnLoss(j);
+        return sum;
+    }
+};
+
+} // namespace
+
+TEST_P(SageLayerGradCheck, MatchesDoubleDifferencesOnWideBlocks)
+{
+    // The 4x3 check above stays below every chunk, strip and row-block
+    // edge. Here 130 dsts split over kRowBlock blocks; in_dim 65 and
+    // 141 run the aggregate's 64- and 8-column chunks and scalar tails
+    // and the pair TN GEMM; out_dim 19 leaves tail columns. The layer's
+    // float gradients are checked against central differences of the
+    // layer's math in double. There the loss is piecewise quadratic in
+    // each parameter, so a tiny step has no truncation error and
+    // crosses no ReLU kink.
+    const bool relu = GetParam();
+    constexpr std::size_t kOut = 19;
+    constexpr double kStep = 1e-6;
+    for (std::size_t in_dim : {65u, 141u}) {
+        Rng rng(40 + in_dim);
+        SageMeanLayer layer(in_dim, kOut, relu, rng);
+        layer.mutableBias() = Tensor2D::uniform(1, kOut, 0.5f, rng);
+        const Subgraph sg = handBuiltSubgraph(1, 130, 300, 20000, in_dim);
+        const SampledBlock &block = sg.blocks[1];
+        const Tensor2D h = Tensor2D::uniform(300, in_dim, 1.0f, rng);
+
+        // The entries checked: weight rows and input columns at the
+        // chunk edges and in the tails, input rows in and past the dst
+        // prefix, every output column.
+        constexpr std::size_t kEdges[] = {0,   1,   7,   8,   63,  64,
+                                          65,  127, 128, 135, 136, 140};
+        std::vector<std::size_t> cols;
+        for (std::size_t i : kEdges)
+            if (i < in_dim)
+                cols.push_back(i);
+        DoubleLayer ref(layer, h, block);
+        // Central difference in @p x of the objective @p eval computes.
+        const auto numeric = [&](double &x, const auto &eval) {
+            const double saved = x;
+            x = saved + kStep;
+            const double lp = eval();
+            x = saved - kStep;
+            const double lm = eval();
+            x = saved;
+            return (lp - lm) / (2 * kStep);
+        };
+        enum Which { kWSelf, kWNeigh, kBias, kInput };
+        const char *const names[] = {"w_self", "w_neigh", "bias", "h"};
+        struct Entry
+        {
+            Which which;
+            std::size_t i, j;
+            double want;
+        };
+        std::vector<Entry> entries;
+        for (std::size_t j = 0; j < kOut; ++j) {
+            const auto column = [&] { return ref.columnLoss(j); };
+            for (std::size_t i : cols) {
+                double &ws = ref.w_self[i * kOut + j];
+                double &wn = ref.w_neigh[i * kOut + j];
+                entries.push_back({kWSelf, i, j, numeric(ws, column)});
+                entries.push_back({kWNeigh, i, j, numeric(wn, column)});
+            }
+            entries.push_back({kBias, 0, j, numeric(ref.bias[j], column)});
+        }
+        // An input entry moves every column and, through agg, every dst
+        // it feeds: row 0 is a dst and a source, 129 the last dst.
+        const auto whole = [&] { return ref.loss(); };
+        for (std::size_t r : {0, 129, 130, 299})
+            for (std::size_t i : cols)
+                entries.push_back(
+                    {kInput, r, i, numeric(ref.h[r * in_dim + i], whole)});
+
+        double scale = 0.0;
+        for (const Entry &e : entries)
+            scale = std::max(scale, std::abs(e.want));
+        ASSERT_GT(scale, 0.0);
+        for (KernelDispatch flavor : runnableFlavors()) {
+            ScopedKernelDispatch dispatch(flavor);
+            for (unsigned threads : {1u, 4u}) {
+                ScopedGemmThreads scope(threads);
+                SageContext ctx;
+                const Tensor2D out = layer.forward(h, block, ctx);
+                SageLayerGrads grads;
+                const Tensor2D d_in =
+                    layer.backward(lossGrad(out), ctx, grads);
+                const Tensor2D *const got[] = {&grads.w_self,
+                                               &grads.w_neigh,
+                                               &grads.bias, &d_in};
+                for (const Entry &e : entries) {
+                    const Tensor2D &g = *got[e.which];
+                    // Relative to the entry, with a floor at 1e-3 of
+                    // the largest so near-zero entries are not judged
+                    // on float noise alone.
+                    const double err = std::abs(g.at(e.i, e.j) - e.want);
+                    EXPECT_LE(err, 3e-4 * std::max(std::abs(e.want),
+                                                   1e-3 * scale))
+                        << kernelDispatchName(flavor)
+                        << " threads=" << threads << " in_dim=" << in_dim
+                        << " " << names[e.which] << "[" << e.i << ","
+                        << e.j << "] got " << g.at(e.i, e.j)
+                        << " want " << e.want;
+                }
             }
         }
     }

@@ -2,14 +2,16 @@
  *  scalar-tiled, AVX2, and thread-parallel GEMM flavors against the
  *  naive reference kernels (tests/reference), plus dispatch resolution
  *  and the bit-exactness contracts the dispatch layer promises
- *  (threaded GEMM invariant to worker count, row microkernels invariant
- *  to dispatch flavor, AVX2 GEMM output pinned to a hash). */
+ *  (threaded GEMM invariant to worker count, the TN pair equal to two
+ *  TN calls, row microkernels invariant to dispatch flavor and equal to
+ *  the plain loops, AVX2 GEMM output pinned to a hash). */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -51,6 +53,14 @@ bitIdentical(const Tensor2D &a, const Tensor2D &b)
 {
     return a.rows() == b.rows() && a.cols() == b.cols() &&
            a.data() == b.data();
+}
+
+/** Bitwise equality of two float buffers (NaN and -0 included). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 } // namespace
@@ -238,30 +248,104 @@ TEST(KernelDispatch, NarrowTNColumnSplitBitIdenticalAtAnyThreadCount)
     }
 }
 
+TEST(KernelDispatch, TNPairMatchesTwoTNCallsAtAnyThreadCount)
+{
+    // The wide TN GEMMs split C's rows by the thread count, so 3
+    // threads cut 602 rows into 204-row blocks and 603 leaves a one-row
+    // strip; m = 65 is the first width they split at all. A second
+    // product of 37 rows is the narrow one riding along a wide one's
+    // cut. n = 19 leaves scalar tail columns; r crosses the 64-row
+    // panels of the reduction. matmulTNInto alone is held to the same
+    // one-thread bits.
+    for (KernelDispatch flavor :
+         {KernelDispatch::Scalar, KernelDispatch::Avx2}) {
+        if (flavor == KernelDispatch::Avx2 && !gnn::cpuSupportsAvx2())
+            continue;
+        gnn::ScopedKernelDispatch guard(flavor);
+        for (std::size_t m : {65, 130, 602, 603}) {
+            for (std::size_t m2 : {m, std::size_t{37}}) {
+                for (std::size_t n : {8, 16, 19, 64}) {
+                    for (std::size_t r : {1, 63, 64, 65, 700}) {
+                        const std::uint64_t seed =
+                            m * 7919 + m2 * 17 + n * 131 + r;
+                        const Tensor2D a1 = randomTensor(r, m, seed);
+                        const Tensor2D a2 = randomTensor(r, m2, seed + 1);
+                        const Tensor2D b = randomTensor(r, n, seed + 2);
+                        Tensor2D want1, want2;
+                        {
+                            gnn::ScopedGemmThreads one(1);
+                            gnn::matmulTNInto(a1, b, want1);
+                            gnn::matmulTNInto(a2, b, want2);
+                        }
+                        for (unsigned threads : {1u, 2u, 3u, 4u}) {
+                            gnn::ScopedGemmThreads scope(threads);
+                            Tensor2D c1, c2, single;
+                            gnn::matmulTNPairInto(a1, a2, b, c1, c2);
+                            gnn::matmulTNInto(a1, b, single);
+                            EXPECT_TRUE(bitIdentical(c1, want1) &&
+                                        bitIdentical(c2, want2) &&
+                                        bitIdentical(single, want1))
+                                << gnn::kernelDispatchName(flavor)
+                                << " m=" << m << " m2=" << m2
+                                << " n=" << n << " r=" << r
+                                << " threads=" << threads;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(KernelDispatch, RowMicrokernelsBitIdenticalAcrossFlavors)
 {
-    // rowAccumulate/rowAccumulateScale use add/mul only (no FMA), so
-    // the AVX2 flavor must match scalar bit-for-bit — aggregation
-    // results cannot depend on the host CPU.
-    if (!gnn::cpuSupportsAvx2())
-        GTEST_SKIP() << "host CPU has no AVX2+FMA";
+    // rowAccumulate and rowMean use add/mul only (no FMA), so every
+    // flavor must match the plain loops bit-for-bit, and so each other:
+    // aggregation results cannot depend on the host CPU. The dims cross
+    // rowMean's 64- and 8-column chunks and its scalar tail; the
+    // degrees cover the zero and copy cases, and 25 edges over 12 rows
+    // repeat sources.
+    std::vector<KernelDispatch> flavors = {KernelDispatch::Scalar};
+    if (gnn::cpuSupportsAvx2())
+        flavors.push_back(KernelDispatch::Avx2);
+    constexpr std::size_t kRows = 12;
+    for (std::size_t n : {1, 7, 8, 9, 63, 64, 65, 77, 130, 602}) {
+        const Tensor2D rows = randomTensor(kRows, n, 0x66 + n);
+        const float *row0 = rows.row(0).data();
+        for (std::size_t deg : {0, 1, 2, 3, 10, 25}) {
+            sim::Rng rng(deg * 31 + n);
+            std::vector<std::uint32_t> index(deg);
+            for (std::uint32_t &i : index)
+                i = static_cast<std::uint32_t>(rng.next() % kRows);
+            if (deg >= 3)
+                index[2] = index[0]; // a repeat inside the middles
+            std::vector<float> want(n);
+            ref::rowMeanEdgeByEdge(want.data(), row0, index.data(), deg, n);
+            std::vector<std::vector<float>> got;
+            for (KernelDispatch flavor : flavors) {
+                gnn::ScopedKernelDispatch guard(flavor);
+                // NaN fill: rowMean must write every element.
+                std::vector<float> dst(n, std::nanf(""));
+                gnn::rowMean(dst.data(), row0, index.data(), deg, n);
+                EXPECT_TRUE(sameBits(dst, want))
+                    << gnn::kernelDispatchName(flavor) << " n=" << n
+                    << " deg=" << deg;
+                got.push_back(std::move(dst));
+            }
+            EXPECT_TRUE(sameBits(got.front(), got.back()))
+                << "scalar vs avx2 n=" << n << " deg=" << deg;
+        }
 
-    const std::size_t n = 77; // odd: exercises the vector tail
-    Tensor2D src = randomTensor(1, n, 0x66);
-    Tensor2D acc_s = randomTensor(1, n, 0x77);
-    Tensor2D acc_v = acc_s;
-
-    {
-        gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
-        gnn::rowAccumulate(acc_s.row(0).data(), src.row(0).data(), n);
-        gnn::rowAccumulateScale(acc_s.row(0).data(), src.row(0).data(),
-                                0.125f, n);
+        const Tensor2D init = randomTensor(1, n, 0x77 + n);
+        std::vector<float> want(init.data().begin(), init.data().end());
+        for (std::size_t j = 0; j < n; ++j)
+            want[j] += row0[j];
+        for (KernelDispatch flavor : flavors) {
+            gnn::ScopedKernelDispatch guard(flavor);
+            std::vector<float> acc(init.data().begin(), init.data().end());
+            gnn::rowAccumulate(acc.data(), row0, n);
+            EXPECT_TRUE(sameBits(acc, want))
+                << gnn::kernelDispatchName(flavor) << " n=" << n;
+        }
     }
-    {
-        gnn::ScopedKernelDispatch avx2(KernelDispatch::Avx2);
-        gnn::rowAccumulate(acc_v.row(0).data(), src.row(0).data(), n);
-        gnn::rowAccumulateScale(acc_v.row(0).data(), src.row(0).data(),
-                                0.125f, n);
-    }
-    EXPECT_TRUE(bitIdentical(acc_s, acc_v));
 }

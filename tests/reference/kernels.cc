@@ -97,6 +97,31 @@ aggregateNaive(const Tensor2D &h_src, const gnn::SampledBlock &block,
     }
 }
 
+void
+rowMeanEdgeByEdge(float *dst, const float *rows, const std::uint32_t *index,
+                  std::size_t deg, std::size_t n)
+{
+    if (deg == 0) {
+        for (std::size_t j = 0; j < n; ++j)
+            dst[j] = 0.0f;
+        return;
+    }
+    const float *first = rows + index[0] * n;
+    for (std::size_t j = 0; j < n; ++j)
+        dst[j] = first[j];
+    if (deg == 1)
+        return;
+    for (std::size_t e = 1; e + 1 < deg; ++e) {
+        const float *src = rows + index[e] * n;
+        for (std::size_t j = 0; j < n; ++j)
+            dst[j] += src[j];
+    }
+    const float inv = 1.0f / static_cast<float>(deg);
+    const float *last = rows + index[deg - 1] * n;
+    for (std::size_t j = 0; j < n; ++j)
+        dst[j] = (dst[j] + last[j]) * inv;
+}
+
 LayerPass
 sageLayerNaive(const gnn::SageMeanLayer &layer, const Tensor2D &h_src,
                const gnn::SampledBlock &block, const Tensor2D &d_out)

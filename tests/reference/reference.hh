@@ -8,6 +8,8 @@
  *  - GEMMs and the mean aggregate: plain triple loops with no blocking,
  *    no SIMD and no threads. The library's tiled kernels reassociate
  *    the reductions, so they match these to tolerance, not bitwise.
+ *    The edge-by-edge row mean keeps the library's rounding, so
+ *    gnn::rowMean must match it bit for bit.
  *  - Samplers: per-batch `std::unordered_map`/`unordered_set` dedup and
  *    virtual visitor dispatch, the pre-optimization implementation.
  *    The library's samplers must match them bit for bit.
@@ -54,6 +56,17 @@ gnn::Tensor2D matmulNTNaive(const gnn::Tensor2D &a, const gnn::Tensor2D &b);
  */
 void aggregateNaive(const gnn::Tensor2D &h_src,
                     const gnn::SampledBlock &block, gnn::Tensor2D &agg);
+
+/**
+ * gnn::rowMean computed edge by edge, the layer's aggregate loop
+ * before the register-chunk kernel: zero for deg 0, a copy for deg 1,
+ * otherwise copy the first row into @p dst, add each middle row into
+ * it in edge order, and finish with (dst + last) * (1 / deg). Plain
+ * scalar loops, no dispatch.
+ */
+void rowMeanEdgeByEdge(float *dst, const float *rows,
+                       const std::uint32_t *index, std::size_t deg,
+                       std::size_t n);
 
 /** Everything one SAGE layer's forward and backward produce. */
 struct LayerPass
